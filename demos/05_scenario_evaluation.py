@@ -1,13 +1,14 @@
 """Scoring the three bundled household scenarios against gold labels.
 
-For each scenario every seed word becomes an object whose category is
-clamped as evidence; all category, location, property, and affordance
-variables of that object are then queried.  Predictions (probability
+For each scenario the model is grounded once for a single object; every
+seed word in turn is clamped as that object's category, and all
+category, location, property, and affordance variables of the object
+are queried from one shared sample set.  Predictions (probability
 strictly above 0.5) are compared with hand labels, and the seed sense
 choices are scored against the labeled senses.
 """
 
-from situnet import bln, data_path, evaluation
+from situnet import data_path, evaluation
 from situnet.cli import load_config, run_generation
 
 reports = {}
@@ -15,11 +16,9 @@ for name in ("recipe", "laundry", "cleaning"):
     config, _ = load_config(data_path("configs", f"{name}.cfg"))
     products = run_generation(config)
     seeds = list(products.assignment.choices)
-    objects = [evaluation.object_name(i) for i in range(len(seeds))]
-    net = bln.ground(products.declaration, products.fragments, objects)
-    results = evaluation.run_scenario(net, seeds, config.method,
-                                      config.samples, config.burn_in,
-                                      config.seed + 100)
+    results = evaluation.run_scenario(products.declaration, products.fragments,
+                                      seeds, config.method, config.samples,
+                                      config.burn_in, config.seed + 100)
     gold = evaluation.load_gold(config.gold)
     reports[name] = evaluation.score(results, gold, products.assignment)
     labeled = len(gold.relation_labels)

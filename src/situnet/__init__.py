@@ -14,7 +14,6 @@ from situnet.lexicon import (
     CorpusFrequencies,
     LexiconIndex,
     Synset,
-    information_content,
     load_frequencies,
     load_lexicon,
     load_stopwords,

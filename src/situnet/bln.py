@@ -29,6 +29,7 @@ from .netgen import ConceptGraph
 
 MAX_PARENTS = 12  # full-table CPF guard: 2^12 rows
 ENUMERATION_LIMIT = 25
+METHODS = ("exact", "lw", "gibbs")  # inference methods accepted by estimates()
 
 TYPES = ("object", "concept", "property", "location", "affordance")
 
@@ -636,7 +637,11 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
 
 def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood-weighted samples: (n_samples, n_vars) states and weights."""
-    ev = _resolve_evidence(net, evidence)
+    return _forward_sample(net, _resolve_evidence(net, evidence), n_samples, rng)
+
+
+def _forward_sample(net, ev, n_samples, rng):
+    """Ancestral pass in topological order; clamped variables weight, free ones draw."""
     states = np.zeros((n_samples, len(net.names)), dtype=bool)
     weights = np.ones(n_samples)
     for v in net.topo_order():
@@ -731,18 +736,7 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     n_vars = len(net.names)
     # ancestral initialization: forward-sample each chain so the sweep
     # starts near the target distribution instead of uniform noise
-    states = np.zeros((n_chains, n_vars), dtype=bool)
-    for v in net.topo_order():
-        if v in ev:
-            states[:, v] = ev[v]
-            continue
-        ps = net.parents[v]
-        if ps:
-            bits = 1 << np.arange(len(ps) - 1, -1, -1)
-            p_true = net.cpfs[v][states[:, ps].astype(int) @ bits]
-        else:
-            p_true = np.full(n_chains, net.cpfs[v][0])
-        states[:, v] = rng.random(n_chains) < p_true
+    states, _ = _forward_sample(net, ev, n_chains, rng)
 
     children = net.children()
     free_order = [v for v in net.topo_order() if v not in ev]
@@ -800,6 +794,22 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     return out
 
 
+def estimates(net: GroundNetwork, queries, evidence=None, method: str = "lw",
+              n_samples: int = 50_000, burn_in: int = 1000, seed: int = 0,
+              n_chains: int = 512) -> dict[str, float]:
+    """P(query | evidence) for every query by one of :data:`METHODS`.
+
+    The sampling methods answer all queries from one shared sample set.
+    """
+    if method == "exact":
+        return {q: infer_exact(net, q, evidence) for q in queries}
+    if method == "lw":
+        return lw_estimates(net, queries, evidence, n_samples, seed)
+    if method == "gibbs":
+        return gibbs_estimates(net, queries, evidence, burn_in, n_samples, seed, n_chains)
+    raise ValueError(f"unknown inference method {method!r}; expected one of {METHODS}")
+
+
 # ---------------------------------------------------------------------------
 # Model serialization
 # ---------------------------------------------------------------------------
@@ -848,11 +858,14 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
             elif tag == "ENTITY" and len(cols) == 3:
                 entities[cols[1]] = frozenset(cols[2].split(","))
             elif tag == "FRAGMENT" and len(cols) == 5:
-                child = AbstractVar.parse(cols[1])
-                parents = [AbstractVar.parse(p) for p in _split_vars(cols[2])]
-                cpf = np.array([float(x) for x in cols[3].split()])
-                fragments.append(Fragment(child=child, parents=parents, cpf=cpf,
-                                          frozen=cols[4] == "frozen"))
+                try:
+                    child = AbstractVar.parse(cols[1])
+                    parents = [AbstractVar.parse(p) for p in _split_vars(cols[2])]
+                    cpf = np.array([float(x) for x in cols[3].split()])
+                    fragments.append(Fragment(child=child, parents=parents, cpf=cpf,
+                                              frozen=cols[4] == "frozen"))
+                except ValueError as error:
+                    raise ValueError(f"bad model record on line {line_no}: {error}") from None
             else:
                 raise ValueError(f"bad model record on line {line_no}: {raw!r}")
     decl = Declaration(types=frozenset(types), signatures=signatures, entities=entities)

@@ -82,8 +82,9 @@ class PipelineConfig:
             raise ConfigError("n_worlds and samples must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
-        if self.method not in ("exact", "lw", "gibbs"):
-            raise ConfigError(f"method must be exact, lw, or gibbs, got {self.method!r}")
+        if self.method not in bln.METHODS:
+            raise ConfigError(f"method must be one of {', '.join(bln.METHODS)}, "
+                              f"got {self.method!r}")
         if self.esa_weighting not in ("raw_count", "tfidf"):
             raise ConfigError(f"bad esa_weighting {self.esa_weighting!r}")
         return self
@@ -92,13 +93,17 @@ class PipelineConfig:
 _INT_KEYS = {"min_children", "n_worlds", "min_doc_freq", "samples", "burn_in", "seed"}
 _FLOAT_KEYS = {"ic_threshold", "alpha", "root_prior", "pseudocount"}
 _KNOWN_KEYS = {f.name for f in fields(PipelineConfig)}
+# keys a scenario of ``evaluate`` can override as ``<scenario>.<key>``
+SCOPED_KEYS = ("seeds", "gold", "environment", "alpha", "root_prior",
+               "min_children", "ic_threshold", "n_worlds", "samples")
 
 
 def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
     """Parse a key=value config file; returns the config plus raw entries.
 
     Raw entries keep scenario-scoped keys (``recipe.seeds=...``) that the
-    flat dataclass does not model.
+    flat dataclass does not model; their suffix must be in
+    :data:`SCOPED_KEYS`.
     """
     config = PipelineConfig()
     raw: dict[str, str] = {}
@@ -113,17 +118,18 @@ def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
             key, _, value = text.partition("=")
             key, value = key.strip(), value.strip()
             raw[key] = value
+            if "." in key:
+                if key.rpartition(".")[2] not in SCOPED_KEYS:
+                    raise ConfigError(f"{path}:{line_no}: {key!r} cannot be scoped to a "
+                                      f"scenario; scopable keys: {', '.join(SCOPED_KEYS)}")
+                continue
             if key not in _KNOWN_KEYS:
-                if "." in key or key == "scenarios":
-                    continue
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             setattr(config, key, _convert(key, value))
     _resolve_paths(config, base)
     for key in list(raw):
-        if "." in key and raw[key] and not raw[key].startswith("/"):
-            candidate = base / raw[key]
-            if key.endswith((".seeds", ".gold", ".blocklist")):
-                raw[key] = str(candidate)
+        if key.endswith((".seeds", ".gold")) and raw[key] and not raw[key].startswith("/"):
+            raw[key] = str(base / raw[key])
     return config, raw
 
 
@@ -283,19 +289,8 @@ def cmd_infer(args) -> int:
     for pattern in args.query:
         queries.extend(_expand_query(pattern, net))
 
-    seed = config.seed + INFER_SEED_OFFSET
-    results = {}
-    for query in queries:
-        if config.method == "exact":
-            results[query] = bln.infer_exact(net, query, evidence)
-        elif config.method == "lw":
-            results[query] = bln.infer_lw(net, query, evidence,
-                                          n_samples=config.samples, seed=seed)
-        else:
-            results[query] = bln.infer_gibbs(net, query, evidence,
-                                             burn_in=config.burn_in,
-                                             n_samples=config.samples, seed=seed)
-
+    results = bln.estimates(net, queries, evidence, config.method, config.samples,
+                            config.burn_in, config.seed + INFER_SEED_OFFSET)
     for name, prob in sorted(results.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"{prob:.6f}\t{name}")
     return 0
@@ -354,8 +349,7 @@ def cmd_evaluate(args) -> int:
         for name in scenario_names:
             sub = PipelineConfig(**{f.name: getattr(config, f.name)
                                     for f in fields(PipelineConfig)})
-            for key in ("seeds", "gold", "environment", "alpha", "root_prior",
-                        "min_children", "ic_threshold", "n_worlds", "samples"):
+            for key in SCOPED_KEYS:
                 scoped = raw.get(f"{name}.{key}")
                 if scoped is not None:
                     setattr(sub, key, _convert(key, scoped))
@@ -368,11 +362,8 @@ def cmd_evaluate(args) -> int:
         if not sub.gold:
             raise ConfigError(f"scenario {name!r} has no gold file configured")
         products = run_generation(sub)
-        seeds = list(products.assignment.choices)
-        objects = [evaluation.object_name(i) for i in range(len(seeds))]
-        net = _stage("ground", bln.ground, products.declaration,
-                     products.fragments, objects)
-        results = _stage("scenario", evaluation.run_scenario, net, seeds,
+        results = _stage("scenario", evaluation.run_scenario, products.declaration,
+                         products.fragments, list(products.assignment.choices),
                          sub.method, sub.samples, sub.burn_in,
                          sub.seed + SCENARIO_SEED_OFFSET)
         gold = evaluation.load_gold(sub.gold)
@@ -412,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--root-prior", dest="root_prior", type=float)
         p.add_argument("--samples", type=int)
         p.add_argument("--n-worlds", dest="n_worlds", type=int)
-        p.add_argument("--method", choices=("exact", "lw", "gibbs"))
+        p.add_argument("--method", choices=bln.METHODS)
         p.add_argument("--seed", type=int, help="master random seed")
 
     gen = sub.add_parser("generate", help="build graph, model, and assignment files")

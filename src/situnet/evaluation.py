@@ -1,11 +1,11 @@
 """Scenario evaluation: per-seed inference, thresholding, accuracy scoring.
 
-For every seed word an object is instantiated, the evidence
-``IsA(obj, seed) = true`` is clamped, and all four relation families of
-that object are queried.  A query counts as predicted true when its
-probability strictly exceeds 0.5; accuracies are reported per relation
-against a hand-labeled gold standard, alongside the seed-sense
-disambiguation accuracy.
+The model template is grounded once for a single object; for every seed
+word the evidence ``IsA(obj1, seed) = true`` is clamped and all four
+relation families of that object are queried from one sample set.  A
+query counts as predicted true when its probability strictly exceeds
+0.5; accuracies are reported per relation against a hand-labeled gold
+standard, alongside the seed-sense disambiguation accuracy.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bln
-from .bln import AbstractVar, GroundNetwork
+from .bln import AbstractVar
 from .disambiguation import SenseAssignment
 from .edges import RelationType
+
+OBJECT = "obj1"  # the one object every scenario query is grounded for
 
 
 class MissingVariableError(KeyError):
@@ -47,45 +49,23 @@ class AccuracyReport:
     counts: dict[RelationType, tuple[int, int]]  # correct, total
 
 
-def object_name(position: int) -> str:
-    """Naming convention tying seed list positions to ground objects."""
-    return f"obj{position + 1}"
-
-
-def run_scenario(net: GroundNetwork, seeds, method: str = "lw", n_samples: int = 20_000,
+def run_scenario(declaration, fragments, seeds, method: str = "lw", n_samples: int = 20_000,
                  burn_in: int = 1000, seed: int = 0,
                  n_chains: int = 512) -> dict[tuple[str, RelationType, str], float]:
-    """Query all relation variables of each seed's object.
+    """Query every variable of one object once per seed word.
 
-    The network must contain one object per seed, named by
-    :func:`object_name` in seed order.  Per-object subnetworks are
-    disjoint, so each seed's queries run on its own component.  Returns
-    (seed, relation, target entity) -> probability.
+    The template is grounded once for the single object ``obj1``; the
+    i-th seed clamps ``IsA(obj1, seed) = true`` and samples with
+    ``seed + i``.  Returns (seed, relation, target entity) -> probability.
     """
+    net = bln.ground(declaration, fragments, [OBJECT])
     results: dict[tuple[str, RelationType, str], float] = {}
-    components = net.components()
     for position, seed_word in enumerate(seeds):
-        obj = object_name(position)
-        ev_name = f"IsA({obj},{seed_word})"
+        ev_name = f"IsA({OBJECT},{seed_word})"
         if ev_name not in net.index:
             raise MissingVariableError(seed_word)
-        component = next(c for c in components if net.index[ev_name] in c)
-        sub = net.subnetwork(component)
-        queries = [name for name in sub.names if name not in set(sub.aux)]
-        evidence = {ev_name: True}
-
-        if method == "exact":
-            estimates = {q: bln.infer_exact(sub, q, evidence) for q in queries}
-        elif method == "lw":
-            estimates = bln.lw_estimates(sub, queries, evidence,
-                                         n_samples=n_samples, seed=seed + position)
-        elif method == "gibbs":
-            estimates = bln.gibbs_estimates(sub, queries, evidence, burn_in=burn_in,
-                                            n_samples=n_samples, seed=seed + position,
-                                            n_chains=n_chains)
-        else:
-            raise ValueError(f"unknown inference method {method!r}")
-
+        estimates = bln.estimates(net, net.names, {ev_name: True}, method, n_samples,
+                                  burn_in, seed + position, n_chains)
         for name, prob in estimates.items():
             var = AbstractVar.parse(name)
             results[(seed_word, RelationType(var.predicate), var.args[1])] = prob
@@ -140,7 +120,11 @@ def load_gold(path) -> GoldStandard:
             cols = line.split("\t")
             if cols[0] == "REL" and len(cols) == 5:
                 _, seed, rel, target, label = cols
-                relation_labels[(seed, RelationType(rel), target)] = label == "1"
+                try:
+                    relation = RelationType(rel)
+                except ValueError as error:
+                    raise ValueError(f"bad gold record on line {line_no}: {error}") from None
+                relation_labels[(seed, relation, target)] = label == "1"
             elif cols[0] == "SENSE" and len(cols) == 3:
                 sense_labels[cols[1]] = cols[2]
             else:

@@ -273,10 +273,6 @@ class CorpusFrequencies:
         return -math.log(count / self.total)
 
 
-def information_content(word: str, freq: CorpusFrequencies) -> float:
-    return freq.information_content(word)
-
-
 # ---------------------------------------------------------------------------
 # File parsing
 # ---------------------------------------------------------------------------

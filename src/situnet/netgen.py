@@ -520,7 +520,11 @@ def parse_graph(text: str) -> ConceptGraph:
                 is_seed=is_seed == "1")
         elif cols[0] == "EDGE" and len(cols) == 5:
             _, rel, src, dst, strength = cols
-            graph.edges.append(RelationEdge(src, RelationType(rel), dst, float(strength)))
+            try:
+                edge = RelationEdge(src, RelationType(rel), dst, float(strength))
+            except ValueError as error:
+                raise ValueError(f"bad graph record on line {line_no}: {error}") from None
+            graph.edges.append(edge)
         else:
             raise ValueError(f"bad graph record on line {line_no}: {raw!r}")
     return graph

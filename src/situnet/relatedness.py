@@ -156,49 +156,6 @@ class ConstantRelatedness:
         return self.value
 
 
-# ---------------------------------------------------------------------------
-# Persistence: a text layout that round-trips bit-exactly
-# ---------------------------------------------------------------------------
-
-
-def save_esa_index(index: EsaIndex, path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(f"ESA\t{index.weighting}\t{len(index.concepts)}\n")
-        for title in index.concepts:
-            out.write(f"C\t{title}\n")
-        for word in index.vectors:
-            cells = " ".join(f"{idx}:{w!r}" for idx, w in index.vectors[word])
-            out.write(f"V\t{word}\t{cells}\n")
-
-
-def load_esa_index(path) -> EsaIndex:
-    concepts: list[str] = []
-    vectors: dict[str, list[tuple[int, float]]] = {}
-    weighting = "raw_count"
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if len(header) != 3 or header[0] != "ESA":
-            raise ValueError(f"not an ESA index file: {path}")
-        weighting = header[1]
-        for raw in handle:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            tag, _, rest = line.partition("\t")
-            if tag == "C":
-                concepts.append(rest)
-            elif tag == "V":
-                word, _, cells = rest.partition("\t")
-                vec = []
-                for cell in cells.split():
-                    idx, _, w = cell.partition(":")
-                    vec.append((int(idx), float(w)))
-                vectors[word] = vec
-            else:
-                raise ValueError(f"bad ESA record tag {tag!r}")
-    return EsaIndex(concepts=concepts, vectors=vectors, weighting=weighting)
-
-
 def load_documents(path) -> list[tuple[str, str]]:
     """Read a ``title<TAB>text`` corpus file, one document per line."""
     docs = []

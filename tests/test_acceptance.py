@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from situnet import bln, evaluation, netgen
-from situnet.bln import ground, infer_exact, infer_gibbs, infer_lw
+from situnet.bln import infer_exact, infer_gibbs, infer_lw
 from situnet.cli import load_config, run_generation
 from situnet.disambiguation import disambiguate_seeds
 from situnet.edges import RelationType
@@ -229,11 +229,9 @@ def test_criterion_8_fixture_evaluation(scenario_products):
         for name in ("recipe", "laundry", "cleaning"):
             config, products = scenario_products[name]
             seeds = list(products.assignment.choices)
-            objects = [evaluation.object_name(i) for i in range(len(seeds))]
-            net = ground(products.declaration, products.fragments, objects)
             results = evaluation.run_scenario(
-                net, seeds, config.method, config.samples, config.burn_in,
-                config.seed + 100)
+                products.declaration, products.fragments, seeds, config.method,
+                config.samples, config.burn_in, config.seed + 100)
             gold = evaluation.load_gold(config.gold)
             report = evaluation.score(results, gold, products.assignment)
             assert report.per_relation[RelationType.IsA] >= 90.0, name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from situnet import bln
 from situnet.bln import (
     AbstractVar,
     And,
@@ -489,6 +490,41 @@ class TestInferGibbs:
         assert a == b
 
 
+class TestEstimates:
+    """``estimates`` answers a query batch exactly as per-query calls do."""
+
+    def batches(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            net = random_net(rng, max_vars=10)
+            _, evidence = random_query_evidence(rng, net)
+            yield net, evidence
+
+    def test_lw_equals_per_query_infer_lw(self):
+        for net, evidence in self.batches(21):
+            batch = bln.estimates(net, net.names, evidence, "lw", n_samples=3000, seed=5)
+            assert batch == {q: infer_lw(net, q, evidence, n_samples=3000, seed=5)
+                             for q in net.names}
+
+    def test_gibbs_equals_per_query_infer_gibbs(self):
+        for net, evidence in self.batches(22):
+            batch = bln.estimates(net, net.names, evidence, "gibbs", n_samples=1000,
+                                  burn_in=20, seed=6, n_chains=64)
+            assert batch == {q: infer_gibbs(net, q, evidence, burn_in=20, n_samples=1000,
+                                            seed=6, n_chains=64)
+                             for q in net.names}
+
+    def test_exact_equals_per_query_infer_exact(self):
+        for net, evidence in self.batches(23):
+            assert bln.estimates(net, net.names, evidence, "exact") == \
+                {q: infer_exact(net, q, evidence) for q in net.names}
+
+    def test_unknown_method_rejected(self):
+        net = random_net(np.random.default_rng(24))
+        with pytest.raises(ValueError, match="unknown inference method"):
+            bln.estimates(net, net.names[:1], {}, "annealing")
+
+
 class TestModelSerialization:
     def test_round_trip(self, tmp_path, scenario_products):
         _, products = scenario_products["mini"]
@@ -519,3 +555,14 @@ class TestModelSerialization:
         write_model(products.declaration, products.fragments, tmp_path / "a.tsv")
         write_model(products.declaration, products.fragments, tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    @pytest.mark.parametrize("fragment, reason", [
+        ("FRAGMENT\tIsA(x,a)\t-\tabc\t-", "could not convert"),
+        ("FRAGMENT\tIsA(x,a)\t-\t0.5 0.5\t-", "must have 1 rows"),
+        ("FRAGMENT\tIsA(x,a\t-\t0.5\t-", "bad variable syntax"),
+    ])
+    def test_malformed_fragment_names_its_line(self, tmp_path, fragment, reason):
+        path = tmp_path / "model.tsv"
+        path.write_text(f"TYPE\tobject\n# comment\n{fragment}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad model record on line 3: .*{reason}"):
+            read_model(path)

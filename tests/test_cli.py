@@ -1,10 +1,12 @@
 """End-to-end command-line driver tests."""
 
+import re
+
 import numpy as np
 import pytest
 
 from situnet import bln, evaluation, netgen
-from situnet.cli import load_config, main, run_generation
+from situnet.cli import ConfigError, load_config, main, run_generation
 
 from conftest import bundled
 
@@ -152,6 +154,44 @@ class TestInfer:
         prob = float(out.strip().split("\t")[0])
         assert prob > 0.5
 
+    @pytest.mark.parametrize("method", ["lw", "gibbs", "exact"])
+    def test_two_patterns_print_the_lines_of_separate_runs(self, mini_model, capsys,
+                                                            method):
+        args = ["infer", "--model", str(mini_model), "--evidence", "IsA(obj1,stove)=true",
+                "--method", method, "--samples", "2000", "--seed", "6"]
+        patterns = ["--query", "AtLocation(obj1,*)"], ["--query", "UsedFor(obj1,*)"]
+        separate = []
+        for pattern in patterns:
+            code, out, err = run_cli(args + pattern, capsys)
+            assert code == 0, err
+            separate += out.splitlines()
+        code, out, err = run_cli(args + patterns[0] + patterns[1], capsys)
+        assert code == 0, err
+        ranked = sorted(separate, key=lambda line: (-float(line.split("\t")[0]),
+                                                    line.split("\t")[1]))
+        assert out.splitlines() == ranked
+
+
+class TestLoadConfig:
+    def write(self, tmp_path, lines):
+        path = tmp_path / "eval.cfg"
+        path.write_text("\n".join(["seed=3", "scenarios=cleaning", *lines]) + "\n",
+                        encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("key", ["cleaning.method", "cleaning.sedes", "recipe.burn_in"])
+    def test_unscopable_dotted_key_rejected_with_line(self, tmp_path, key):
+        path = self.write(tmp_path, ["cleaning.seeds=s.txt", f"{key}=bogus"])
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:4: '{key}' cannot be scoped")):
+            load_config(path)
+
+    def test_scoped_keys_kept_for_unlisted_scenarios(self, tmp_path):
+        path = self.write(tmp_path, ["cleaning.samples=10", "recipe.seeds=r.txt"])
+        config, raw = load_config(path)
+        assert config.scenarios == "cleaning"
+        assert raw["cleaning.samples"] == "10"
+        assert raw["recipe.seeds"] == str(tmp_path / "r.txt")
+
 
 class TestEvaluate:
     def test_three_bundled_scenarios(self, tmp_path, capsys):
@@ -186,12 +226,9 @@ class TestEvaluate:
 
         config, _ = load_config(bundled("configs", "mini.cfg"))
         products = run_generation(config)
-        seeds = list(products.assignment.choices)
-        net = bln.ground(products.declaration, products.fragments,
-                         [evaluation.object_name(i) for i in range(len(seeds))])
-        results = evaluation.run_scenario(net, seeds, config.method,
-                                          config.samples, config.burn_in,
-                                          config.seed + 100)
+        results = evaluation.run_scenario(products.declaration, products.fragments,
+                                          list(products.assignment.choices), config.method,
+                                          config.samples, config.burn_in, config.seed + 100)
         gold = evaluation.load_gold(config.gold)
         report = evaluation.score(results, gold, products.assignment)
         from situnet.evaluation import RELATION_COLUMNS

@@ -14,7 +14,6 @@ from situnet.evaluation import (
     format_report,
     load_gold,
     machine_report,
-    object_name,
     run_scenario,
     score,
 )
@@ -26,7 +25,7 @@ def var(text):
     return AbstractVar.parse(text)
 
 
-def food_container_net():
+def food_container_model():
     """IsA(x,food) drives AtLocation(x,container) with a certain rule."""
     decl = Declaration(
         types=frozenset({"object", "concept", "location"}),
@@ -39,49 +38,43 @@ def food_container_net():
         Fragment(var("AtLocation(x,container)"), [var("IsA(x,food)")],
                  np.array([0.0, 1.0])),
     ]
-    return ground(decl, fragments, ["obj1"])
+    return decl, fragments
 
 
 class TestRunScenario:
     def test_evidence_variable_scores_one(self):
-        net = food_container_net()
-        results = run_scenario(net, ["food"], method="exact")
+        results = run_scenario(*food_container_model(), ["food"], method="exact")
         assert results[("food", RelationType.IsA, "food")] == 1.0
 
     def test_certain_rule_transfers_probability_one(self):
-        net = food_container_net()
-        results = run_scenario(net, ["food"], method="exact")
+        results = run_scenario(*food_container_model(), ["food"], method="exact")
         assert results[("food", RelationType.AtLocation, "container")] == 1.0
 
     def test_missing_seed_variable_named(self):
-        net = food_container_net()
         with pytest.raises(MissingVariableError) as err:
-            run_scenario(net, ["zeppelin"], method="exact")
+            run_scenario(*food_container_model(), ["zeppelin"], method="exact")
         assert err.value.seed == "zeppelin"
 
     def test_matches_per_query_oracle_exact(self, scenario_products):
-        # oracle: per-object single grounding, queried variable by variable;
-        # disjoint per-object replicas make this the same marginal
+        # oracle: one grounding, queried variable by variable
         _, products = scenario_products["mini"]
         seeds = list(products.assignment.choices)
-        objects = [object_name(i) for i in range(len(seeds))]
-        net = ground(products.declaration, products.fragments, objects)
-        results = run_scenario(net, seeds, method="exact")
+        results = run_scenario(products.declaration, products.fragments, seeds,
+                               method="exact")
+        solo = ground(products.declaration, products.fragments, ["obj1"])
+        assert len(results) == len(seeds) * len(solo)
         for (seed, relation, target), prob in results.items():
-            obj = object_name(seeds.index(seed))
-            solo = ground(products.declaration, products.fragments, [obj])
-            name = f"{relation.value}({obj},{target})"
-            direct = bln.infer_exact(solo, name, {f"IsA({obj},{seed})": True})
+            name = f"{relation.value}(obj1,{target})"
+            direct = bln.infer_exact(solo, name, {f"IsA(obj1,{seed})": True})
             assert prob == pytest.approx(direct, abs=1e-12)
 
     def test_lw_and_gibbs_agree_with_exact(self, scenario_products):
         _, products = scenario_products["mini"]
+        model = (products.declaration, products.fragments)
         seeds = list(products.assignment.choices)
-        objects = [object_name(i) for i in range(len(seeds))]
-        net = ground(products.declaration, products.fragments, objects)
-        exact = run_scenario(net, seeds, method="exact")
-        lw = run_scenario(net, seeds, method="lw", n_samples=50_000, seed=1)
-        gibbs = run_scenario(net, seeds, method="gibbs", n_samples=50_000,
+        exact = run_scenario(*model, seeds, method="exact")
+        lw = run_scenario(*model, seeds, method="lw", n_samples=50_000, seed=1)
+        gibbs = run_scenario(*model, seeds, method="gibbs", n_samples=50_000,
                              burn_in=500, seed=1)
         for key in exact:
             assert abs(lw[key] - exact[key]) < 0.02, key
@@ -201,6 +194,16 @@ class TestReports:
         assert "recipe\tIsA\t97.6" in lines
         assert "cleaning\tWSD\t81.8" in lines
         assert len(lines) == 15  # 3 scenarios x (4 relations + wsd)
+
+    @pytest.mark.parametrize("record, reason", [
+        ("REL\tpan\tMadeOf\tmetal\t1", "'MadeOf' is not a valid RelationType"),
+        ("REL\tpan\tIsA\tutensil", "'REL"),
+    ])
+    def test_malformed_gold_record_names_its_line(self, tmp_path, record, reason):
+        path = tmp_path / "gold.tsv"
+        path.write_text(f"SENSE\tpan\tpan-1-n\n{record}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad gold record on line 2: {reason}"):
+            load_gold(path)
 
     def test_gold_loader(self):
         gold = load_gold(bundled("gold", "recipe.tsv"))

@@ -475,3 +475,12 @@ class TestGraphStructure:
         config, products = scenario_products["mini"]
         again = run_generation(config)
         assert serialize_graph(again.graph) == serialize_graph(products.graph)
+
+    @pytest.mark.parametrize("edge, reason", [
+        ("EDGE\tMadeOf\ta\tb\t1.0", "'MadeOf' is not a valid RelationType"),
+        ("EDGE\tIsA\ta\tb\tstrong", "could not convert"),
+    ])
+    def test_malformed_edge_names_its_line(self, edge, reason):
+        text = f"NODE\ta\tconcept\t-\t1\n\n{edge}\n"
+        with pytest.raises(ValueError, match=f"bad graph record on line 3: .*{reason}"):
+            parse_graph(text)

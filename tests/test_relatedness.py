@@ -10,8 +10,6 @@ from situnet.relatedness import (
     TableRelatedness,
     build_esa_index,
     esa_relatedness,
-    load_esa_index,
-    save_esa_index,
 )
 
 
@@ -134,15 +132,3 @@ class TestProviders:
         assert table.score("stove", "pan") == 0.8
         assert table.score("stove", "stove") == 1.0
         assert table.score("x", "y") == 0.0
-
-
-class TestPersistence:
-    def test_round_trip_bit_exact(self, esa_index, tmp_path):
-        path = tmp_path / "esa.idx"
-        save_esa_index(esa_index, path)
-        again = load_esa_index(path)
-        assert again.concepts == esa_index.concepts
-        assert again.weighting == esa_index.weighting
-        assert again.vectors == esa_index.vectors
-        save_esa_index(again, tmp_path / "esa2.idx")
-        assert (tmp_path / "esa.idx").read_bytes() == (tmp_path / "esa2.idx").read_bytes()
