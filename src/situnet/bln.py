@@ -636,28 +636,38 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
 
 
 def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Likelihood-weighted samples: (n_samples, n_vars) states and weights."""
-    return _forward_sample(net, _resolve_evidence(net, evidence), n_samples, rng)
+    """Likelihood-weighted samples: (n_samples, n_vars) states and weights.
+
+    The states are a transposed view of the variable-major sampler array.
+    """
+    states, weights = _forward_sample(net, _resolve_evidence(net, evidence), n_samples, rng)
+    return states.T, weights
 
 
 def _forward_sample(net, ev, n_samples, rng):
-    """Ancestral pass in topological order; clamped variables weight, free ones draw."""
-    states = np.zeros((n_samples, len(net.names)), dtype=bool)
+    """Ancestral pass in topological order; clamped variables weight, free ones draw.
+
+    States are variable-major, ``(n_vars, n_samples)``: row ``v`` holds
+    variable ``v``, so a parent configuration is built by shift-or over
+    contiguous rows, first parent most significant.
+    """
+    states = np.zeros((len(net.names), n_samples), dtype=bool)
     weights = np.ones(n_samples)
     for v in net.topo_order():
         ps = net.parents[v]
         if ps:
-            k = len(ps)
-            bits = 1 << np.arange(k - 1, -1, -1)
-            config = states[:, ps].astype(int) @ bits
+            config = states[ps[0]].astype(np.intp)
+            for p in ps[1:]:
+                config <<= 1
+                config |= states[p]
             p_true = net.cpfs[v][config]
         else:
-            p_true = np.full(n_samples, net.cpfs[v][0])
+            p_true = net.cpfs[v][0]
         if v in ev:
-            states[:, v] = ev[v]
+            states[v] = ev[v]
             weights *= p_true if ev[v] else 1.0 - p_true
         else:
-            states[:, v] = rng.random(n_samples) < p_true
+            states[v] = rng.random(n_samples) < p_true
     return states, weights
 
 
@@ -716,6 +726,22 @@ def infer_gibbs(net: GroundNetwork, query: str, evidence=None, burn_in: int = 10
 def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1000,
                     n_samples: int = 50_000, seed: int = 0,
                     n_chains: int = 512) -> dict[str, float]:
+    """Single-site Gibbs estimates for many queries from one chain set.
+
+    Every chain starts from an ancestral forward sample and runs
+    ``burn_in`` sweeps over the free variables in topological order; then
+    ``ceil(n_samples / n_chains)`` further sweeps are kept, so kept sweeps
+    are counted per chain and at least ``n_samples`` states are collected.
+
+    Sampler state is one integer key per variable and chain,
+    ``2 * parent_config + state``, with the parent configuration ordered
+    as in the CPF.  Each variable's CPF is stored interleaved as
+    ``(1 - cpf[i], cpf[i])`` at ``(2i, 2i + 1)``, so ``table[key]`` is the
+    probability of the variable's current state given its parents.  A
+    parent sits at one bit of its child's key; ``key & ~bit`` and
+    ``key | bit`` look up the child with that parent false and true.  A
+    draw for ``v`` rewrites only the keys of ``v`` and of its children.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     evidence = evidence or {}
@@ -733,55 +759,55 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
                 "clamped by evidence; use infer_lw instead")
 
     rng = np.random.default_rng(seed)
-    n_vars = len(net.names)
     # ancestral initialization: forward-sample each chain so the sweep
     # starts near the target distribution instead of uniform noise
     states, _ = _forward_sample(net, ev, n_chains, rng)
 
+    keys = []
+    tables = []
+    for v, ps in enumerate(net.parents):
+        key = np.zeros(n_chains, dtype=np.intp)
+        for p in ps:
+            key |= states[p]
+            key <<= 1
+        key |= states[v]
+        keys.append(key)
+        tables.append(np.column_stack((1.0 - net.cpfs[v], net.cpfs[v])).ravel())
+
     children = net.children()
-    free_order = [v for v in net.topo_order() if v not in ev]
-    # Precomputed index arithmetic: for each free variable and each of its
-    # children, the bit weight of the variable inside the child's CPF row.
-    child_info = {
-        v: [(c, 1 << (len(net.parents[c]) - 1 - net.parents[c].index(v)))
-            for c in children[v]]
-        for v in free_order
-    }
-    parent_bits = {
-        v: (np.array(net.parents[v], dtype=int),
-            1 << np.arange(len(net.parents[v]) - 1, -1, -1))
-        for v in range(n_vars)
-    }
+    # per free variable: its table, and each child's table and key bit for it
+    sites = [
+        (v, tables[v],
+         [(c, tables[c], 2 << (len(net.parents[c]) - 1 - net.parents[c].index(v)))
+          for c in children[v]])
+        for v in net.topo_order() if v not in ev
+    ]
 
     per_chain = -(-n_samples // n_chains)  # ceil
     collected = {net.index[q]: 0 for q in queries}
     count = 0
 
     for sweep in range(burn_in + per_chain):
-        for v in free_order:
-            cols, bits = parent_bits[v]
-            if cols.size:
-                config = states[:, cols].astype(int) @ bits
-                p1 = net.cpfs[v][config]
-            else:
-                p1 = np.full(n_chains, net.cpfs[v][0])
-            w1 = p1.copy()
-            w0 = 1.0 - p1
-            for c, bit in child_info[v]:
-                c_cols, c_bits = parent_bits[c]
-                base = states[:, c_cols].astype(int) @ c_bits
-                base -= np.where(states[:, v], bit, 0)
-                p_child_if_true = net.cpfs[c][base + bit]
-                p_child_if_false = net.cpfs[c][base]
-                child_state = states[:, c]
-                w1 *= np.where(child_state, p_child_if_true, 1.0 - p_child_if_true)
-                w0 *= np.where(child_state, p_child_if_false, 1.0 - p_child_if_false)
+        for v, table, kids in sites:
+            key = keys[v]
+            high, low = key | 1, key & ~1
+            w1, w0 = table[high], table[low]
+            moves = []
+            for c, c_table, bit in kids:
+                c_key = keys[c]
+                c_high, c_low = c_key | bit, c_key & ~bit
+                w1 *= c_table[c_high]
+                w0 *= c_table[c_low]
+                moves.append((c, c_high, c_low))
             total = w1 + w0
             p = np.where(total > 0, w1 / np.where(total > 0, total, 1.0), 0.5)
-            states[:, v] = rng.random(n_chains) < p
+            draw = rng.random(n_chains) < p
+            keys[v] = np.where(draw, high, low)
+            for c, c_high, c_low in moves:
+                keys[c] = np.where(draw, c_high, c_low)
         if sweep >= burn_in:
             for v in collected:
-                collected[v] += int(states[:, v].sum())
+                collected[v] += int((keys[v] & 1).sum())
             count += n_chains
 
     out = {}

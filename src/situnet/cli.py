@@ -103,7 +103,8 @@ def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
 
     Raw entries keep scenario-scoped keys (``recipe.seeds=...``) that the
     flat dataclass does not model; their suffix must be in
-    :data:`SCOPED_KEYS`.
+    :data:`SCOPED_KEYS`.  Numeric values, scoped or not, are checked here
+    and a malformed one raises :class:`ConfigError` at ``path:line``.
     """
     config = PipelineConfig()
     raw: dict[str, str] = {}
@@ -118,14 +119,21 @@ def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
             key, _, value = text.partition("=")
             key, value = key.strip(), value.strip()
             raw[key] = value
-            if "." in key:
-                if key.rpartition(".")[2] not in SCOPED_KEYS:
-                    raise ConfigError(f"{path}:{line_no}: {key!r} cannot be scoped to a "
-                                      f"scenario; scopable keys: {', '.join(SCOPED_KEYS)}")
-                continue
-            if key not in _KNOWN_KEYS:
+            scoped = "." in key
+            field = key.rpartition(".")[2]
+            if scoped and field not in SCOPED_KEYS:
+                raise ConfigError(f"{path}:{line_no}: {key!r} cannot be scoped to a "
+                                  f"scenario; scopable keys: {', '.join(SCOPED_KEYS)}")
+            if not scoped and key not in _KNOWN_KEYS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            setattr(config, key, _convert(key, value))
+            try:
+                converted = _convert(field, value)
+            except ValueError:
+                kind = "an integer" if field in _INT_KEYS else "a number"
+                raise ConfigError(f"{path}:{line_no}: {key} must be {kind}, "
+                                  f"got {value!r}") from None
+            if not scoped:
+                setattr(config, key, converted)
     _resolve_paths(config, base)
     for key in list(raw):
         if key.endswith((".seeds", ".gold")) and raw[key] and not raw[key].startswith("/"):

@@ -19,8 +19,8 @@ from situnet.edges import RelationType
 from situnet.lexicon import load_lexicon
 from situnet.relatedness import TableRelatedness, esa_relatedness
 
-from conftest import bundled
-from test_bln import graph_of, joint_table_oracle, random_net, random_query_evidence
+from conftest import bundled, joint_table_oracle
+from test_bln import graph_of, random_net, random_query_evidence
 from test_disambiguation import load_seed_file, oracle_best_over_start_senses
 from test_netgen import graph_isa_sets, random_hierarchy
 

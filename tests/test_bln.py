@@ -34,6 +34,8 @@ from situnet.edges import RelationType
 from situnet.netgen import ConceptGraph, ConceptNode, RelationEdge
 from situnet.relatedness import ConstantRelatedness, TableRelatedness
 
+from conftest import gibbs_estimates_oracle, joint_table_oracle, lw_estimates_oracle
+
 
 def var(text):
     return AbstractVar.parse(text)
@@ -299,29 +301,6 @@ class TestGround:
             ground(simple_declaration(), simple_fragments(), [])
 
 
-def joint_table_oracle(net, query, evidence):
-    """Explicit 2^n joint enumeration with numpy."""
-    n = len(net.names)
-    configs = np.arange(2 ** n)
-    bits = ((configs[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-    joint = np.ones(2 ** n)
-    for v in range(n):
-        ps = net.parents[v]
-        if ps:
-            weights = 1 << np.arange(len(ps) - 1, -1, -1)
-            rows = bits[:, ps].astype(int) @ weights
-            p_true = net.cpfs[v][rows]
-        else:
-            p_true = np.full(2 ** n, net.cpfs[v][0])
-        joint *= np.where(bits[:, v], p_true, 1.0 - p_true)
-    mask = np.ones(2 ** n, dtype=bool)
-    for name, value in evidence.items():
-        mask &= bits[:, net.index[name]] == value
-    denom = joint[mask].sum()
-    numer = joint[mask & bits[:, net.index[query]]].sum()
-    return numer / denom
-
-
 def random_net(rng, max_vars=12):
     n = int(rng.integers(3, max_vars + 1))
     names = [f"IsA(o,v{i})" for i in range(n)]
@@ -523,6 +502,85 @@ class TestEstimates:
         net = random_net(np.random.default_rng(24))
         with pytest.raises(ValueError, match="unknown inference method"):
             bln.estimates(net, net.names[:1], {}, "annealing")
+
+
+def sampler_net(rng):
+    """``random_net`` plus the structures the samplers index specially.
+
+    Appends a child of ten parents, two children of one shared parent
+    pair and a deterministic ``a and b`` constraint auxiliary over two
+    free variables.  Evidence clamps the auxiliary true, so Gibbs meets
+    chains where both states of ``a`` have zero weight, and clamps one of
+    the appended non-root children.
+    """
+    base = random_net(rng, max_vars=8)
+    names, parents, cpfs = list(base.names), list(base.parents), list(base.cpfs)
+
+    def add(ps, cpf, name=None):
+        names.append(name or f"IsA(o,v{len(names)})")
+        parents.append(sorted(int(p) for p in ps))
+        cpfs.append(cpf)
+        return names[-1]
+
+    while len(names) < 10:
+        add([], rng.uniform(0.05, 0.95, size=1))
+    pool = len(names)
+    wide = add(rng.choice(pool, size=10, replace=False), rng.uniform(0.05, 0.95, size=2 ** 10))
+    shared = rng.choice(pool, size=2, replace=False)
+    add(shared, rng.uniform(0.05, 0.95, size=4))
+    sibling = add(shared, rng.uniform(0.05, 0.95, size=4))
+    aux = add(rng.choice(pool, size=2, replace=False), np.array([0.0, 0.0, 0.0, 1.0]),
+              "constraint0(o)")
+    net = GroundNetwork(names=names, parents=parents, cpfs=cpfs, aux=[aux])
+    clamped = wide if rng.random() < 0.5 else sibling
+    return net, {aux: True, clamped: bool(rng.random() < 0.5)}
+
+
+class TestSamplerOracle:
+    """The variable-major samplers reproduce the sample-major reference value for value."""
+
+    def cases(self, seed):
+        rng = np.random.default_rng(seed)
+        return [sampler_net(rng) for _ in range(4)]
+
+    def test_lw_equals_oracle(self):
+        for net, evidence in self.cases(31):
+            assert bln.lw_estimates(net, net.names, evidence, n_samples=3001, seed=8) == \
+                lw_estimates_oracle(net, net.names, evidence, 3001, 8)
+
+    def test_gibbs_equals_oracle(self):
+        for net, evidence in self.cases(32):
+            # 1000 samples over 96 chains: the last kept sweep overshoots
+            ours = bln.gibbs_estimates(net, net.names, evidence, burn_in=15, n_samples=1000,
+                                       seed=9, n_chains=96)
+            assert ours == gibbs_estimates_oracle(net, net.names, evidence, 15, 1000, 9, 96)
+
+    @pytest.mark.parametrize("method", ["lw", "gibbs"])
+    def test_bundled_model_equals_oracle(self, scenario_products, method):
+        _, products = scenario_products["mini"]
+        net = ground(products.declaration, products.fragments, ["obj1"])
+        seed_word = next(iter(products.assignment.choices))
+        evidence = {f"IsA(obj1,{seed_word})": True}
+        ours = bln.estimates(net, net.names, evidence, method, n_samples=2000, burn_in=3,
+                             seed=4, n_chains=128)
+        if method == "lw":
+            assert ours == lw_estimates_oracle(net, net.names, evidence, 2000, 4)
+        else:
+            assert ours == gibbs_estimates_oracle(net, net.names, evidence, 3, 2000, 4, 128)
+
+    def test_lw_estimates_samples_through_module_attribute(self, monkeypatch):
+        net, evidence = sampler_net(np.random.default_rng(33))
+        real = bln.lw_sample
+        shapes = []
+
+        def spy(*args):
+            states, weights = real(*args)
+            shapes.append((states.shape, weights.shape))
+            return states, weights
+
+        monkeypatch.setattr(bln, "lw_sample", spy)
+        bln.lw_estimates(net, net.names, evidence, n_samples=777, seed=1)
+        assert shapes == [((777, len(net)), (777,))]
 
 
 class TestModelSerialization:

@@ -185,6 +185,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{path}:4: '{key}' cannot be scoped")):
             load_config(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("samples=abc", "samples must be an integer, got 'abc'"),
+        ("alpha=0.x", "alpha must be a number, got '0.x'"),
+        ("recipe.samples=abc", "recipe.samples must be an integer, got 'abc'"),
+    ])
+    def test_malformed_number_rejected_with_line(self, tmp_path, line, message):
+        path = self.write(tmp_path, [line])
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: {message}")):
+            load_config(path)
+
+    def test_malformed_scoped_number_fails_evaluate_cleanly(self, tmp_path, capsys):
+        path = self.write(tmp_path, ["cleaning.n_worlds=many"])
+        code, _, err = run_cli(["evaluate", "--config", str(path)], capsys)
+        assert code == 1
+        assert err == f"error: {path}:3: cleaning.n_worlds must be an integer, got 'many'\n"
+
     def test_scoped_keys_kept_for_unlisted_scenarios(self, tmp_path):
         path = self.write(tmp_path, ["cleaning.samples=10", "recipe.seeds=r.txt"])
         config, raw = load_config(path)

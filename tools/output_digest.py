@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest for each user-visible output of the pipeline.
+
+Run it on two source trees and diff the listings; equal lines mean
+byte-identical outputs.  It covers:
+
+- the ``generate`` artifacts (graph, model, assignment and the printed
+  summary) of every bundled scenario config;
+- ``report.txt`` and ``report.tsv`` from ``evaluate eval_all.cfg``, with
+  LW and with Gibbs at samples=2560 burn_in=5;
+- the ``evaluation.run_scenario`` result dicts (keys, order and float
+  reprs) of every bundled scenario, with the same two method settings;
+- a fixed set of ``infer`` requests: LW and Gibbs on every bundled model,
+  exact on ``mini``, one- and two-pattern queries.
+
+Usage, from the repository root:
+
+    python tools/output_digest.py > new.txt
+    python tools/output_digest.py --src /path/to/other/checkout/src > old.txt
+    diff old.txt new.txt
+
+``--src`` picks the source tree whose ``situnet`` package (and bundled
+data) is imported; it defaults to this checkout's ``src/``.  The whole
+run takes well under a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+SCENARIOS = ("mini", "recipe", "laundry", "cleaning")
+METHODS = {"lw": {"method": "lw"},
+           "gibbs": {"method": "gibbs", "samples": "2560", "burn_in": "5"}}
+SEEDS_PER_MODEL = 3
+QUERIES = (("*",), ("AtLocation(obj1,*)", "UsedFor(obj1,*)"))  # one- and two-pattern requests
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def copy_config(source: Path, target: Path, overrides: dict[str, str]) -> Path:
+    """Copy a config with its relative paths made absolute, then override keys."""
+    lines = []
+    for line in source.read_text(encoding="utf-8").splitlines():
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or line.lstrip().startswith("#") or key in overrides:
+            continue
+        if value.startswith("."):
+            value = str((source.parent / value).resolve())
+        lines.append(f"{key}={value}")
+    lines.extend(f"{key}={value}" for key, value in overrides.items())
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return target
+
+
+def run_cli(main, argv) -> bytes:
+    """Exit code, stdout and stderr of one in-process ``situnet`` command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
+
+
+def digests(work: Path):
+    """Yield (label, digest) for every covered output, in a fixed order."""
+    from situnet import cli, data_path, evaluation
+
+    configs = Path(str(data_path("configs")))
+
+    models = {}
+    for name in SCENARIOS:
+        out_dir = work / "generate" / name
+        printed = run_cli(cli.main, ["generate", "--config", str(configs / f"{name}.cfg"),
+                                     "--out-dir", str(out_dir)])
+        yield f"generate/{name}/stdout", sha(printed.replace(str(out_dir).encode(), b"OUT"))
+        for artifact in ("graph.tsv", "model.tsv", "assignment.tsv"):
+            yield f"generate/{name}/{artifact}", sha((out_dir / artifact).read_bytes())
+        models[name] = out_dir / "model.tsv"
+
+    for label, overrides in METHODS.items():
+        config = copy_config(configs / "eval_all.cfg", work / f"eval_{label}.cfg", overrides)
+        out_dir = work / "evaluate" / label
+        run_cli(cli.main, ["evaluate", "--config", str(config), "--out-dir", str(out_dir)])
+        for report in ("report.txt", "report.tsv"):
+            yield f"evaluate/{label}/{report}", sha((out_dir / report).read_bytes())
+
+    for name in SCENARIOS:
+        for label, overrides in METHODS.items():
+            config, _ = cli.load_config(copy_config(configs / f"{name}.cfg",
+                                                    work / f"{name}_{label}.cfg", overrides))
+            with contextlib.redirect_stderr(io.StringIO()):
+                products = cli.run_generation(config)
+            results = evaluation.run_scenario(
+                products.declaration, products.fragments, list(products.assignment.choices),
+                config.method, config.samples, config.burn_in,
+                config.seed + cli.SCENARIO_SEED_OFFSET)
+            yield f"run_scenario/{name}/{label}", sha(repr(list(results.items())).encode())
+
+    for name in SCENARIOS:
+        seeds = cli.load_seed_words(cli.load_config(configs / f"{name}.cfg")[0].seeds)
+        requests = {**METHODS, **({"exact": {"method": "exact"}} if name == "mini" else {})}
+        for label, overrides in requests.items():
+            config = copy_config(configs / f"{name}.cfg", work / f"infer_{name}_{label}.cfg",
+                                 overrides)
+            for word in seeds[:SEEDS_PER_MODEL]:
+                for number, patterns in enumerate(QUERIES):
+                    argv = ["infer", "--config", str(config), "--model", str(models[name]),
+                            "--evidence", f"IsA(obj1,{word})=true"]
+                    for pattern in patterns:
+                        argv += ["--query", pattern]
+                    yield f"infer/{name}/{label}/{word}/{number}", sha(run_cli(cli.main, argv))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="source tree to import situnet from (default: this checkout)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, digest in digests(Path(tmp)):
+            print(f"{digest}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
