@@ -268,7 +268,10 @@ class EvidenceSet:
     """Sampled worlds over the abstract variables of one object binding.
 
     ``worlds`` is a (n_worlds, n_variables) boolean matrix; every row is
-    a complete assignment.
+    a complete assignment.  :func:`simulate_evidence` stores the worlds
+    variable-major, so its ``worlds`` is the transposed view of a
+    ``(n_variables, n_worlds)`` array and ``worlds.T[i]`` is variable
+    ``i``'s contiguous column.
     """
 
     variables: list[str]
@@ -291,6 +294,9 @@ def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int
     ``alpha * strength + (1 - alpha) * provider.score(src_term, dst_term)``
     and true parents combine by noisy-OR.  Parentless variables are drawn
     from ``root_prior`` (nodes carry no prior of their own).
+
+    Worlds are filled variable-major, one contiguous ``(n_worlds,)`` row
+    per variable; the returned set's ``worlds`` is the transposed view.
     """
     if n_worlds < 1:
         raise ValueError("n_worlds must be >= 1")
@@ -299,7 +305,7 @@ def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int
 
     order = _graph_topo_order(graph)
     var_names = [str(variable_for_node(graph.nodes[i])) for i in order]
-    col = {node_id: pos for pos, node_id in enumerate(order)}
+    row = {node_id: pos for pos, node_id in enumerate(order)}
 
     incoming = graph.incoming()
     edge_probs: dict[str, list[tuple[int, float]]] = {}
@@ -309,22 +315,24 @@ def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int
             src = graph.nodes[e.src]
             dst = graph.nodes[e.dst]
             p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
-            probs.append((col[e.src], min(1.0, max(0.0, p))))
+            probs.append((row[e.src], min(1.0, max(0.0, p))))
         edge_probs[node_id] = probs
 
     rng = np.random.default_rng(seed)
-    worlds = np.zeros((n_worlds, len(order)), dtype=bool)
+    states = np.zeros((len(order), n_worlds), dtype=bool)
     for node_id in order:
         probs = edge_probs[node_id]
         if not probs:
-            p_true = np.full(n_worlds, root_prior)
+            p_true = root_prior
         else:
+            # noisy-OR: a true parent multiplies the miss probability by
+            # 1 - p; a false one leaves it as it is (a factor of exactly 1)
             miss = np.ones(n_worlds)
-            for src_col, p in probs:
-                miss *= np.where(worlds[:, src_col], 1.0 - p, 1.0)
+            for src_row, p in probs:
+                np.multiply(miss, 1.0 - p, out=miss, where=states[src_row])
             p_true = 1.0 - miss
-        worlds[:, col[node_id]] = rng.random(n_worlds) < p_true
-    return EvidenceSet(variables=var_names, worlds=worlds)
+        states[row[node_id]] = rng.random(n_worlds) < p_true
+    return EvidenceSet(variables=var_names, worlds=states.T)
 
 
 def _graph_topo_order(graph: ConceptGraph) -> list[str]:
@@ -354,38 +362,29 @@ def learn_cpfs(fragments, evidence: EvidenceSet, pseudocount: float = 1.0) -> li
     Each row becomes (true count + pseudocount) / (count + 2 *
     pseudocount) for its parent configuration; configurations never
     observed fall back to 0.5.  Frozen fragments pass through unchanged.
+
+    Worlds are counted by one ``bincount`` of ``2 * parent_config +
+    child``, built by shift-or over the variables' rows of
+    ``evidence.worlds.T`` (contiguous for :func:`simulate_evidence`).
     """
     col = {name: i for i, name in enumerate(evidence.variables)}
+    rows = evidence.worlds.T
     out = []
     for frag in fragments:
         if frag.frozen:
             out.append(frag)
             continue
-        child_col = col[str(frag.child)]
-        k = len(frag.parents)
-        if k == 0:
-            total = evidence.worlds.shape[0]
-            true_count = int(evidence.worlds[:, child_col].sum())
-            row = _smoothed(true_count, total, pseudocount)
-            out.append(replace(frag, cpf=np.array([row])))
-            continue
-        parent_cols = [col[str(p)] for p in frag.parents]
-        weights = 1 << np.arange(k - 1, -1, -1)
-        configs = evidence.worlds[:, parent_cols].astype(int) @ weights
-        totals = np.bincount(configs, minlength=2 ** k)
-        trues = np.bincount(configs[evidence.worlds[:, child_col]], minlength=2 ** k)
-        rows = np.empty(2 ** k)
-        for i in range(2 ** k):
-            rows[i] = _smoothed(int(trues[i]), int(totals[i]), pseudocount)
-        out.append(replace(frag, cpf=rows))
+        key = np.zeros(rows.shape[1], dtype=np.intp)
+        for p in frag.parents:
+            key |= rows[col[str(p)]]
+            key <<= 1
+        key |= rows[col[str(frag.child)]]
+        counts = np.bincount(key, minlength=2 << len(frag.parents)).reshape(-1, 2)
+        denominator = counts.sum(axis=1) + 2.0 * pseudocount
+        cpf = np.divide(counts[:, 1] + pseudocount, denominator,
+                        out=np.full(len(counts), 0.5), where=denominator != 0)
+        out.append(replace(frag, cpf=cpf))
     return out
-
-
-def _smoothed(true_count, total, pseudocount):
-    denominator = total + 2.0 * pseudocount
-    if denominator == 0:
-        return 0.5
-    return (true_count + pseudocount) / denominator
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +405,8 @@ class GroundNetwork:
         self.index = {name: i for i, name in enumerate(self.names)}
         self._topo: list[int] | None = None
         self._children: list[list[int]] | None = None
+        self._deterministic: list[bool] | None = None
+        self._interleaved: list[np.ndarray] | None = None
 
     def __len__(self):
         return len(self.names)
@@ -437,6 +438,19 @@ class GroundNetwork:
                     out[p].append(v)
             self._children = out
         return self._children
+
+    def deterministic(self) -> list[bool]:
+        """Per variable, whether any of its CPF rows is exactly 0 or 1."""
+        if self._deterministic is None:
+            self._deterministic = [bool(np.any(cpf == 0.0) or np.any(cpf == 1.0))
+                                   for cpf in self.cpfs]
+        return self._deterministic
+
+    def interleaved_cpfs(self) -> list[np.ndarray]:
+        """Per variable, its CPF stored as ``(1 - cpf[i], cpf[i])`` at ``(2i, 2i + 1)``."""
+        if self._interleaved is None:
+            self._interleaved = [np.column_stack((1.0 - cpf, cpf)).ravel() for cpf in self.cpfs]
+        return self._interleaved
 
     def _find_cycle(self):
         state = [0] * len(self.names)
@@ -749,11 +763,8 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     for q in queries:
         if q not in net.index:
             raise KeyError(f"unknown query variable {q!r}")
-    for v in range(len(net.names)):
-        if v in ev:
-            continue
-        cpf = net.cpfs[v]
-        if np.any(cpf == 0.0) or np.any(cpf == 1.0):
+    for v, deterministic in enumerate(net.deterministic()):
+        if deterministic and v not in ev:
             raise ErgodicityError(
                 f"variable {net.names[v]} has a deterministic CPF row and is not "
                 "clamped by evidence; use infer_lw instead")
@@ -764,7 +775,6 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     states, _ = _forward_sample(net, ev, n_chains, rng)
 
     keys = []
-    tables = []
     for v, ps in enumerate(net.parents):
         key = np.zeros(n_chains, dtype=np.intp)
         for p in ps:
@@ -772,7 +782,7 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
             key <<= 1
         key |= states[v]
         keys.append(key)
-        tables.append(np.column_stack((1.0 - net.cpfs[v], net.cpfs[v])).ravel())
+    tables = net.interleaved_cpfs()
 
     children = net.children()
     # per free variable: its table, and each child's table and key bit for it

@@ -6,6 +6,14 @@ attachment cost, where the cost between two senses is 1 - Wu-Palmer
 similarity.  The growth starts from the seed with the fewest senses and
 is repeated for each of its candidate senses, keeping the cheapest tree.
 
+A tree grows by Prim's incremental nearest-cost update (Prim 1957): each
+unattached word keeps, per candidate sense, its cheapest edge to the
+attached senses, and each attachment updates those costs against the
+new sense only.  A tree over n words with S candidate senses in all thus
+costs fewer than n * S Wu-Palmer calls, where recomputing every minimum
+at every step costs about n^2 * S / 6; for a 45-word mix with 52 senses
+that is about 1 000 calls instead of 15 500.
+
 Relation endpoints are disambiguated independently: each candidate sense
 is scored by summing the relatedness between the context word and every
 word in the sense's word sense profile (synonyms, gloss words, direct
@@ -122,28 +130,27 @@ def disambiguate_seeds(seeds, lexicon: LexiconIndex) -> SenseAssignment:
 
 def _grow_tree(words, sense_lists, start_word, start_sense, lexicon):
     fixed: dict[str, tuple[str, float]] = {start_word: (start_sense.id, 0.0)}
-    attached = [(start_word, start_sense)]
-    remaining = [w for w in words if w != start_word]
+    # Prim's nearest-cost lists: per unattached word, the cheapest edge from
+    # each of its candidate senses to any attached sense, in rank order
+    nearest = {w: [_cost(lexicon, candidate, start_sense) for candidate in sense_lists[w]]
+               for w in words if w != start_word}
     total = 0.0
 
-    while remaining:
-        # best = (cost, word position, sense rank) minimized lexicographically
-        best_word = None
-        best_key = None
-        best_sense = None
-        for w_pos, word in enumerate(remaining):
-            for rank, candidate in enumerate(sense_lists[word]):
-                cost = min(_cost(lexicon, candidate, anchor) for _, anchor in attached)
-                key = (cost, w_pos, rank)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_word = word
-                    best_sense = candidate
-        cost = best_key[0]
-        fixed[best_word] = (best_sense.id, cost)
-        attached.append((best_word, best_sense))
-        remaining.remove(best_word)
+    while nearest:
+        # (cost, word position, sense rank) minimized lexicographically;
+        # dicts keep input order, so the position ranks words as the input does
+        cost, _, rank, word = min((cost, pos, rank, word)
+                                  for pos, (word, costs) in enumerate(nearest.items())
+                                  for rank, cost in enumerate(costs))
+        sense = sense_lists[word][rank]
+        fixed[word] = (sense.id, cost)
+        del nearest[word]
         total += cost
+        for w, costs in nearest.items():
+            for rank, candidate in enumerate(sense_lists[w]):
+                new_cost = _cost(lexicon, candidate, sense)
+                if new_cost < costs[rank]:
+                    costs[rank] = new_cost
 
     ordered = {w: fixed[w] for w in words}
     return SenseAssignment(choices=ordered, total_cost=total, start_word=start_word)

@@ -1,18 +1,36 @@
 """Shared fixtures: the bundled miniature datasets, loaded once per session.
 
-Also the reference oracles that inference tests compare against: a
-2^n joint table, and the sample-major forward pass and per-site Gibbs
-sweep that the library's samplers must reproduce value for value.
+Also the reference oracles that tests compare against: a 2^n joint
+table, and the sample-major forward pass and per-site Gibbs sweep that
+the library's samplers must reproduce value for value; and, for
+generation, the cubic seed-tree growth, the sample-major evidence
+simulation and the per-row CPF learning that the library must reproduce
+byte for byte.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from situnet import data_path
+from situnet.bln import EvidenceSet, _graph_topo_order, variable_for_node
 from situnet.cli import load_config, run_generation
+from situnet.disambiguation import SenseAssignment, UnknownSeedError
 from situnet.edges import filter_multiword, load_edges
-from situnet.lexicon import load_frequencies, load_lexicon, load_stopwords
+from situnet.lexicon import (
+    UndefinedSimilarityError,
+    load_frequencies,
+    load_lexicon,
+    load_stopwords,
+    normalize_lemma,
+)
 from situnet.relatedness import EsaRelatedness, build_esa_index, load_documents
+
+# property tests draw the same examples on every run and store none
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def bundled(*parts) -> str:
@@ -185,4 +203,103 @@ def gibbs_estimates_oracle(net, queries, evidence, burn_in, n_samples, seed, n_c
             out[q] = 1.0 if ev[v] else 0.0
         else:
             out[q] = collected[v] / count
+    return out
+
+
+def disambiguate_seeds_oracle(seeds, lexicon):
+    """Seed disambiguation that recomputes every nearest cost at every step."""
+    deduped = list(dict.fromkeys(normalize_lemma(w) for w in seeds))
+    sense_lists = {}
+    for word in deduped:
+        sense_lists[word] = lexicon.senses(word, "n")
+        if not sense_lists[word]:
+            raise UnknownSeedError(word)
+    start_word = min(deduped, key=lambda w: (len(sense_lists[w]), deduped.index(w)))
+    best = None
+    for start_sense in sense_lists[start_word]:
+        assignment = grow_tree_oracle(deduped, sense_lists, start_word, start_sense, lexicon)
+        if best is None or assignment.total_cost < best.total_cost:
+            best = assignment
+    return best
+
+
+def edge_cost(lexicon, a, b):
+    """1 - Wu-Palmer similarity, 1.0 for senses in disjoint hierarchies."""
+    try:
+        return 1.0 - lexicon.wup_similarity(a, b)
+    except UndefinedSimilarityError:
+        return 1.0
+
+
+def grow_tree_oracle(words, sense_lists, start_word, start_sense, lexicon):
+    """Greedy tree growth, cubic: min over every attached sense at every step."""
+    fixed = {start_word: (start_sense.id, 0.0)}
+    attached = [(start_word, start_sense)]
+    remaining = [w for w in words if w != start_word]
+    total = 0.0
+    while remaining:
+        best_word = best_key = best_sense = None
+        for w_pos, word in enumerate(remaining):
+            for rank, candidate in enumerate(sense_lists[word]):
+                cost = min(edge_cost(lexicon, candidate, anchor) for _, anchor in attached)
+                key = (cost, w_pos, rank)
+                if best_key is None or key < best_key:
+                    best_key, best_word, best_sense = key, word, candidate
+        cost = best_key[0]
+        fixed[best_word] = (best_sense.id, cost)
+        attached.append((best_word, best_sense))
+        remaining.remove(best_word)
+        total += cost
+    return SenseAssignment(choices={w: fixed[w] for w in words}, total_cost=total,
+                           start_word=start_word)
+
+
+def simulate_evidence_oracle(graph, provider, alpha, n_worlds, seed, root_prior=0.5):
+    """Sample-major noisy-OR evidence: a contiguous (n_worlds, n_vars) matrix."""
+    order = _graph_topo_order(graph)
+    col = {node_id: pos for pos, node_id in enumerate(order)}
+    incoming = graph.incoming()
+    edge_probs = {}
+    for node_id in order:
+        probs = []
+        for e in incoming[node_id]:
+            src, dst = graph.nodes[e.src], graph.nodes[e.dst]
+            p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
+            probs.append((col[e.src], min(1.0, max(0.0, p))))
+        edge_probs[node_id] = probs
+    rng = np.random.default_rng(seed)
+    worlds = np.zeros((n_worlds, len(order)), dtype=bool)
+    for node_id in order:
+        if not edge_probs[node_id]:
+            p_true = np.full(n_worlds, root_prior)
+        else:
+            miss = np.ones(n_worlds)
+            for src_col, p in edge_probs[node_id]:
+                miss *= np.where(worlds[:, src_col], 1.0 - p, 1.0)
+            p_true = 1.0 - miss
+        worlds[:, col[node_id]] = rng.random(n_worlds) < p_true
+    return EvidenceSet([str(variable_for_node(graph.nodes[i])) for i in order], worlds)
+
+
+def learn_cpfs_oracle(fragments, evidence, pseudocount=1.0):
+    """CPF learning one row at a time, in Python floats."""
+    col = {name: i for i, name in enumerate(evidence.variables)}
+    worlds = evidence.worlds
+    out = []
+    for frag in fragments:
+        if frag.frozen:
+            out.append(frag)
+            continue
+        k = len(frag.parents)
+        configs = np.zeros(worlds.shape[0], dtype=int)
+        for p in frag.parents:
+            configs = 2 * configs + worlds[:, col[str(p)]]
+        child = worlds[:, col[str(frag.child)]]
+        totals = np.bincount(configs, minlength=2 ** k)
+        trues = np.bincount(configs[child], minlength=2 ** k)
+        rows = np.empty(2 ** k)
+        for i in range(2 ** k):
+            denominator = int(totals[i]) + 2.0 * pseudocount
+            rows[i] = 0.5 if denominator == 0 else (int(trues[i]) + pseudocount) / denominator
+        out.append(replace(frag, cpf=rows))
     return out

@@ -30,11 +30,18 @@ from situnet.bln import (
     simulate_evidence,
     write_model,
 )
+from situnet.cli import EVIDENCE_SEED_OFFSET
 from situnet.edges import RelationType
 from situnet.netgen import ConceptGraph, ConceptNode, RelationEdge
 from situnet.relatedness import ConstantRelatedness, TableRelatedness
 
-from conftest import gibbs_estimates_oracle, joint_table_oracle, lw_estimates_oracle
+from conftest import (
+    gibbs_estimates_oracle,
+    joint_table_oracle,
+    learn_cpfs_oracle,
+    lw_estimates_oracle,
+    simulate_evidence_oracle,
+)
 
 
 def var(text):
@@ -257,6 +264,45 @@ def simple_declaration():
                   "u": frozenset({"affordance"})})
 
 
+class TestGenerationOracle:
+    """Evidence simulation and CPF learning reproduce the reference byte for byte."""
+
+    @pytest.mark.parametrize("name", ["mini", "recipe", "laundry", "cleaning"])
+    def test_bundled_scenario_equals_oracle(self, scenario_products, provider, name):
+        config, products = scenario_products[name]
+        args = (products.graph, provider, config.alpha, config.n_worlds,
+                config.seed + EVIDENCE_SEED_OFFSET, config.root_prior)
+        ours, reference = simulate_evidence(*args), simulate_evidence_oracle(*args)
+        assert ours.variables == reference.variables
+        assert np.array_equal(ours.worlds, reference.worlds)
+        assert ours.worlds.T.flags.c_contiguous
+        _, fragments = model_from_graph(products.graph)
+        learned = learn_cpfs(fragments, ours, config.pseudocount)
+        expected = learn_cpfs_oracle(fragments, reference, config.pseudocount)
+        assert [str(f.child) for f in learned] == [str(f.child) for f in expected]
+        assert [f.cpf.tobytes() for f in learned] == [f.cpf.tobytes() for f in expected]
+
+    @pytest.mark.parametrize("n_worlds", [0, 1, 37])
+    def test_unobserved_configurations_equal_oracle(self, n_worlds):
+        rng = np.random.default_rng(41)
+        names = [f"P(x,v{i})" for i in range(6)]
+        # rare parents leave most configurations unobserved
+        sample_major = rng.random((n_worlds, 6)) < [0.05, 0.1, 0.5, 0.9, 0.5, 0.3]
+        fragments = [Fragment(var(names[5]), [], np.array([0.5])),
+                     Fragment(var(names[4]), [var(names[0])], np.full(2, 0.5)),
+                     Fragment(var(names[3]), [var(n) for n in names[:3]], np.full(8, 0.5)),
+                     Fragment(var(names[2]), [var(n) for n in (names[5], names[0], names[1],
+                                                              names[4])], np.full(16, 0.5))]
+        for worlds in (sample_major, np.ascontiguousarray(sample_major.T).T):
+            evidence = EvidenceSet(names, worlds)
+            for pseudocount in (0.0, 1.0, 0.25):
+                learned = learn_cpfs(fragments, evidence, pseudocount)
+                expected = learn_cpfs_oracle(fragments, evidence, pseudocount)
+                assert [f.cpf.tobytes() for f in learned] == \
+                    [f.cpf.tobytes() for f in expected]
+        assert 0.5 in learn_cpfs(fragments, EvidenceSet(names, sample_major), 0.0)[3].cpf
+
+
 class TestGround:
     def test_replication_count(self):
         graph_nodes = [(f"n{i}", "concept", i == 0) for i in range(10)]
@@ -450,6 +496,15 @@ class TestInferGibbs:
         with pytest.raises(ErgodicityError):
             infer_gibbs(net, "UsedFor(o1,u)", {}, burn_in=10, n_samples=10)
 
+    def test_ergodicity_checked_per_call_on_one_network(self):
+        decl, fragments = simple_declaration(), simple_fragments()
+        fragments[1] = Fragment(var("IsA(x,b)"), [var("IsA(x,a)")],
+                                np.array([0.2, 1.0]))
+        net = ground(decl, fragments, ["o1"])
+        infer_gibbs(net, "UsedFor(o1,u)", {"IsA(o1,b)": True}, burn_in=2, n_samples=10)
+        with pytest.raises(ErgodicityError, match=r"^variable IsA\(o1,b\) has a deterministic"):
+            infer_gibbs(net, "UsedFor(o1,u)", {}, burn_in=2, n_samples=10)
+
     def test_clamped_deterministic_row_allowed(self):
         decl, fragments = simple_declaration(), simple_fragments()
         fragments[1] = Fragment(var("IsA(x,b)"), [var("IsA(x,a)")],
@@ -554,6 +609,13 @@ class TestSamplerOracle:
             ours = bln.gibbs_estimates(net, net.names, evidence, burn_in=15, n_samples=1000,
                                        seed=9, n_chains=96)
             assert ours == gibbs_estimates_oracle(net, net.names, evidence, 15, 1000, 9, 96)
+
+    def test_gibbs_tables_shared_across_calls(self):
+        net, evidence = sampler_net(np.random.default_rng(34))
+        for seed in (9, 10):
+            ours = bln.gibbs_estimates(net, net.names, evidence, burn_in=5, n_samples=500,
+                                       seed=seed, n_chains=64)
+            assert ours == gibbs_estimates_oracle(net, net.names, evidence, 5, 500, seed, 64)
 
     @pytest.mark.parametrize("method", ["lw", "gibbs"])
     def test_bundled_model_equals_oracle(self, scenario_products, method):

@@ -3,7 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from situnet.cli import load_seed_words
 from situnet.disambiguation import (
     UnknownSeedError,
     UnknownTermError,
@@ -12,22 +15,15 @@ from situnet.disambiguation import (
     disambiguate_seeds,
     pairwise_cost,
 )
-from situnet.lexicon import UndefinedSimilarityError, parse_lexicon
+from situnet.lexicon import parse_lexicon
 from situnet.relatedness import TableRelatedness
 
-from conftest import bundled
+from conftest import bundled, disambiguate_seeds_oracle, edge_cost
 
 
 def load_seed_file(name):
     path = bundled("seeds", name)
     return [w.strip() for w in open(path, encoding="utf-8") if w.strip()]
-
-
-def edge_cost(lexicon, a, b):
-    try:
-        return 1.0 - lexicon.wup_similarity(a, b)
-    except UndefinedSimilarityError:
-        return 1.0
 
 
 class TestPairwiseCost:
@@ -180,6 +176,34 @@ class TestDisambiguateSeeds:
             assert other.total_cost == pytest.approx(base.total_cost)
             assert sorted(c for _, c in other.choices.values()) == \
                 pytest.approx(sorted(c for _, c in base.choices.values()))
+
+
+# every word of the three scenario seed files; mixes of up to 45 words
+# reach the tie order of large seed trees
+SEED_POOL = list(dict.fromkeys(
+    w for name in ("recipe.txt", "laundry.txt", "cleaning.txt") for w in load_seed_file(name)))
+
+
+class TestSeedTreeOracle:
+    """Incremental seed-tree growth reproduces the cubic reference exactly."""
+
+    @pytest.mark.parametrize("name", ["mini", "recipe", "laundry", "cleaning"])
+    def test_bundled_scenario_equals_oracle(self, scenario_products, lexicon, name):
+        config, products = scenario_products[name]
+        reference = disambiguate_seeds_oracle(load_seed_words(config.seeds), lexicon)
+        assert products.assignment.choices == reference.choices
+        assert repr(products.assignment.total_cost) == repr(reference.total_cost)
+        assert products.assignment.start_word == reference.start_word
+
+    @settings(max_examples=80)
+    @given(st.integers(3, len(SEED_POOL)).flatmap(
+        lambda size: st.permutations(SEED_POOL).map(lambda words: words[:size])))
+    def test_seed_mixes_equal_oracle(self, lexicon, seeds):
+        ours = disambiguate_seeds(seeds, lexicon)
+        reference = disambiguate_seeds_oracle(seeds, lexicon)
+        assert ours.choices == reference.choices
+        assert repr(ours.total_cost) == repr(reference.total_cost)
+        assert ours.start_word == reference.start_word
 
 
 class TestBuildWsp:

@@ -6,6 +6,10 @@ byte-identical outputs.  It covers:
 
 - the ``generate`` artifacts (graph, model, assignment and the printed
   summary) of every bundled scenario config;
+- ``generate`` on fixed, seeded cross-scenario mixes of 15, 25, 35 and
+  45 seed words in the kitchen and the house environment: exit code,
+  stdout and stderr (so refusals such as ``DenseModelError`` count), and
+  the artifacts where the run wrote them;
 - ``report.txt`` and ``report.tsv`` from ``evaluate eval_all.cfg``, with
   LW and with Gibbs at samples=2560 burn_in=5;
 - the ``evaluation.run_scenario`` result dicts (keys, order and float
@@ -30,6 +34,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +44,12 @@ METHODS = {"lw": {"method": "lw"},
            "gibbs": {"method": "gibbs", "samples": "2560", "burn_in": "5"}}
 SEEDS_PER_MODEL = 3
 QUERIES = (("*",), ("AtLocation(obj1,*)", "UsedFor(obj1,*)"))  # one- and two-pattern requests
+# larger than any bundled seed file (at most 19 words), so they reach the
+# tie order of large seed trees; the 45-word house mixes are refused
+MIX_SIZES = (15, 25, 35, 45)
+MIX_ENVIRONMENTS = ("kitchen", "house")
+MIX_SEED_FILES = ("recipe", "laundry", "cleaning")
+ARTIFACTS = ("graph.tsv", "model.tsv", "assignment.tsv")
 
 
 def sha(data: bytes) -> str:
@@ -81,9 +92,26 @@ def digests(work: Path):
         printed = run_cli(cli.main, ["generate", "--config", str(configs / f"{name}.cfg"),
                                      "--out-dir", str(out_dir)])
         yield f"generate/{name}/stdout", sha(printed.replace(str(out_dir).encode(), b"OUT"))
-        for artifact in ("graph.tsv", "model.tsv", "assignment.tsv"):
+        for artifact in ARTIFACTS:
             yield f"generate/{name}/{artifact}", sha((out_dir / artifact).read_bytes())
         models[name] = out_dir / "model.tsv"
+
+    pool = [word for name in MIX_SEED_FILES
+            for word in cli.load_seed_words(data_path("seeds", f"{name}.txt"))]
+    for environment in MIX_ENVIRONMENTS:
+        for size in MIX_SIZES:
+            label = f"generate/mix-{environment}-{size}"
+            seeds = work / f"mix-{environment}-{size}.txt"
+            seeds.write_text("\n".join(random.Random(label).sample(pool, size)) + "\n",
+                             encoding="utf-8")
+            out_dir = work / label
+            printed = run_cli(cli.main, ["generate", "--config", str(configs / "recipe.cfg"),
+                                         "--seeds", str(seeds), "--environment", environment,
+                                         "--out-dir", str(out_dir)])
+            yield f"{label}/run", sha(printed.replace(str(work).encode(), b"WORK"))
+            for artifact in ARTIFACTS:
+                path = out_dir / artifact
+                yield f"{label}/{artifact}", sha(path.read_bytes() if path.exists() else b"")
 
     for label, overrides in METHODS.items():
         config = copy_config(configs / "eval_all.cfg", work / f"eval_{label}.cfg", overrides)
