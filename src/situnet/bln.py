@@ -16,6 +16,12 @@ Exact inference enumerates the joint and is guarded to 25 free
 variables; likelihood weighting and Gibbs sampling scale further.  Every
 sampling routine takes an explicit seed and owns its generator, so
 results are reproducible and calls may run concurrently on one network.
+
+Likelihood weighting draws only the ancestral closure of its queries and
+evidence: every other variable is barren, since no answer depends on it
+(Shachter 1986; Baker & Boult 1990).  Its share of the PCG64 stream is
+skipped with ``advance``, so the drawn rows, the weights and every
+estimate equal those of a full pass.
 """
 
 from __future__ import annotations
@@ -649,25 +655,52 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
     return numerator / denominator
 
 
-def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng) -> tuple[np.ndarray, np.ndarray]:
+def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng,
+              queries=None) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood-weighted samples: (n_samples, n_vars) states and weights.
 
     The states are a transposed view of the variable-major sampler array.
+    Without ``queries`` every variable is drawn.  With ``queries`` only
+    the queries, the evidence and their ancestors are drawn; the columns
+    of all other variables stay ``False``.  The drawn columns, the weights
+    and the generator's state afterwards equal those of the full pass,
+    which needs ``rng`` to run on a PCG64 bit generator (see
+    :func:`_forward_sample`).
     """
-    states, weights = _forward_sample(net, _resolve_evidence(net, evidence), n_samples, rng)
+    ev = _resolve_evidence(net, evidence)
+    drawn = None
+    if queries is not None:
+        drawn = [False] * len(net.names)
+        for v in [net.index[q] for q in queries] + list(ev):
+            drawn[v] = True
+        for v in reversed(net.topo_order()):
+            if drawn[v]:
+                for p in net.parents[v]:
+                    drawn[p] = True
+    states, weights = _forward_sample(net, ev, n_samples, rng, drawn)
     return states.T, weights
 
 
-def _forward_sample(net, ev, n_samples, rng):
+def _forward_sample(net, ev, n_samples, rng, drawn=None):
     """Ancestral pass in topological order; clamped variables weight, free ones draw.
 
     States are variable-major, ``(n_vars, n_samples)``: row ``v`` holds
     variable ``v``, so a parent configuration is built by shift-or over
     contiguous rows, first parent most significant.
+
+    ``drawn``, when given, flags the variables to sample; it must be
+    closed under parents and hold every clamped variable.  Each other
+    variable keeps an all-``False`` row, and its ``n_samples`` uniforms
+    are skipped with ``rng.bit_generator.advance``.  On PCG64 one double
+    is one 64-bit step, so every drawn row sees the uniforms of the full
+    pass and the generator ends in the same state.
     """
     states = np.zeros((len(net.names), n_samples), dtype=bool)
     weights = np.ones(n_samples)
     for v in net.topo_order():
+        if drawn is not None and not drawn[v]:
+            rng.bit_generator.advance(n_samples)
+            continue
         ps = net.parents[v]
         if ps:
             config = states[ps[0]].astype(np.intp)
@@ -699,7 +732,11 @@ def infer_lw(net: GroundNetwork, query: str, evidence=None, n_samples: int = 50_
 
 def lw_estimates(net: GroundNetwork, queries, evidence=None, n_samples: int = 50_000,
                  seed: int = 0) -> dict[str, float]:
-    """Estimates for many queries from one shared weighted sample set."""
+    """Estimates for many queries from one shared weighted sample set.
+
+    Only the queries, the evidence and their ancestors are sampled; the
+    estimates equal those of a full forward pass.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     evidence = evidence or {}
@@ -707,7 +744,7 @@ def lw_estimates(net: GroundNetwork, queries, evidence=None, n_samples: int = 50
         if q not in net.index:
             raise KeyError(f"unknown query variable {q!r}")
     rng = np.random.default_rng(seed)
-    states, weights = lw_sample(net, evidence, n_samples, rng)
+    states, weights = lw_sample(net, evidence, n_samples, rng, queries)
     total = weights.sum()
     if total == 0.0:
         warnings.warn("all sample weights are zero; evidence is contradictory",
@@ -720,7 +757,7 @@ def lw_estimates(net: GroundNetwork, queries, evidence=None, n_samples: int = 50
         if v in ev:
             out[q] = 1.0 if ev[v] else 0.0
         else:
-            out[q] = float(weights[states[:, v]].sum() / total)
+            out[q] = float(np.compress(states[:, v], weights).sum() / total)
     return out
 
 
@@ -810,7 +847,7 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
                 w0 *= c_table[c_low]
                 moves.append((c, c_high, c_low))
             total = w1 + w0
-            p = np.where(total > 0, w1 / np.where(total > 0, total, 1.0), 0.5)
+            p = np.divide(w1, total, out=np.full(n_chains, 0.5), where=total > 0)
             draw = rng.random(n_chains) < p
             keys[v] = np.where(draw, high, low)
             for c, c_high, c_low in moves:

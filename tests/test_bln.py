@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from situnet import bln
 from situnet.bln import (
@@ -31,6 +33,7 @@ from situnet.bln import (
     write_model,
 )
 from situnet.cli import EVIDENCE_SEED_OFFSET
+from situnet.evaluation import OBJECT
 from situnet.edges import RelationType
 from situnet.netgen import ConceptGraph, ConceptNode, RelationEdge
 from situnet.relatedness import ConstantRelatedness, TableRelatedness
@@ -643,6 +646,87 @@ class TestSamplerOracle:
         monkeypatch.setattr(bln, "lw_sample", spy)
         bln.lw_estimates(net, net.names, evidence, n_samples=777, seed=1)
         assert shapes == [((777, len(net)), (777,))]
+
+
+def ancestral_closure(net, names):
+    """Indices of ``names`` and of all their ancestors."""
+    closed, stack = set(), [net.index[name] for name in names]
+    while stack:
+        v = stack.pop()
+        if v not in closed:
+            closed.add(v)
+            stack.extend(net.parents[v])
+    return closed
+
+
+class TestPrunedLw:
+    """LW that draws only queries, evidence and ancestors equals the full pass."""
+
+    def cases(self, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(6):
+            net, evidence = sampler_net(rng)
+            size = int(rng.integers(0, 4))
+            queries = [net.names[int(v)] for v in rng.choice(len(net), size=size, replace=False)]
+            out.append((net, evidence, queries))
+        return out
+
+    @pytest.mark.parametrize("name", ["mini", "recipe", "laundry", "cleaning"])
+    def test_family_queries_equal_full_pass(self, scenario_products, name):
+        _, products = scenario_products[name]
+        net = ground(products.declaration, products.fragments, [OBJECT])
+        for seed, word in enumerate(products.assignment.choices):
+            evidence = {f"IsA({OBJECT},{word})": True}
+            full = lw_estimates_oracle(net, net.names, evidence, 600, seed)
+            for family in bln.SIGNATURES:
+                queries = [q for q in net.names if q.startswith(f"{family}({OBJECT},")]
+                assert bln.lw_estimates(net, queries, evidence, n_samples=600, seed=seed) == \
+                    {q: full[q] for q in queries}, (word, family)
+
+    def test_query_subsets_equal_full_pass(self):
+        # sampler_net clamps a constraint auxiliary and a non-root child
+        for net, evidence, queries in self.cases(41):
+            assert bln.lw_estimates(net, queries, evidence, n_samples=1001, seed=5) == \
+                lw_estimates_oracle(net, queries, evidence, 1001, 5)
+
+    def test_zero_total_weight_equals_full_pass(self):
+        net, evidence = sampler_net(np.random.default_rng(42))
+        aux = net.index["constraint0(o)"]
+        evidence = {**evidence, net.names[net.parents[aux][0]]: False}
+        queries = net.names[:3]
+        with pytest.warns(ZeroWeightWarning):
+            ours = bln.lw_estimates(net, queries, evidence, n_samples=500, seed=2)
+        assert ours == lw_estimates_oracle(net, queries, evidence, 500, 2) == \
+            {q: 0.5 for q in queries}
+
+    def test_sample_draws_closure_and_skips_the_stream(self):
+        pruned_any = False
+        for net, evidence, queries in self.cases(43):
+            full_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+            full_states, full_weights = bln.lw_sample(net, evidence, 900, full_rng)
+            states, weights = bln.lw_sample(net, evidence, 900, rng, queries)
+            drawn = sorted(ancestral_closure(net, [*queries, *evidence]))
+            skipped = sorted(set(range(len(net))) - set(drawn))
+            pruned_any |= bool(skipped)
+            assert states.shape == full_states.shape
+            assert np.array_equal(states[:, drawn], full_states[:, drawn])
+            assert not states[:, skipped].any()
+            assert np.array_equal(weights, full_weights)
+            assert np.array_equal(rng.random(16), full_rng.random(16))
+        assert pruned_any
+
+    @settings(max_examples=60)
+    @given(net_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_random_net_queries_equal_full_pass(self, net_seed, data):
+        net = random_net(np.random.default_rng(net_seed))
+        queries = data.draw(st.lists(st.sampled_from(net.names), unique=True,
+                                     max_size=len(net)))
+        evidence = data.draw(st.dictionaries(st.sampled_from(net.names), st.booleans(),
+                                             max_size=3))
+        seed = data.draw(st.integers(0, 1000))
+        assert bln.lw_estimates(net, queries, evidence, n_samples=257, seed=seed) == \
+            lw_estimates_oracle(net, queries, evidence, 257, seed)
 
 
 class TestModelSerialization:

@@ -15,7 +15,10 @@ byte-identical outputs.  It covers:
 - the ``evaluation.run_scenario`` result dicts (keys, order and float
   reprs) of every bundled scenario, with the same two method settings;
 - a fixed set of ``infer`` requests: LW and Gibbs on every bundled model,
-  exact on ``mini``, one- and two-pattern queries.
+  exact on ``mini``, one- and two-pattern queries; and one LW request per
+  relation family (``IsA(obj1,*)`` and so on) on every bundled model,
+  which LW answers from the family's variables, the evidence and their
+  ancestors alone.
 
 Usage, from the repository root:
 
@@ -44,6 +47,8 @@ METHODS = {"lw": {"method": "lw"},
            "gibbs": {"method": "gibbs", "samples": "2560", "burn_in": "5"}}
 SEEDS_PER_MODEL = 3
 QUERIES = (("*",), ("AtLocation(obj1,*)", "UsedFor(obj1,*)"))  # one- and two-pattern requests
+FAMILY_QUERIES = tuple(f"{family}(obj1,*)"
+                       for family in ("IsA", "UsedFor", "HasProperty", "AtLocation"))
 # larger than any bundled seed file (at most 19 words), so they reach the
 # tie order of large seed trees; the 45-word house mixes are refused
 MIX_SIZES = (15, 25, 35, 45)
@@ -145,6 +150,11 @@ def digests(work: Path):
                     for pattern in patterns:
                         argv += ["--query", pattern]
                     yield f"infer/{name}/{label}/{word}/{number}", sha(run_cli(cli.main, argv))
+        for pattern in FAMILY_QUERIES:
+            argv = ["infer", "--config", str(work / f"infer_{name}_lw.cfg"),
+                    "--model", str(models[name]), "--evidence", f"IsA(obj1,{seeds[0]})=true",
+                    "--query", pattern]
+            yield f"infer/{name}/lw/{seeds[0]}/{pattern}", sha(run_cli(cli.main, argv))
 
 
 def main(argv=None) -> int:
