@@ -656,27 +656,24 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
 
 
 def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng,
-              queries=None) -> tuple[np.ndarray, np.ndarray]:
+              queries) -> tuple[np.ndarray, np.ndarray]:
     """Likelihood-weighted samples: (n_samples, n_vars) states and weights.
 
     The states are a transposed view of the variable-major sampler array.
-    Without ``queries`` every variable is drawn.  With ``queries`` only
-    the queries, the evidence and their ancestors are drawn; the columns
-    of all other variables stay ``False``.  The drawn columns, the weights
-    and the generator's state afterwards equal those of the full pass,
-    which needs ``rng`` to run on a PCG64 bit generator (see
-    :func:`_forward_sample`).
+    Only the ``queries``, the evidence and their ancestors are drawn; the
+    columns of all other variables stay ``False`` (pass every name for a
+    full pass).  The drawn columns, the weights and the generator's state
+    afterwards equal those of the full pass, which needs ``rng`` to run
+    on a PCG64 bit generator (see :func:`_forward_sample`).
     """
     ev = _resolve_evidence(net, evidence)
-    drawn = None
-    if queries is not None:
-        drawn = [False] * len(net.names)
-        for v in [net.index[q] for q in queries] + list(ev):
-            drawn[v] = True
-        for v in reversed(net.topo_order()):
-            if drawn[v]:
-                for p in net.parents[v]:
-                    drawn[p] = True
+    drawn = [False] * len(net.names)
+    for v in [net.index[q] for q in queries] + list(ev):
+        drawn[v] = True
+    for v in reversed(net.topo_order()):
+        if drawn[v]:
+            for p in net.parents[v]:
+                drawn[p] = True
     states, weights = _forward_sample(net, ev, n_samples, rng, drawn)
     return states.T, weights
 

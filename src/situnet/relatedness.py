@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .lexicon import normalize_lemma, tokenize
 
@@ -74,35 +73,26 @@ def build_esa_index(documents, weighting: str = "raw_count",
     return EsaIndex(concepts=concepts, vectors=vectors, weighting=weighting)
 
 
-class _TermVector(NamedTuple):
-    """A sparse vector as ``{concept index: weight}`` in index order, and its sum of squares."""
-
-    weights: dict[int, float]
-    ssq: float
-
-
-def _term_vector(pairs) -> _TermVector:
-    return _TermVector(dict(pairs), sum(w * w for _, w in pairs))
-
-
-def _sparse_cosine(a: _TermVector, b: _TermVector) -> float:
-    if not a.weights or not b.weights:
+def _sparse_cosine(a, b) -> float:
+    if not a or not b:
         return 0.0
     dot = 0.0
-    for idx, w in a.weights.items():
-        w2 = b.weights.get(idx)
+    b_dict = dict(b)
+    for idx, w in a:
+        w2 = b_dict.get(idx)
         if w2 is not None:
             dot += w * w2
-    if a.ssq == 0.0 or b.ssq == 0.0 or dot == 0.0:
+    ssq_a = sum(w * w for _, w in a)
+    ssq_b = sum(w * w for _, w in b)
+    if ssq_a == 0.0 or ssq_b == 0.0 or dot == 0.0:
         return 0.0
     # sqrt of the product keeps cos(v, v) at exactly 1.0
-    return min(1.0, dot / math.sqrt(a.ssq * b.ssq))
+    return min(1.0, dot / math.sqrt(ssq_a * ssq_b))
 
 
 def esa_relatedness(index: EsaIndex, a: str, b: str) -> float:
     """Cosine similarity of two word vectors; 0 for unknown words."""
-    return _sparse_cosine(_term_vector(index.vector(normalize_lemma(a))),
-                          _term_vector(index.vector(normalize_lemma(b))))
+    return _sparse_cosine(index.vector(normalize_lemma(a)), index.vector(normalize_lemma(b)))
 
 
 class EsaRelatedness:
@@ -111,24 +101,15 @@ class EsaRelatedness:
     Multiword terms (underscore compounds) that are not indexed directly
     are scored through the sum of their constituent token vectors, so
     lexicon lemmas like ``cooking_utensil`` still relate to plain words.
-    Each term's vector is built once per provider and kept, keyed by the
-    term as given, since it depends only on the term and the index.
     """
 
     def __init__(self, index: EsaIndex):
         self.index = index
-        self._vectors: dict[str, _TermVector] = {}
 
     def score(self, word_a: str, word_b: str) -> float:
-        return _sparse_cosine(self._vector(word_a), self._vector(word_b))
+        return _sparse_cosine(self._term_vector(word_a), self._term_vector(word_b))
 
-    def _vector(self, term: str) -> _TermVector:
-        vector = self._vectors.get(term)
-        if vector is None:
-            vector = self._vectors[term] = _term_vector(self._term_pairs(term))
-        return vector
-
-    def _term_pairs(self, term):
+    def _term_vector(self, term):
         term = normalize_lemma(term)
         direct = self.index.vector(term)
         if direct or "_" not in term:

@@ -704,7 +704,8 @@ class TestPrunedLw:
         pruned_any = False
         for net, evidence, queries in self.cases(43):
             full_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-            full_states, full_weights = bln.lw_sample(net, evidence, 900, full_rng)
+            full_states, full_weights = bln.lw_sample(net, evidence, 900, full_rng,
+                                                       net.names)
             states, weights = bln.lw_sample(net, evidence, 900, rng, queries)
             drawn = sorted(ancestral_closure(net, [*queries, *evidence]))
             skipped = sorted(set(range(len(net))) - set(drawn))
