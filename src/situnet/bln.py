@@ -22,6 +22,11 @@ evidence: every other variable is barren, since no answer depends on it
 (Shachter 1986; Baker & Boult 1990).  Its share of the PCG64 stream is
 skipped with ``advance``, so the drawn rows, the weights and every
 estimate equal those of a full pass.
+
+A Gibbs sweep runs level by level: each level holds no two Markov-blanket
+neighbours, so all its sites are drawn in one vector step with the states
+and the uniforms a site-by-site scan would give them (level scheduling,
+Anderson & Saad 1989), and every estimate equals that of the scan.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ class Fragment:
         if self.cpf.shape != (2 ** len(self.parents),):
             raise ValueError(
                 f"fragment {self.child}: cpf must have {2 ** len(self.parents)} rows")
-        if np.any(self.cpf < 0) or np.any(self.cpf > 1):
+        if not np.all((self.cpf >= 0) & (self.cpf <= 1)):  # NaN fails both
             raise ValueError(f"fragment {self.child}: probabilities outside [0, 1]")
 
 
@@ -412,7 +417,7 @@ class GroundNetwork:
         self._topo: list[int] | None = None
         self._children: list[list[int]] | None = None
         self._deterministic: list[bool] | None = None
-        self._interleaved: list[np.ndarray] | None = None
+        self._sweep: SweepPlan | None = None
 
     def __len__(self):
         return len(self.names)
@@ -452,11 +457,11 @@ class GroundNetwork:
                                    for cpf in self.cpfs]
         return self._deterministic
 
-    def interleaved_cpfs(self) -> list[np.ndarray]:
-        """Per variable, its CPF stored as ``(1 - cpf[i], cpf[i])`` at ``(2i, 2i + 1)``."""
-        if self._interleaved is None:
-            self._interleaved = [np.column_stack((1.0 - cpf, cpf)).ravel() for cpf in self.cpfs]
-        return self._interleaved
+    def sweep_plan(self) -> "SweepPlan":
+        """The Gibbs sweep's packed CPF table and level schedule, built once."""
+        if self._sweep is None:
+            self._sweep = SweepPlan.build(self)
+        return self._sweep
 
     def _find_cycle(self):
         state = [0] * len(self.names)
@@ -523,6 +528,55 @@ class GroundNetwork:
             cpfs=[self.cpfs[v] for v in ids],
             aux=[a for a in self.aux if a in {self.names[v] for v in ids}],
         )
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """A network's Gibbs sweep: one packed CPF table and a level schedule.
+
+    ``table`` holds every variable's CPF interleaved as ``(1 - cpf[i],
+    cpf[i])`` at ``(2i, 2i + 1)``, starting at ``offsets[v]``.  Tables are
+    packed largest first, so each offset is a multiple of its table's size
+    and ``key | bit`` and ``key & ~bit`` act on the global index as on the
+    local one.  The last entry is ``1.0``, for padding.
+
+    ``levels`` partitions the variables, each level in topological order.
+    A variable with children is placed one level above the highest of its
+    earlier Markov-blanket neighbours (parents and co-parents, as no child
+    comes earlier); every childless variable goes into the last level.
+    So no level holds two blanket neighbours, and blanket neighbours keep
+    their topological order across levels.
+    """
+
+    table: np.ndarray
+    offsets: np.ndarray
+    levels: list[list[int]]
+
+    @classmethod
+    def build(cls, net: GroundNetwork) -> "SweepPlan":
+        sizes = [2 * len(cpf) for cpf in net.cpfs]
+        offsets = np.zeros(len(sizes), dtype=np.intp)
+        end = 0
+        for v in sorted(range(len(sizes)), key=lambda v: -sizes[v]):
+            offsets[v] = end
+            end += sizes[v]
+        table = np.ones(end + 1)
+        for v, cpf in enumerate(net.cpfs):
+            table[offsets[v]:offsets[v] + sizes[v]:2] = 1.0 - cpf
+            table[offsets[v] + 1:offsets[v] + sizes[v]:2] = cpf
+
+        order = net.topo_order()
+        children = net.children()
+        level: dict[int, int] = {}
+        for v in order:
+            if children[v]:
+                # the blanket neighbours placed so far are exactly the earlier ones
+                blanket = set(net.parents[v]).union(*(net.parents[c] for c in children[v]))
+                level[v] = 1 + max((level[u] for u in blanket if u in level), default=-1)
+        levels: list[list[int]] = [[] for _ in range(max(level.values(), default=-1) + 2)]
+        for v in order:
+            levels[level.get(v, -1)].append(v)  # childless: the last level
+        return cls(table=table, offsets=offsets, levels=levels)
 
 
 def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwork:
@@ -782,13 +836,24 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     are counted per chain and at least ``n_samples`` states are collected.
 
     Sampler state is one integer key per variable and chain,
-    ``2 * parent_config + state``, with the parent configuration ordered
-    as in the CPF.  Each variable's CPF is stored interleaved as
-    ``(1 - cpf[i], cpf[i])`` at ``(2i, 2i + 1)``, so ``table[key]`` is the
+    ``2 * parent_config + state`` plus the variable's offset in the
+    network's packed table (:class:`SweepPlan`), so ``table[key]`` is the
     probability of the variable's current state given its parents.  A
     parent sits at one bit of its child's key; ``key & ~bit`` and
     ``key | bit`` look up the child with that parent false and true.  A
-    draw for ``v`` rewrites only the keys of ``v`` and of its children.
+    draw for ``v`` reads and rewrites only the keys of ``v`` and of its
+    children.
+
+    The sweep runs level by level.  Two sites of one level are not in
+    each other's Markov blanket, so they touch disjoint keys, and each
+    sees exactly the states a site-by-site scan in topological order
+    would give it (level scheduling; Anderson & Saad 1989).  One step
+    gathers each site's slots (the site, then its children, then padding
+    that looks up ``1.0``), takes the products of the slot probabilities
+    in the scan's order, and draws every site of the level at once.  Each
+    sweep draws one ``(free sites, n_chains)`` block of uniforms; on
+    PCG64 its row ``i`` equals the ``i``-th per-site draw of the scan.
+    So every key, and every estimate, equals that of the per-site sweep.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -808,59 +873,64 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     # starts near the target distribution instead of uniform noise
     states, _ = _forward_sample(net, ev, n_chains, rng)
 
-    keys = []
+    plan = net.sweep_plan()
+    table = plan.table
+    pad = len(net.names)  # a keys row that always looks up the padding 1.0
+    keys = np.empty((pad + 1, n_chains), dtype=np.intp)
+    keys[pad] = len(table) - 1
     for v, ps in enumerate(net.parents):
         key = np.zeros(n_chains, dtype=np.intp)
         for p in ps:
             key |= states[p]
             key <<= 1
         key |= states[v]
-        keys.append(key)
-    tables = net.interleaved_cpfs()
+        keys[v] = key + plan.offsets[v]
 
     children = net.children()
-    # per free variable: its table, and each child's table and key bit for it
-    sites = [
-        (v, tables[v],
-         [(c, tables[c], 2 << (len(net.parents[c]) - 1 - net.parents[c].index(v)))
-          for c in children[v]])
-        for v in net.topo_order() if v not in ev
-    ]
+    free = [v for v in net.topo_order() if v not in ev]
+    draw_row = {v: i for i, v in enumerate(free)}
+    steps = []
+    for level in plan.levels:
+        sites = [v for v in level if v not in ev]
+        if not sites:
+            continue
+        rows = np.full((1 + max(len(children[v]) for v in sites), len(sites)), pad,
+                       dtype=np.intp)
+        bits = np.zeros((*rows.shape, 1), dtype=np.intp)
+        for j, v in enumerate(sites):
+            rows[0, j], bits[0, j] = v, 1
+            for slot, c in enumerate(children[v], start=1):
+                rows[slot, j] = c
+                bits[slot, j] = 2 << (len(net.parents[c]) - 1 - net.parents[c].index(v))
+        steps.append((rows, bits, np.array([draw_row[v] for v in sites])))
 
     per_chain = -(-n_samples // n_chains)  # ceil
-    collected = {net.index[q]: 0 for q in queries}
+    asked = np.array([net.index[q] for q in queries], dtype=np.intp)
+    collected = np.zeros(len(asked), dtype=np.int64)
     count = 0
 
     for sweep in range(burn_in + per_chain):
-        for v, table, kids in sites:
-            key = keys[v]
-            high, low = key | 1, key & ~1
-            w1, w0 = table[high], table[low]
-            moves = []
-            for c, c_table, bit in kids:
-                c_key = keys[c]
-                c_high, c_low = c_key | bit, c_key & ~bit
-                w1 *= c_table[c_high]
-                w0 *= c_table[c_low]
-                moves.append((c, c_high, c_low))
+        uniforms = rng.random((len(free), n_chains))
+        for rows, bits, draw_rows in steps:
+            high = keys[rows] | bits
+            low = high ^ bits  # key & ~bit
+            # a left fold over the slots: the scan's order of multiplication
+            w1 = np.multiply.reduce(table[high], axis=0)
+            w0 = np.multiply.reduce(table[low], axis=0)
             total = w1 + w0
-            p = np.divide(w1, total, out=np.full(n_chains, 0.5), where=total > 0)
-            draw = rng.random(n_chains) < p
-            keys[v] = np.where(draw, high, low)
-            for c, c_high, c_low in moves:
-                keys[c] = np.where(draw, c_high, c_low)
+            p = np.divide(w1, total, out=np.full(total.shape, 0.5), where=total > 0)
+            keys[rows] = np.where(uniforms[draw_rows] < p, high, low)
         if sweep >= burn_in:
-            for v in collected:
-                collected[v] += int((keys[v] & 1).sum())
+            collected += (keys[asked] & 1).sum(axis=1)
             count += n_chains
 
     out = {}
-    for q in queries:
+    for q, hits in zip(queries, collected.tolist()):
         v = net.index[q]
         if v in ev:
             out[q] = 1.0 if ev[v] else 0.0
         else:
-            out[q] = collected[v] / count
+            out[q] = hits / count
     return out
 
 
@@ -897,8 +967,7 @@ def write_model(decl: Declaration, fragments, path) -> None:
         for t in sorted(decl.types):
             out.write(f"TYPE\t{t}\n")
         for pred in sorted(decl.signatures):
-            params = "\t".join(decl.signatures[pred])
-            out.write(f"SIG\t{pred}\t{params}\n")
+            out.write("\t".join(("SIG", pred, *decl.signatures[pred])) + "\n")
         for entity in sorted(decl.entities):
             types = ",".join(sorted(decl.entities[entity]))
             out.write(f"ENTITY\t{entity}\t{types}\n")
@@ -923,7 +992,7 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
             tag = cols[0]
             if tag == "TYPE" and len(cols) == 2:
                 types.add(cols[1])
-            elif tag == "SIG" and len(cols) >= 3:
+            elif tag == "SIG" and len(cols) >= 2:
                 signatures[cols[1]] = tuple(cols[2:])
             elif tag == "ENTITY" and len(cols) == 3:
                 entities[cols[1]] = frozenset(cols[2].split(","))

@@ -1,9 +1,15 @@
 """Batch command-line driver: ``generate``, ``infer``, ``evaluate``.
 
-Configuration is a flat ``key=value`` text file; any key can be
-overridden by the matching command-line flag (flags win).  Paths in a
-config file resolve relative to the file's own directory, so the bundled
-scenario configs work from any working directory.
+Configuration is a flat ``key=value`` text file.  Ten keys also have a
+command-line flag, which wins over the file: ``--seeds``,
+``--environment``, ``--min-children``, ``--ic-threshold``, ``--alpha``,
+``--root-prior``, ``--samples``, ``--n-worlds``, ``--method`` and
+``--seed``.  Every other key (``burn_in``, ``pseudocount``,
+``min_doc_freq``, ``esa_weighting``, ``language``, ``scenarios`` and the
+data paths such as ``lexicon``, ``edges`` and ``gold``) is set in the
+file only.  Paths in a config file resolve relative to the file's own
+directory, so the bundled scenario configs work from any working
+directory.
 
 One master seed drives every randomized stage through fixed offsets:
 evidence simulation uses ``seed + 1``, ad-hoc inference ``seed + 2``,

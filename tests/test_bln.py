@@ -648,6 +648,80 @@ class TestSamplerOracle:
         assert shapes == [((777, len(net)), (777,))]
 
 
+def blanket(net, v):
+    """Markov blanket of ``v``: parents, children and co-parents."""
+    out = set(net.parents[v]) | set(net.children()[v])
+    for c in net.children()[v]:
+        out |= set(net.parents[c])
+    return out - {v}
+
+
+class TestLevelSweep:
+    """The level-scheduled Gibbs sweep equals the per-site scan value for value."""
+
+    def networks(self, scenario_products):
+        rng = np.random.default_rng(51)
+        nets = [random_net(rng) for _ in range(4)] + [sampler_net(rng)[0] for _ in range(4)]
+        for name in ("recipe", "laundry", "cleaning"):
+            _, products = scenario_products[name]
+            nets.append(ground(products.declaration, products.fragments, [OBJECT]))
+        return nets
+
+    def test_levels_respect_blankets(self, scenario_products):
+        for net in self.networks(scenario_products):
+            levels = net.sweep_plan().levels
+            level_of = {v: i for i, level in enumerate(levels) for v in level}
+            position = {v: i for i, v in enumerate(net.topo_order())}
+            assert sorted(level_of) == list(range(len(net)))
+            for level in levels:
+                assert level == sorted(level, key=position.get)
+                members = set(level)
+                assert not any(blanket(net, v) & members for v in level)
+            for v in range(len(net)):
+                for u in blanket(net, v):
+                    if position[u] < position[v]:
+                        assert level_of[u] < level_of[v], (net.names[u], net.names[v])
+            leaves = {v for v in range(len(net)) if not net.children()[v]}
+            assert set(levels[-1]) == leaves
+
+    def test_packed_table_holds_each_cpf_at_an_aligned_offset(self, scenario_products):
+        for net in self.networks(scenario_products):
+            plan = net.sweep_plan()
+            assert plan.table[-1] == 1.0
+            spans = []
+            for v, cpf in enumerate(net.cpfs):
+                offset, size = int(plan.offsets[v]), 2 * len(cpf)
+                assert offset % size == 0
+                assert np.array_equal(plan.table[offset:offset + size],
+                                      np.column_stack((1.0 - cpf, cpf)).ravel())
+                spans.append((offset, offset + size))
+            spans.sort()
+            assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+            assert spans[-1][1] == len(plan.table) - 1
+
+    @settings(max_examples=40)
+    @given(net_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_random_evidence_equals_oracle(self, net_seed, data):
+        rng = np.random.default_rng(net_seed)
+        if data.draw(st.booleans(), label="sampler_net"):
+            # clamps a constraint auxiliary true and one non-root child
+            net, evidence = sampler_net(rng)
+        else:
+            net, evidence = random_net(rng), {}
+        extra = data.draw(st.dictionaries(st.sampled_from(net.names), st.booleans(),
+                                          max_size=3), label="extra evidence")
+        evidence = {**extra, **evidence}
+        burn_in = data.draw(st.integers(0, 3), label="burn_in")
+        n_chains = data.draw(st.sampled_from([1, 7, 64]), label="n_chains")
+        # a remainder of 1 .. n_chains - 1 overshoots the last kept sweep
+        n_samples = n_chains * data.draw(st.integers(0, 2)) + \
+            data.draw(st.integers(1, max(1, n_chains - 1)))
+        seed = data.draw(st.integers(0, 1000), label="seed")
+        assert bln.gibbs_estimates(net, net.names, evidence, burn_in, n_samples, seed,
+                                   n_chains) == \
+            gibbs_estimates_oracle(net, net.names, evidence, burn_in, n_samples, seed, n_chains)
+
+
 def ancestral_closure(net, names):
     """Indices of ``names`` and of all their ancestors."""
     closed, stack = set(), [net.index[name] for name in names]
@@ -761,10 +835,43 @@ class TestModelSerialization:
         write_model(products.declaration, products.fragments, tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_generated_model_round_trip(self, tmp_path_factory, data):
+        names = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+        types = data.draw(st.frozensets(names, min_size=1, max_size=4), label="types")
+        signatures = data.draw(st.dictionaries(
+            names, st.lists(st.sampled_from(sorted(types)), max_size=3).map(tuple),
+            max_size=3), label="signatures")
+        entities = data.draw(st.dictionaries(names, st.frozensets(names, min_size=1, max_size=3),
+                                             min_size=1, max_size=8), label="entities")
+        decl = Declaration(types=types, signatures=signatures, entities=entities)
+        variables = [AbstractVar(p, ("x", e)) for p in ("IsA", "UsedFor") for e in entities]
+        fragments = []
+        for child in data.draw(st.lists(st.sampled_from(variables), unique=True, min_size=1,
+                                        max_size=6), label="children"):
+            parents = data.draw(st.lists(st.sampled_from(variables), unique=True, max_size=6),
+                                label="parents")
+            cpf = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 ** len(parents),
+                                     max_size=2 ** len(parents)), label="cpf")
+            fragments.append(Fragment(child, parents, np.array(cpf),
+                                      frozen=data.draw(st.booleans(), label="frozen")))
+        path = tmp_path_factory.mktemp("model") / "model.tsv"
+        write_model(decl, fragments, path)
+        restored_decl, restored = read_model(path)
+        assert restored_decl == decl
+        assert len(restored) == len(fragments)
+        for ours, back in zip(fragments, restored):
+            assert back.child == ours.child
+            assert back.parents == ours.parents
+            assert back.frozen == ours.frozen
+            assert back.cpf.tobytes() == ours.cpf.tobytes()
+
     @pytest.mark.parametrize("fragment, reason", [
         ("FRAGMENT\tIsA(x,a)\t-\tabc\t-", "could not convert"),
         ("FRAGMENT\tIsA(x,a)\t-\t0.5 0.5\t-", "must have 1 rows"),
         ("FRAGMENT\tIsA(x,a\t-\t0.5\t-", "bad variable syntax"),
+        ("FRAGMENT\tIsA(x,a)\t-\tnan\t-", "outside \\[0, 1\\]"),
     ])
     def test_malformed_fragment_names_its_line(self, tmp_path, fragment, reason):
         path = tmp_path / "model.tsv"

@@ -13,7 +13,10 @@ byte-identical outputs.  It covers:
 - ``report.txt`` and ``report.tsv`` from ``evaluate eval_all.cfg``, with
   LW and with Gibbs at samples=2560 burn_in=5;
 - the ``evaluation.run_scenario`` result dicts (keys, order and float
-  reprs) of every bundled scenario, with the same two method settings;
+  reprs) of every bundled scenario, with the same two method settings
+  and with Gibbs at samples=1000 burn_in=0: the initial state plus two
+  kept sweeps of 512 chains, a sample count that is not a multiple of
+  the chain count;
 - a fixed set of ``infer`` requests: LW and Gibbs on every bundled model,
   exact on ``mini``, one- and two-pattern queries; and one LW request per
   relation family (``IsA(obj1,*)`` and so on) on every bundled model,
@@ -45,6 +48,9 @@ from pathlib import Path
 SCENARIOS = ("mini", "recipe", "laundry", "cleaning")
 METHODS = {"lw": {"method": "lw"},
            "gibbs": {"method": "gibbs", "samples": "2560", "burn_in": "5"}}
+# run_scenario also checks Gibbs with no burn-in and an overshooting last sweep
+SCENARIO_METHODS = {**METHODS,
+                    "gibbs-b0-s1000": {"method": "gibbs", "samples": "1000", "burn_in": "0"}}
 SEEDS_PER_MODEL = 3
 QUERIES = (("*",), ("AtLocation(obj1,*)", "UsedFor(obj1,*)"))  # one- and two-pattern requests
 FAMILY_QUERIES = tuple(f"{family}(obj1,*)"
@@ -126,7 +132,7 @@ def digests(work: Path):
             yield f"evaluate/{label}/{report}", sha((out_dir / report).read_bytes())
 
     for name in SCENARIOS:
-        for label, overrides in METHODS.items():
+        for label, overrides in SCENARIO_METHODS.items():
             config, _ = cli.load_config(copy_config(configs / f"{name}.cfg",
                                                     work / f"{name}_{label}.cfg", overrides))
             with contextlib.redirect_stderr(io.StringIO()):
