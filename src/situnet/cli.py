@@ -375,12 +375,12 @@ def cmd_evaluate(args) -> int:
     for name, sub in runs:
         if not sub.gold:
             raise ConfigError(f"scenario {name!r} has no gold file configured")
+        gold = evaluation.load_gold(sub.gold)
         products = run_generation(sub)
         results = _stage("scenario", evaluation.run_scenario, products.declaration,
-                         products.fragments, list(products.assignment.choices),
+                         products.fragments, list(products.assignment.choices), gold,
                          sub.method, sub.samples, sub.burn_in,
                          sub.seed + SCENARIO_SEED_OFFSET)
-        gold = evaluation.load_gold(sub.gold)
         reports[name] = _stage("score", evaluation.score, results, gold,
                                products.assignment)
 

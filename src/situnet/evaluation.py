@@ -1,11 +1,12 @@
 """Scenario evaluation: per-seed inference, thresholding, accuracy scoring.
 
 The model template is grounded once for a single object; for every seed
-word the evidence ``IsA(obj1, seed) = true`` is clamped and all four
-relation families of that object are queried from one sample set.  A
-query counts as predicted true when its probability strictly exceeds
-0.5; accuracies are reported per relation against a hand-labeled gold
-standard, alongside the seed-sense disambiguation accuracy.
+word the evidence ``IsA(obj1, seed) = true`` is clamped and the
+variables the hand-labeled gold standard labels for that seed are
+queried from one sample set.  A query counts as predicted true when its
+probability strictly exceeds 0.5; accuracies are reported per relation
+against the gold labels, alongside the seed-sense disambiguation
+accuracy.
 """
 
 from __future__ import annotations
@@ -49,26 +50,37 @@ class AccuracyReport:
     counts: dict[RelationType, tuple[int, int]]  # correct, total
 
 
-def run_scenario(declaration, fragments, seeds, method: str = "lw", n_samples: int = 20_000,
-                 burn_in: int = 1000, seed: int = 0,
+def run_scenario(declaration, fragments, seeds, gold: GoldStandard, method: str = "lw",
+                 n_samples: int = 20_000, burn_in: int = 1000, seed: int = 0,
                  n_chains: int = 512) -> dict[tuple[str, RelationType, str], float]:
-    """Query every variable of one object once per seed word.
+    """Query the gold-labeled variables of one object once per seed word.
 
     The template is grounded once for the single object ``obj1``; the
     i-th seed clamps ``IsA(obj1, seed) = true`` and samples with
-    ``seed + i``.  Returns (seed, relation, target entity) -> probability.
+    ``seed + i``, asking only for the variables ``gold`` labels for that
+    seed, in network order.  A seed with no labeled variable is not
+    sampled, but its ``IsA`` variable must still exist.  Labeled triples
+    whose variable is not in the network are left out; :func:`score`
+    reports them.  Returns (seed, relation, target entity) -> probability.
     """
     net = bln.ground(declaration, fragments, [OBJECT])
+    keys = []
+    for name in net.names:
+        var = AbstractVar.parse(name)
+        keys.append((name, RelationType(var.predicate), var.args[1]))
     results: dict[tuple[str, RelationType, str], float] = {}
     for position, seed_word in enumerate(seeds):
         ev_name = f"IsA({OBJECT},{seed_word})"
         if ev_name not in net.index:
             raise MissingVariableError(seed_word)
-        estimates = bln.estimates(net, net.names, {ev_name: True}, method, n_samples,
+        labeled = {name: (seed_word, relation, target) for name, relation, target in keys
+                   if (seed_word, relation, target) in gold.relation_labels}
+        if not labeled:
+            continue
+        estimates = bln.estimates(net, list(labeled), {ev_name: True}, method, n_samples,
                                   burn_in, seed + position, n_chains)
-        for name, prob in estimates.items():
-            var = AbstractVar.parse(name)
-            results[(seed_word, RelationType(var.predicate), var.args[1])] = prob
+        for name, key in labeled.items():
+            results[key] = estimates[name]
     return results
 
 
@@ -124,7 +136,14 @@ def load_gold(path) -> GoldStandard:
                     relation = RelationType(rel)
                 except ValueError as error:
                     raise ValueError(f"bad gold record on line {line_no}: {error}") from None
-                relation_labels[(seed, relation, target)] = label == "1"
+                if label not in ("0", "1"):
+                    raise ValueError(f"bad gold record on line {line_no}: "
+                                     f"label {label!r} is not 0 or 1")
+                key = (seed, relation, target)
+                if key in relation_labels:
+                    raise ValueError(f"bad gold record on line {line_no}: "
+                                     f"({seed}, {rel}, {target}) is labeled twice")
+                relation_labels[key] = label == "1"
             elif cols[0] == "SENSE" and len(cols) == 3:
                 sense_labels[cols[1]] = cols[2]
             else:

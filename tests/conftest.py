@@ -5,7 +5,8 @@ table, and the sample-major forward pass and per-site Gibbs sweep that
 the library's samplers must reproduce value for value; and, for
 generation, the cubic seed-tree growth, the sample-major evidence
 simulation and the per-row CPF learning that the library must reproduce
-byte for byte.
+byte for byte.  ``every_variable_gold`` labels every variable of the
+one-object network, so ``run_scenario`` estimates them all.
 """
 
 from dataclasses import replace
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import settings
 
 from situnet import data_path
-from situnet.bln import EvidenceSet, _graph_topo_order, variable_for_node
+from situnet.bln import AbstractVar, EvidenceSet, _graph_topo_order, ground, variable_for_node
 from situnet.cli import load_config, run_generation
 from situnet.disambiguation import SenseAssignment, UnknownSeedError
-from situnet.edges import filter_multiword, load_edges
+from situnet.edges import RelationType, filter_multiword, load_edges
+from situnet.evaluation import OBJECT, GoldStandard
 from situnet.lexicon import (
     UndefinedSimilarityError,
     load_frequencies,
@@ -85,6 +87,17 @@ def scenario_products():
         config, _ = load_config(bundled("configs", f"{name}.cfg"))
         out[name] = (config, run_generation(config))
     return out
+
+
+def every_variable_gold(declaration, fragments, seeds) -> GoldStandard:
+    """A gold that labels every variable of the one-object network for every seed."""
+    names = ground(declaration, fragments, [OBJECT]).names
+    labels = {}
+    for seed in seeds:
+        for name in names:
+            var = AbstractVar.parse(name)
+            labels[(seed, RelationType(var.predicate), var.args[1])] = True
+    return GoldStandard(labels, {})
 
 
 def joint_table_oracle(net, query, evidence):

@@ -229,10 +229,10 @@ def test_criterion_8_fixture_evaluation(scenario_products):
         for name in ("recipe", "laundry", "cleaning"):
             config, products = scenario_products[name]
             seeds = list(products.assignment.choices)
-            results = evaluation.run_scenario(
-                products.declaration, products.fragments, seeds, config.method,
-                config.samples, config.burn_in, config.seed + 100)
             gold = evaluation.load_gold(config.gold)
+            results = evaluation.run_scenario(
+                products.declaration, products.fragments, seeds, gold, config.method,
+                config.samples, config.burn_in, config.seed + 100)
             report = evaluation.score(results, gold, products.assignment)
             assert report.per_relation[RelationType.IsA] >= 90.0, name
             for relation in (RelationType.AtLocation, RelationType.HasProperty,

@@ -242,10 +242,11 @@ class TestEvaluate:
 
         config, _ = load_config(bundled("configs", "mini.cfg"))
         products = run_generation(config)
-        results = evaluation.run_scenario(products.declaration, products.fragments,
-                                          list(products.assignment.choices), config.method,
-                                          config.samples, config.burn_in, config.seed + 100)
         gold = evaluation.load_gold(config.gold)
+        results = evaluation.run_scenario(products.declaration, products.fragments,
+                                          list(products.assignment.choices), gold,
+                                          config.method, config.samples, config.burn_in,
+                                          config.seed + 100)
         report = evaluation.score(results, gold, products.assignment)
         from situnet.evaluation import RELATION_COLUMNS
         expected = [f"{report.per_relation[r]:.1f}" for r in RELATION_COLUMNS]

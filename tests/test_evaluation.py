@@ -1,5 +1,7 @@
 """Scenario queries, thresholding, and accuracy scoring."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from situnet.evaluation import (
     score,
 )
 
-from conftest import bundled
+from conftest import bundled, every_variable_gold
 
 
 def var(text):
@@ -41,25 +43,51 @@ def food_container_model():
     return decl, fragments
 
 
+FOOD_GOLD = GoldStandard({("food", RelationType.IsA, "food"): True,
+                          ("food", RelationType.AtLocation, "container"): True}, {})
+
+
+def restricted(results, gold):
+    return {key: prob for key, prob in results.items() if key in gold.relation_labels}
+
+
 class TestRunScenario:
     def test_evidence_variable_scores_one(self):
-        results = run_scenario(*food_container_model(), ["food"], method="exact")
+        results = run_scenario(*food_container_model(), ["food"], FOOD_GOLD, method="exact")
         assert results[("food", RelationType.IsA, "food")] == 1.0
 
     def test_certain_rule_transfers_probability_one(self):
-        results = run_scenario(*food_container_model(), ["food"], method="exact")
+        results = run_scenario(*food_container_model(), ["food"], FOOD_GOLD, method="exact")
         assert results[("food", RelationType.AtLocation, "container")] == 1.0
 
     def test_missing_seed_variable_named(self):
+        gold = every_variable_gold(*food_container_model(), ["zeppelin"])
         with pytest.raises(MissingVariableError) as err:
-            run_scenario(*food_container_model(), ["zeppelin"], method="exact")
+            run_scenario(*food_container_model(), ["zeppelin"], gold, method="exact")
         assert err.value.seed == "zeppelin"
+
+    def test_unlabeled_seed_without_variable_still_named(self):
+        with pytest.raises(MissingVariableError) as err:
+            run_scenario(*food_container_model(), ["food", "zeppelin"], FOOD_GOLD,
+                         method="exact")
+        assert err.value.seed == "zeppelin"
+
+    def test_labeled_triple_outside_network_fails_scoring(self):
+        missing = ("food", RelationType.AtLocation, "moon")
+        gold = GoldStandard({**FOOD_GOLD.relation_labels, missing: True}, {})
+        results = run_scenario(*food_container_model(), ["food"], gold, method="exact")
+        assert list(results) == list(FOOD_GOLD.relation_labels)
+        with pytest.raises(GoldCoverageError) as err:
+            score(results, gold)
+        assert err.value.missing == {missing}
+        assert "(food, AtLocation, moon)" in str(err.value)
 
     def test_matches_per_query_oracle_exact(self, scenario_products):
         # oracle: one grounding, queried variable by variable
         _, products = scenario_products["mini"]
         seeds = list(products.assignment.choices)
-        results = run_scenario(products.declaration, products.fragments, seeds,
+        gold = every_variable_gold(products.declaration, products.fragments, seeds)
+        results = run_scenario(products.declaration, products.fragments, seeds, gold,
                                method="exact")
         solo = ground(products.declaration, products.fragments, ["obj1"])
         assert len(results) == len(seeds) * len(solo)
@@ -72,13 +100,49 @@ class TestRunScenario:
         _, products = scenario_products["mini"]
         model = (products.declaration, products.fragments)
         seeds = list(products.assignment.choices)
-        exact = run_scenario(*model, seeds, method="exact")
-        lw = run_scenario(*model, seeds, method="lw", n_samples=50_000, seed=1)
-        gibbs = run_scenario(*model, seeds, method="gibbs", n_samples=50_000,
+        gold = every_variable_gold(*model, seeds)
+        exact = run_scenario(*model, seeds, gold, method="exact")
+        lw = run_scenario(*model, seeds, gold, method="lw", n_samples=50_000, seed=1)
+        gibbs = run_scenario(*model, seeds, gold, method="gibbs", n_samples=50_000,
                              burn_in=500, seed=1)
+        assert len(exact) == len(gold.relation_labels)
         for key in exact:
             assert abs(lw[key] - exact[key]) < 0.02, key
             assert abs(gibbs[key] - exact[key]) < 0.02, key
+
+    @pytest.mark.parametrize("name, method, settings", [
+        ("mini", "lw", {}),
+        ("mini", "gibbs", {"n_samples": 1000, "burn_in": 0}),
+        ("mini", "exact", {}),
+        ("recipe", "lw", {}),
+        ("laundry", "lw", {}),
+        ("cleaning", "lw", {}),
+    ])
+    def test_gold_results_equal_every_variable_results(self, scenario_products, name,
+                                                       method, settings):
+        # oracle: every variable estimated for every seed, then restricted
+        config, products = scenario_products[name]
+        model = (products.declaration, products.fragments)
+        seeds = list(products.assignment.choices)
+        gold = load_gold(config.gold)
+        run = dict(method=method, seed=config.seed + 100, **settings)
+        everything = run_scenario(*model, seeds, every_variable_gold(*model, seeds), **run)
+        results = run_scenario(*model, seeds, gold, **run)
+        assert list(results.items()) == list(restricted(everything, gold).items())
+        score(results, gold)  # every labeled triple is estimated
+
+    def test_unlabeled_seed_keeps_the_others_offsets(self, scenario_products):
+        config, products = scenario_products["recipe"]
+        model = (products.declaration, products.fragments)
+        seeds = list(products.assignment.choices)
+        gold = load_gold(config.gold)
+        dropped = GoldStandard({key: label for key, label in gold.relation_labels.items()
+                                if key[0] != seeds[0]}, gold.sense_labels)
+        assert len(dropped.relation_labels) < len(gold.relation_labels)
+        full = run_scenario(*model, seeds, gold, seed=config.seed + 100)
+        results = run_scenario(*model, seeds, dropped, seed=config.seed + 100)
+        assert all(key[0] != seeds[0] for key in results)
+        assert list(results.items()) == list(restricted(full, dropped).items())
 
 
 def tiny_results():
@@ -198,11 +262,16 @@ class TestReports:
     @pytest.mark.parametrize("record, reason", [
         ("REL\tpan\tMadeOf\tmetal\t1", "'MadeOf' is not a valid RelationType"),
         ("REL\tpan\tIsA\tutensil", "'REL"),
+        ("REL\tpan\tIsA\tdeity\tyes", "label 'yes' is not 0 or 1"),
+        ("REL\tpan\tIsA\tdeity\t0\nREL\tpan\tIsA\tdeity\t1",
+         "(pan, IsA, deity) is labeled twice"),
     ])
     def test_malformed_gold_record_names_its_line(self, tmp_path, record, reason):
         path = tmp_path / "gold.tsv"
         path.write_text(f"SENSE\tpan\tpan-1-n\n{record}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"bad gold record on line 2: {reason}"):
+        line = 2 + record.count("\n")  # the malformed record is the file's last line
+        message = f"bad gold record on line {line}: {reason}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_gold(path)
 
     def test_gold_loader(self):
