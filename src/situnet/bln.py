@@ -308,41 +308,47 @@ def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int
 
     Worlds are filled variable-major, one contiguous ``(n_worlds,)`` row
     per variable; the returned set's ``worlds`` is the transposed view.
+    A node with ``k`` distinct sources gets a ``2**k`` table of
+    P(true | sources), each entry one minus the product of ``1 - p`` over
+    its true sources' edges, taken in edge order as a per-world product
+    would be; each world looks its entry up by the packed configuration
+    of the sources (:func:`_pack`).  A node with more than
+    :data:`MAX_PARENTS` sources raises :class:`DenseModelError`.
     """
     if n_worlds < 1:
         raise ValueError("n_worlds must be >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    if not 0.0 <= root_prior <= 1.0:
+        raise ValueError("root_prior must lie in [0, 1]")
 
     order = _graph_topo_order(graph)
     var_names = [str(variable_for_node(graph.nodes[i])) for i in order]
     row = {node_id: pos for pos, node_id in enumerate(order)}
 
     incoming = graph.incoming()
-    edge_probs: dict[str, list[tuple[int, float]]] = {}
-    for node_id in order:
-        probs = []
-        for e in incoming[node_id]:
-            src = graph.nodes[e.src]
-            dst = graph.nodes[e.dst]
-            p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
-            probs.append((row[e.src], min(1.0, max(0.0, p))))
-        edge_probs[node_id] = probs
-
     rng = np.random.default_rng(seed)
     states = np.zeros((len(order), n_worlds), dtype=bool)
     for node_id in order:
-        probs = edge_probs[node_id]
-        if not probs:
-            p_true = root_prior
-        else:
-            # noisy-OR: a true parent multiplies the miss probability by
-            # 1 - p; a false one leaves it as it is (a factor of exactly 1)
-            miss = np.ones(n_worlds)
-            for src_row, p in probs:
-                np.multiply(miss, 1.0 - p, out=miss, where=states[src_row])
-            p_true = 1.0 - miss
-        states[row[node_id]] = rng.random(n_worlds) < p_true
+        edges = incoming[node_id]
+        if not edges:
+            np.less(rng.random(n_worlds), root_prior, out=states[row[node_id]])
+            continue
+        sources = list(dict.fromkeys(row[e.src] for e in edges))
+        if len(sources) > MAX_PARENTS:
+            raise DenseModelError(
+                f"node {node_id!r} has {len(sources)} sources (max {MAX_PARENTS})")
+        # noisy-OR: a true source multiplies the miss probability by 1 - p
+        config = np.arange(2 ** len(sources))
+        miss = np.ones(len(config))
+        for e in edges:
+            src, dst = graph.nodes[e.src], graph.nodes[e.dst]
+            p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
+            bit = len(sources) - 1 - sources.index(row[e.src])
+            np.multiply(miss, 1.0 - min(1.0, max(0.0, p)), out=miss,
+                        where=((config >> bit) & 1).astype(bool))
+        p_true = (1.0 - miss).take(_pack(states, sources))
+        np.less(rng.random(n_worlds), p_true, out=states[row[node_id]])
     return EvidenceSet(variables=var_names, worlds=states.T)
 
 
@@ -374,28 +380,49 @@ def learn_cpfs(fragments, evidence: EvidenceSet, pseudocount: float = 1.0) -> li
     pseudocount) for its parent configuration; configurations never
     observed fall back to 0.5.  Frozen fragments pass through unchanged.
 
-    Worlds are counted by one ``bincount`` of ``2 * parent_config +
-    child``, built by shift-or over the variables' rows of
-    ``evidence.worlds.T`` (contiguous for :func:`simulate_evidence`).
+    A fragment's worlds are counted by one ``bincount`` of the packed
+    parents-then-child configuration (:func:`_pack` over the variables'
+    rows of ``evidence.worlds.T``, contiguous for
+    :func:`simulate_evidence`), a parentless one by one
+    ``count_nonzero``.  The counts of all fragments are smoothed in one
+    division.
     """
     col = {name: i for i, name in enumerate(evidence.variables)}
     rows = evidence.worlds.T
-    out = []
-    for frag in fragments:
-        if frag.frozen:
-            out.append(frag)
-            continue
-        key = np.zeros(rows.shape[1], dtype=np.intp)
-        for p in frag.parents:
-            key |= rows[col[str(p)]]
-            key <<= 1
-        key |= rows[col[str(frag.child)]]
-        counts = np.bincount(key, minlength=2 << len(frag.parents)).reshape(-1, 2)
-        denominator = counts.sum(axis=1) + 2.0 * pseudocount
-        cpf = np.divide(counts[:, 1] + pseudocount, denominator,
-                        out=np.full(len(counts), 0.5), where=denominator != 0)
-        out.append(replace(frag, cpf=cpf))
-    return out
+    learned = [frag for frag in fragments if not frag.frozen]
+    if not learned:
+        return list(fragments)
+    counts = []
+    for frag in learned:
+        child = col[str(frag.child)]
+        if frag.parents:
+            key = _pack(rows, [*(col[str(p)] for p in frag.parents), child])
+            counts.append(np.bincount(key, minlength=2 << len(frag.parents)))
+        else:
+            trues = np.count_nonzero(rows[child])
+            counts.append(np.array([rows.shape[1] - trues, trues]))
+    counts = np.concatenate(counts).reshape(-1, 2)
+    denominator = counts.sum(axis=1) + 2.0 * pseudocount
+    cpfs = np.divide(counts[:, 1] + pseudocount, denominator,
+                     out=np.full(len(counts), 0.5), where=denominator != 0)
+    ends = np.cumsum([len(frag.cpf) for frag in learned])
+    tables = iter(np.split(cpfs, ends[:-1]))
+    return [frag if frag.frozen else replace(frag, cpf=next(tables)) for frag in fragments]
+
+
+def _pack(rows, ids) -> np.ndarray:
+    """Each column of the boolean ``rows[ids]`` as one binary number, first row highest.
+
+    The key is ``uint8`` for up to 8 rows, ``uint16`` for up to 16 and
+    ``intp`` above that, so it never overflows; it doubles (a left shift,
+    cheaper than ``<<`` on narrow integers) and ORs in each row's bytes.
+    """
+    dtype = np.uint8 if len(ids) <= 8 else np.uint16 if len(ids) <= 16 else np.intp
+    key = np.zeros(rows.shape[1], dtype=dtype)
+    for i in ids:
+        key += key
+        key |= rows[i].view(np.uint8)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +763,8 @@ def _forward_sample(net, ev, n_samples, rng, drawn=None):
     """Ancestral pass in topological order; clamped variables weight, free ones draw.
 
     States are variable-major, ``(n_vars, n_samples)``: row ``v`` holds
-    variable ``v``, so a parent configuration is built by shift-or over
-    contiguous rows, first parent most significant.
+    variable ``v``, and each sample looks its CPF row up by the packed
+    configuration of the parents' contiguous rows (:func:`_pack`).
 
     ``drawn``, when given, flags the variables to sample; it must be
     closed under parents and hold every clamped variable.  Each other
@@ -753,14 +780,7 @@ def _forward_sample(net, ev, n_samples, rng, drawn=None):
             rng.bit_generator.advance(n_samples)
             continue
         ps = net.parents[v]
-        if ps:
-            config = states[ps[0]].astype(np.intp)
-            for p in ps[1:]:
-                config <<= 1
-                config |= states[p]
-            p_true = net.cpfs[v][config]
-        else:
-            p_true = net.cpfs[v][0]
+        p_true = net.cpfs[v].take(_pack(states, ps)) if ps else net.cpfs[v][0]
         if v in ev:
             states[v] = ev[v]
             weights *= p_true if ev[v] else 1.0 - p_true
@@ -879,12 +899,8 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     keys = np.empty((pad + 1, n_chains), dtype=np.intp)
     keys[pad] = len(table) - 1
     for v, ps in enumerate(net.parents):
-        key = np.zeros(n_chains, dtype=np.intp)
-        for p in ps:
-            key |= states[p]
-            key <<= 1
-        key |= states[v]
-        keys[v] = key + plan.offsets[v]
+        keys[v] = _pack(states, [*ps, v])
+    keys[:pad] += plan.offsets[:, None]
 
     children = net.children()
     free = [v for v in net.topo_order() if v not in ev]
@@ -973,7 +989,7 @@ def write_model(decl: Declaration, fragments, path) -> None:
             out.write(f"ENTITY\t{entity}\t{types}\n")
         for frag in fragments:
             parents = ",".join(str(p) for p in frag.parents) or "-"
-            rows = " ".join(repr(float(p)) for p in frag.cpf)
+            rows = " ".join(repr(p) for p in frag.cpf.tolist())
             flag = "frozen" if frag.frozen else "-"
             out.write(f"FRAGMENT\t{frag.child}\t{parents}\t{rows}\t{flag}\n")
 

@@ -145,6 +145,9 @@ def load_gold(path) -> GoldStandard:
                                      f"({seed}, {rel}, {target}) is labeled twice")
                 relation_labels[key] = label == "1"
             elif cols[0] == "SENSE" and len(cols) == 3:
+                if cols[1] in sense_labels:
+                    raise ValueError(f"bad gold record on line {line_no}: "
+                                     f"sense of {cols[1]!r} is labeled twice")
                 sense_labels[cols[1]] = cols[2]
             else:
                 raise ValueError(f"bad gold record on line {line_no}: {raw!r}")

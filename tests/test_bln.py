@@ -63,6 +63,16 @@ def graph_of(nodes, edges):
     return graph
 
 
+def hub_graph(n_sources):
+    """Seed concepts ``seed00``, ``seed01``, ... all IsA one ``hub`` concept."""
+    nodes = [("hub", "concept", False)]
+    edges = []
+    for i in range(n_sources):
+        nodes.append((f"seed{i:02d}", "concept", True))
+        edges.append((f"seed{i:02d}", RelationType.IsA, "hub", 1.0))
+    return graph_of(nodes, edges)
+
+
 DIAMOND = graph_of(
     [("garlic", "concept", True), ("salt", "concept", True),
      ("flavorer", "concept", False), ("season", "affordance", False)],
@@ -112,13 +122,8 @@ class TestModelFromGraph:
         assert decl.entities["season"] == frozenset({"affordance"})
 
     def test_too_many_parents_rejected(self):
-        nodes = [("hub", "concept", False)]
-        edges = []
-        for i in range(13):
-            nodes.append((f"seed{i:02d}", "concept", True))
-            edges.append((f"seed{i:02d}", RelationType.IsA, "hub", 1.0))
         with pytest.raises(DenseModelError) as err:
-            model_from_graph(graph_of(nodes, edges))
+            model_from_graph(hub_graph(13))
         assert "hub" in str(err.value)
 
 
@@ -184,6 +189,32 @@ class TestSimulateEvidence:
         first = simulate_evidence(DIAMOND, ConstantRelatedness(0.3), 0.5, 500, 7)
         second = simulate_evidence(DIAMOND, ConstantRelatedness(0.3), 0.5, 500, 7)
         assert np.array_equal(first.worlds, second.worlds)
+
+    def test_too_many_sources_rejected(self):
+        with pytest.raises(DenseModelError, match="node 'hub' has 13 sources"):
+            simulate_evidence(hub_graph(13), ConstantRelatedness(0.3), 0.5, 10, 7)
+
+    @pytest.mark.parametrize("root_prior", [-0.1, 1.5, float("nan")])
+    def test_root_prior_outside_unit_interval_rejected(self, root_prior):
+        with pytest.raises(ValueError, match="root_prior"):
+            simulate_evidence(DIAMOND, ConstantRelatedness(0.3), 0.5, 10, 7, root_prior)
+
+    @pytest.mark.parametrize("n_sources", [9, 12])
+    def test_wide_and_repeated_sources_equal_oracle(self, n_sources):
+        seeds = [f"seed{i:02d}" for i in range(n_sources)]
+        # repeated source -> target edges multiply their miss factors twice
+        graph = graph_of(
+            [("hub", "concept", False), ("tool", "affordance", False)]
+            + [(seed, "concept", True) for seed in seeds],
+            [(seed, RelationType.IsA, "hub", 0.05 + 0.07 * i) for i, seed in enumerate(seeds)]
+            + [("seed01", RelationType.IsA, "hub", 0.3),
+               ("hub", RelationType.UsedFor, "tool", 0.6),
+               ("seed00", RelationType.UsedFor, "tool", 0.2),
+               ("hub", RelationType.UsedFor, "tool", 0.9)])
+        args = (graph, ConstantRelatedness(0.2), 0.6, 3000, 13, 0.3)
+        ours, reference = simulate_evidence(*args), simulate_evidence_oracle(*args)
+        assert ours.variables == reference.variables
+        assert np.array_equal(ours.worlds, reference.worlds)
 
 
 class TestLearnCpfs:
@@ -288,14 +319,19 @@ class TestGenerationOracle:
     @pytest.mark.parametrize("n_worlds", [0, 1, 37])
     def test_unobserved_configurations_equal_oracle(self, n_worlds):
         rng = np.random.default_rng(41)
-        names = [f"P(x,v{i})" for i in range(6)]
+        names = [f"P(x,v{i})" for i in range(14)]
         # rare parents leave most configurations unobserved
         sample_major = rng.random((n_worlds, 6)) < [0.05, 0.1, 0.5, 0.9, 0.5, 0.3]
+        sample_major = np.hstack([sample_major, rng.random((n_worlds, 8)) < 0.5])
         fragments = [Fragment(var(names[5]), [], np.array([0.5])),
                      Fragment(var(names[4]), [var(names[0])], np.full(2, 0.5)),
                      Fragment(var(names[3]), [var(n) for n in names[:3]], np.full(8, 0.5)),
                      Fragment(var(names[2]), [var(n) for n in (names[5], names[0], names[1],
                                                               names[4])], np.full(16, 0.5))]
+        # keys of 8, 9, 10 and 13 rows: both sides of the uint8 and uint16 widths
+        for k, child in ((7, 13), (8, 6), (9, 7), (12, 8)):
+            parents = [var(n) for i, n in enumerate(names) if i != child][-k:]
+            fragments.append(Fragment(var(names[child]), parents, np.full(2 ** k, 0.5)))
         for worlds in (sample_major, np.ascontiguousarray(sample_major.T).T):
             evidence = EvidenceSet(names, worlds)
             for pseudocount in (0.0, 1.0, 0.25):
@@ -802,6 +838,22 @@ class TestPrunedLw:
         seed = data.draw(st.integers(0, 1000))
         assert bln.lw_estimates(net, queries, evidence, n_samples=257, seed=seed) == \
             lw_estimates_oracle(net, queries, evidence, 257, seed)
+
+
+class TestPack:
+    @settings(max_examples=30)
+    @given(n_cols=st.sampled_from([0, 1, 37]), density=st.sampled_from([0.5, 1.0]),
+           data=st.data())
+    def test_equals_intp_shift_or(self, n_cols, density, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rows = rng.random((20, n_cols)) < density
+        for n_rows in range(1, 19):  # both sides of the uint8 and uint16 widths
+            ids = data.draw(st.lists(st.integers(0, 19), min_size=n_rows, max_size=n_rows))
+            expected = np.zeros(n_cols, dtype=np.intp)
+            for i in ids:
+                expected = (expected << 1) | rows[i]
+            assert np.array_equal(bln._pack(rows, ids), expected)
+            assert np.array_equal(bln._pack(np.ascontiguousarray(rows.T).T, ids), expected)
 
 
 class TestModelSerialization:

@@ -265,6 +265,7 @@ class TestReports:
         ("REL\tpan\tIsA\tdeity\tyes", "label 'yes' is not 0 or 1"),
         ("REL\tpan\tIsA\tdeity\t0\nREL\tpan\tIsA\tdeity\t1",
          "(pan, IsA, deity) is labeled twice"),
+        ("SENSE\tpan\tpan-2-n", "sense of 'pan' is labeled twice"),
     ])
     def test_malformed_gold_record_names_its_line(self, tmp_path, record, reason):
         path = tmp_path / "gold.tsv"

@@ -7,9 +7,10 @@ byte-identical outputs.  It covers:
 - the ``generate`` artifacts (graph, model, assignment and the printed
   summary) of every bundled scenario config;
 - ``generate`` on fixed, seeded cross-scenario mixes of 15, 25, 35 and
-  45 seed words in the kitchen and the house environment: exit code,
-  stdout and stderr (so refusals such as ``DenseModelError`` count), and
-  the artifacts where the run wrote them;
+  45 seed words in the kitchen and the house environment, plus a second
+  draw of 25 and 35 words in each: exit code, stdout and stderr (so
+  refusals such as ``DenseModelError`` count), and the artifacts where
+  the run wrote them;
 - ``report.txt`` and ``report.tsv`` from ``evaluate eval_all.cfg``, with
   LW and with Gibbs at samples=2560 burn_in=5;
 - the ``evaluation.run_scenario`` result dicts (keys, order and float
@@ -59,9 +60,14 @@ QUERIES = (("*",), ("AtLocation(obj1,*)", "UsedFor(obj1,*)"))  # one- and two-pa
 FAMILY_QUERIES = tuple(f"{family}(obj1,*)"
                        for family in ("IsA", "UsedFor", "HasProperty", "AtLocation"))
 # larger than any bundled seed file (at most 19 words), so they reach the
-# tie order of large seed trees; the 45-word house mixes are refused
-MIX_SIZES = (15, 25, 35, 45)
+# tie order of large seed trees; the 45-word house mixes are refused.  A
+# second draw of 25 and 35 words reaches other shapes, such as a node of
+# 12 parents (mix2-house-35), the widest a model may hold.
 MIX_ENVIRONMENTS = ("kitchen", "house")
+MIXES = ([(f"mix-{environment}-{size}", environment, size)
+          for environment in MIX_ENVIRONMENTS for size in (15, 25, 35, 45)]
+         + [(f"mix2-{environment}-{size}", environment, size)
+            for environment in MIX_ENVIRONMENTS for size in (25, 35)])
 MIX_SEED_FILES = ("recipe", "laundry", "cleaning")
 ARTIFACTS = ("graph.tsv", "model.tsv", "assignment.tsv")
 
@@ -112,20 +118,19 @@ def digests(work: Path):
 
     pool = [word for name in MIX_SEED_FILES
             for word in cli.load_seed_words(data_path("seeds", f"{name}.txt"))]
-    for environment in MIX_ENVIRONMENTS:
-        for size in MIX_SIZES:
-            label = f"generate/mix-{environment}-{size}"
-            seeds = work / f"mix-{environment}-{size}.txt"
-            seeds.write_text("\n".join(random.Random(label).sample(pool, size)) + "\n",
-                             encoding="utf-8")
-            out_dir = work / label
-            printed = run_cli(cli.main, ["generate", "--config", str(configs / "recipe.cfg"),
-                                         "--seeds", str(seeds), "--environment", environment,
-                                         "--out-dir", str(out_dir)])
-            yield f"{label}/run", sha(printed.replace(str(work).encode(), b"WORK"))
-            for artifact in ARTIFACTS:
-                path = out_dir / artifact
-                yield f"{label}/{artifact}", sha(path.read_bytes() if path.exists() else b"")
+    for name, environment, size in MIXES:
+        label = f"generate/{name}"
+        seeds = work / f"{name}.txt"
+        seeds.write_text("\n".join(random.Random(label).sample(pool, size)) + "\n",
+                         encoding="utf-8")
+        out_dir = work / label
+        printed = run_cli(cli.main, ["generate", "--config", str(configs / "recipe.cfg"),
+                                     "--seeds", str(seeds), "--environment", environment,
+                                     "--out-dir", str(out_dir)])
+        yield f"{label}/run", sha(printed.replace(str(work).encode(), b"WORK"))
+        for artifact in ARTIFACTS:
+            path = out_dir / artifact
+            yield f"{label}/{artifact}", sha(path.read_bytes() if path.exists() else b"")
 
     for label, overrides in METHODS.items():
         config = copy_config(configs / "eval_all.cfg", work / f"eval_{label}.cfg", overrides)
