@@ -1,10 +1,10 @@
-"""Learning the probability tables and querying the grounded network.
+"""Writing down the probability tables and querying the grounded network.
 
-Builds the laundry scenario, learns conditional probability functions
-from simulated evidence, grounds the template for one object, and asks
-the questions a task-repair planner would ask: what is this object,
-where can I find one, what is it for.  Exact enumeration, likelihood
-weighting, and Gibbs sampling answer the same queries.
+Builds the laundry scenario, whose conditional probability functions are
+leaky noisy-ORs of the network's relations, grounds the template for one
+object, and asks the questions a task-repair planner would ask: what is
+this object, where can I find one, what is it for.  Exact enumeration,
+likelihood weighting, and Gibbs sampling answer the same queries.
 """
 
 from situnet import bln, data_path

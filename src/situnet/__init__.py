@@ -1,10 +1,10 @@
 """situnet: situated commonsense knowledge networks.
 
 Builds a context-restricted concept network from a lexical hierarchy and
-a noisy relation dump, compiles it into a Bayesian Logic Network, learns
-the conditional probability tables from simulated evidence, and answers
-probabilistic queries about categories, locations, properties, and
-affordances.
+a noisy relation dump, compiles it into a Bayesian Logic Network whose
+conditional probability tables are leaky noisy-ORs of the network's
+relations, and answers probabilistic queries about categories,
+locations, properties, and affordances.
 """
 
 from importlib import resources
@@ -80,6 +80,7 @@ from situnet.bln import (
     infer_lw,
     learn_cpfs,
     model_from_graph,
+    noisy_or_cpfs,
     read_model,
     simulate_evidence,
     write_model,

@@ -1,4 +1,4 @@
-"""Bayesian Logic Network: template model, learning, grounding, inference.
+"""Bayesian Logic Network: template model, CPFs, grounding, inference.
 
 A model is a declaration (types, predicate signatures, entities) plus a
 set of fragments.  Each fragment is a conditional dependence template
@@ -7,6 +7,10 @@ between abstract boolean variables such as ``IsA(x, garlic)``, where
 A fragment's conditional probability function (CPF) is a table with one
 row per parent configuration; rows are ordered by binary counting with
 the first parent as the most significant bit and false < true.
+
+A graph's model gets closed-form CPFs, one leaky noisy-OR per node
+(:func:`noisy_or_cpfs`); :func:`simulate_evidence` samples worlds from the
+same noisy-OR and :func:`learn_cpfs` estimates tables from worlds.
 
 Deterministic first-order constraints are supported through auxiliary
 boolean variables whose CPF is the constraint's truth table; clamping an
@@ -38,7 +42,8 @@ import numpy as np
 
 from .netgen import ConceptGraph
 
-MAX_PARENTS = 12  # full-table CPF guard: 2^12 rows
+MAX_PARENTS = 16  # full-table CPF guard: 2^16 rows, the widest uint16 key of _pack
+LEAK = 1e-3  # P(true) of a noisy-OR node whose sources are all false
 ENUMERATION_LIMIT = 25
 METHODS = ("exact", "lw", "gibbs")  # inference methods accepted by estimates()
 
@@ -116,8 +121,8 @@ class Fragment:
     """Conditional dependence template with a full-table CPF.
 
     ``cpf[i]`` is P(child = true | configuration i).  A frozen fragment
-    keeps its table through :func:`learn_cpfs`, which is how fixed
-    probability-one rules are pinned in a model file.
+    keeps its table through :func:`learn_cpfs`, which pins a hand-edited
+    row (say, a rule fixed at probability one) against re-estimation.
     """
 
     child: AbstractVar
@@ -198,18 +203,6 @@ class And(Formula):
 
 
 @dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def atoms(self):
-        return self.left.atoms() + self.right.atoms()
-
-    def evaluate(self, values):
-        return self.left.evaluate(values) or self.right.evaluate(values)
-
-
-@dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
@@ -247,7 +240,7 @@ def model_from_graph(graph: ConceptGraph) -> tuple[Declaration, list[Fragment]]:
     IsA edges run specific -> general, so the child concept's variable
     parents the parent concept's variable, and attribute variables are
     parented by the concept variables pointing at them.  CPFs start
-    uninformed (all rows 0.5) until :func:`learn_cpfs`.
+    uninformed (all rows 0.5) until :func:`noisy_or_cpfs`.
     """
     var_of = {node_id: variable_for_node(graph.nodes[node_id]) for node_id in graph.nodes}
     incoming = graph.incoming()
@@ -270,8 +263,56 @@ def model_from_graph(graph: ConceptGraph) -> tuple[Declaration, list[Fragment]]:
 
 
 # ---------------------------------------------------------------------------
-# Evidence simulation and CPF learning
+# CPFs: the closed form, evidence simulation and learning
 # ---------------------------------------------------------------------------
+
+
+def noisy_or_cpfs(fragments, graph: ConceptGraph, provider, alpha: float,
+                  root_prior: float) -> list[Fragment]:
+    """The fragments of :func:`model_from_graph` with leaky noisy-OR tables.
+
+    A node's parents are the sources of its incoming edges, and its table
+    is :func:`_noisy_or_table` with the leak :data:`LEAK` (Pearl 1988,
+    sec. 4.3.2; Henrion 1989): no row is 0, and none is 1 unless six or
+    more true sources sit at the cap and the product underflows.  A
+    parentless node gets ``[root_prior]``.
+    """
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= root_prior <= 1.0):
+        raise ValueError("alpha and root_prior must lie in [0, 1]")
+    incoming = graph.incoming()
+    out = []
+    for frag in fragments:
+        if not frag.parents:
+            out.append(replace(frag, cpf=[root_prior]))
+        else:
+            sources = [p.args[1] for p in frag.parents]
+            out.append(replace(frag, cpf=_noisy_or_table(
+                graph, incoming[frag.child.args[1]], sources, provider, alpha, LEAK)))
+    return out
+
+
+def _noisy_or_table(graph, edges, sources, provider, alpha, leak) -> np.ndarray:
+    """P(true | sources) per packed configuration: ``1 - (1 - leak) * prod(1 - p)``.
+
+    The product runs over the ``edges`` whose source is true, in edge
+    order, so a repeated edge counts twice; ``sources`` lists the distinct
+    source node ids, the first at the most significant bit.  Each ``p =
+    alpha * strength + (1 - alpha) * provider.score(src_term, dst_term)``
+    is clipped to ``[0, 1 - leak]``.  More than :data:`MAX_PARENTS`
+    sources raise :class:`DenseModelError`.
+    """
+    if len(sources) > MAX_PARENTS:
+        raise DenseModelError(
+            f"node {edges[0].dst!r} has {len(sources)} sources (max {MAX_PARENTS})")
+    config = np.arange(2 ** len(sources))
+    miss = np.full(len(config), 1.0 - leak)
+    for e in edges:
+        src, dst = graph.nodes[e.src], graph.nodes[e.dst]
+        p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
+        bit = len(sources) - 1 - sources.index(e.src)
+        np.multiply(miss, 1.0 - min(1.0 - leak, max(0.0, p)), out=miss,
+                    where=((config >> bit) & 1).astype(bool))
+    return 1.0 - miss
 
 
 @dataclass
@@ -301,19 +342,14 @@ def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int
                       seed: int, root_prior: float = 0.5) -> EvidenceSet:
     """Sample complete worlds from the graph, top-down in topological order.
 
-    Each edge activates its target with probability
-    ``alpha * strength + (1 - alpha) * provider.score(src_term, dst_term)``
-    and true parents combine by noisy-OR.  Parentless variables are drawn
-    from ``root_prior`` (nodes carry no prior of their own).
-
-    Worlds are filled variable-major, one contiguous ``(n_worlds,)`` row
-    per variable; the returned set's ``worlds`` is the transposed view.
-    A node with ``k`` distinct sources gets a ``2**k`` table of
-    P(true | sources), each entry one minus the product of ``1 - p`` over
-    its true sources' edges, taken in edge order as a per-world product
-    would be; each world looks its entry up by the packed configuration
-    of the sources (:func:`_pack`).  A node with more than
-    :data:`MAX_PARENTS` sources raises :class:`DenseModelError`.
+    A node with sources is drawn from the :func:`_noisy_or_table` of its
+    distinct sources in edge order, without a leak; each world looks its
+    entry up by the packed configuration of the sources (:func:`_pack`).
+    A parentless node is drawn from ``root_prior`` (nodes carry no prior
+    of their own).  Worlds are filled variable-major, one contiguous
+    ``(n_worlds,)`` row per variable; the returned set's ``worlds`` is the
+    transposed view.  More than :data:`MAX_PARENTS` sources raise
+    :class:`DenseModelError`.
     """
     if n_worlds < 1:
         raise ValueError("n_worlds must be >= 1")
@@ -334,21 +370,10 @@ def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int
         if not edges:
             np.less(rng.random(n_worlds), root_prior, out=states[row[node_id]])
             continue
-        sources = list(dict.fromkeys(row[e.src] for e in edges))
-        if len(sources) > MAX_PARENTS:
-            raise DenseModelError(
-                f"node {node_id!r} has {len(sources)} sources (max {MAX_PARENTS})")
-        # noisy-OR: a true source multiplies the miss probability by 1 - p
-        config = np.arange(2 ** len(sources))
-        miss = np.ones(len(config))
-        for e in edges:
-            src, dst = graph.nodes[e.src], graph.nodes[e.dst]
-            p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
-            bit = len(sources) - 1 - sources.index(row[e.src])
-            np.multiply(miss, 1.0 - min(1.0, max(0.0, p)), out=miss,
-                        where=((config >> bit) & 1).astype(bool))
-        p_true = (1.0 - miss).take(_pack(states, sources))
-        np.less(rng.random(n_worlds), p_true, out=states[row[node_id]])
+        sources = list(dict.fromkeys(e.src for e in edges))
+        p_true = _noisy_or_table(graph, edges, sources, provider, alpha, 0.0)
+        np.less(rng.random(n_worlds), p_true.take(_pack(states, [row[s] for s in sources])),
+                out=states[row[node_id]])
     return EvidenceSet(variables=var_names, worlds=states.T)
 
 

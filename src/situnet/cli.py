@@ -1,18 +1,19 @@
 """Batch command-line driver: ``generate``, ``infer``, ``evaluate``.
 
-Configuration is a flat ``key=value`` text file.  Ten keys also have a
+Configuration is a flat ``key=value`` text file.  Nine keys also have a
 command-line flag, which wins over the file: ``--seeds``,
 ``--environment``, ``--min-children``, ``--ic-threshold``, ``--alpha``,
-``--root-prior``, ``--samples``, ``--n-worlds``, ``--method`` and
-``--seed``.  Every other key (``burn_in``, ``pseudocount``,
-``min_doc_freq``, ``esa_weighting``, ``language``, ``scenarios`` and the
-data paths such as ``lexicon``, ``edges`` and ``gold``) is set in the
-file only.  Paths in a config file resolve relative to the file's own
-directory, so the bundled scenario configs work from any working
-directory.
+``--root-prior``, ``--samples``, ``--method`` and ``--seed``.  Every
+other key (``burn_in``, ``min_doc_freq``, ``esa_weighting``,
+``language``, ``scenarios`` and the data paths such as ``lexicon``,
+``edges`` and ``gold``) is set in the file only, and an unknown key is
+refused at ``path:line``.  Paths in a config file resolve relative to
+the file's own directory, so the bundled scenario configs work from any
+working directory.
 
-One master seed drives every randomized stage through fixed offsets:
-evidence simulation uses ``seed + 1``, ad-hoc inference ``seed + 2``,
+Generation draws no random number: the model's CPFs are written down in
+closed form (:func:`situnet.bln.noisy_or_cpfs`).  One master seed drives
+the samplers through fixed offsets: ad-hoc inference uses ``seed + 2``
 and scenario evaluation ``seed + 100 + i`` for the i-th seed word.
 Rerunning a command with the same config and seed reproduces its outputs
 byte for byte.
@@ -32,7 +33,6 @@ from .edges import filter_multiword, load_edges
 from .lexicon import load_frequencies, load_lexicon, load_stopwords
 from .relatedness import EsaRelatedness, build_esa_index, load_documents
 
-EVIDENCE_SEED_OFFSET = 1
 INFER_SEED_OFFSET = 2
 SCENARIO_SEED_OFFSET = 100
 
@@ -65,8 +65,6 @@ class PipelineConfig:
     ic_threshold: float = 5.0
     alpha: float = 0.5
     root_prior: float = 0.15
-    pseudocount: float = 1.0
-    n_worlds: int = 20000
     min_doc_freq: int = 1
     esa_weighting: str = "raw_count"
     method: str = "lw"
@@ -82,10 +80,8 @@ class PipelineConfig:
             raise ConfigError(f"root_prior must be in [0, 1], got {self.root_prior}")
         if self.min_children < 1:
             raise ConfigError("min_children must be >= 1")
-        if self.pseudocount < 0:
-            raise ConfigError("pseudocount must be >= 0")
-        if self.n_worlds < 1 or self.samples < 1:
-            raise ConfigError("n_worlds and samples must be >= 1")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
         if self.method not in bln.METHODS:
@@ -96,12 +92,12 @@ class PipelineConfig:
         return self
 
 
-_INT_KEYS = {"min_children", "n_worlds", "min_doc_freq", "samples", "burn_in", "seed"}
-_FLOAT_KEYS = {"ic_threshold", "alpha", "root_prior", "pseudocount"}
+_INT_KEYS = {"min_children", "min_doc_freq", "samples", "burn_in", "seed"}
+_FLOAT_KEYS = {"ic_threshold", "alpha", "root_prior"}
 _KNOWN_KEYS = {f.name for f in fields(PipelineConfig)}
 # keys a scenario of ``evaluate`` can override as ``<scenario>.<key>``
 SCOPED_KEYS = ("seeds", "gold", "environment", "alpha", "root_prior",
-               "min_children", "ic_threshold", "n_worlds", "samples")
+               "min_children", "ic_threshold", "samples")
 
 
 def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
@@ -239,11 +235,8 @@ def run_generation(config: PipelineConfig) -> PipelineProducts:
                    config.environment)
     _stage("validate", netgen.validate_graph, graph)
     declaration, fragments = _stage("model", bln.model_from_graph, graph)
-    evidence = _stage("evidence", bln.simulate_evidence, graph, provider,
-                      config.alpha, config.n_worlds, config.seed + EVIDENCE_SEED_OFFSET,
-                      config.root_prior)
-    fragments = _stage("learning", bln.learn_cpfs, fragments, evidence,
-                       config.pseudocount)
+    fragments = _stage("cpfs", bln.noisy_or_cpfs, fragments, graph, provider,
+                       config.alpha, config.root_prior)
     return PipelineProducts(assignment=assignment, graph=graph,
                             declaration=declaration, fragments=fragments,
                             dropped_edges=dropped)
@@ -416,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weight of relation strength vs relatedness")
         p.add_argument("--root-prior", dest="root_prior", type=float)
         p.add_argument("--samples", type=int)
-        p.add_argument("--n-worlds", dest="n_worlds", type=int)
         p.add_argument("--method", choices=bln.METHODS)
         p.add_argument("--seed", type=int, help="master random seed")
 

@@ -193,15 +193,3 @@ def save_assignment(assignment: SenseAssignment, path) -> None:
     with open(path, "w", encoding="utf-8") as out:
         for word in assignment.choices:
             out.write(f"{word}\t{assignment.choices[word][0]}\n")
-
-
-def load_assignment(path) -> dict[str, str]:
-    mapping = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            word, _, sid = line.partition("\t")
-            mapping[word] = sid
-    return mapping

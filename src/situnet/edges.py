@@ -53,7 +53,7 @@ class ConceptEdge:
 
 
 class EdgeStore:
-    """Edge multiset indexed by both endpoints.
+    """Edge multiset indexed by start term and relation.
 
     Iteration order everywhere is first-occurrence order from the source
     stream, so identical streams produce identical stores.  Stores are
@@ -63,12 +63,10 @@ class EdgeStore:
     def __init__(self, edges):
         self.edges: list[ConceptEdge] = list(edges)
         self.by_start: dict[tuple[str, RelationType], list[ConceptEdge]] = {}
-        self.by_end: dict[tuple[str, RelationType], list[ConceptEdge]] = {}
         self.max_weight: dict[RelationType, float] = {}
         self.skipped_lines = 0
         for edge in self.edges:
             self.by_start.setdefault((edge.start, edge.relation), []).append(edge)
-            self.by_end.setdefault((edge.end, edge.relation), []).append(edge)
             current = self.max_weight.get(edge.relation, 0.0)
             self.max_weight[edge.relation] = max(current, edge.weight)
 
@@ -77,9 +75,6 @@ class EdgeStore:
 
     def starting_at(self, term: str, relation: RelationType) -> list[ConceptEdge]:
         return self.by_start.get((normalize_lemma(term), relation), [])
-
-    def ending_at(self, term: str, relation: RelationType) -> list[ConceptEdge]:
-        return self.by_end.get((normalize_lemma(term), relation), [])
 
     def has_edge(self, start: str, relation: RelationType, end: str) -> bool:
         end = normalize_lemma(end)

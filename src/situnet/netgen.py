@@ -82,13 +82,6 @@ class ConceptGraph:
                 out[e.src].append(e.dst)
         return out
 
-    def isa_children(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {i: [] for i in self.nodes}
-        for e in self.edges:
-            if e.relation is RelationType.IsA:
-                out[e.dst].append(e.src)
-        return out
-
     def incoming(self) -> dict[str, list[RelationEdge]]:
         out: dict[str, list[RelationEdge]] = {i: [] for i in self.nodes}
         for e in self.edges:

@@ -3,10 +3,11 @@
 Also the reference oracles that tests compare against: a 2^n joint
 table, and the sample-major forward pass and per-site Gibbs sweep that
 the library's samplers must reproduce value for value; and, for
-generation, the cubic seed-tree growth, the sample-major evidence
-simulation and the per-row CPF learning that the library must reproduce
-byte for byte.  ``every_variable_gold`` labels every variable of the
-one-object network, so ``run_scenario`` estimates them all.
+generation, the cubic seed-tree growth, the per-cell leaky noisy-OR
+tables, the sample-major evidence simulation and the per-row CPF
+learning that the library must reproduce byte for byte.
+``every_variable_gold`` labels every variable of the one-object network,
+so ``run_scenario`` estimates them all.
 """
 
 from dataclasses import replace
@@ -16,7 +17,14 @@ import pytest
 from hypothesis import settings
 
 from situnet import data_path
-from situnet.bln import AbstractVar, EvidenceSet, _graph_topo_order, ground, variable_for_node
+from situnet.bln import (
+    LEAK,
+    AbstractVar,
+    EvidenceSet,
+    _graph_topo_order,
+    ground,
+    variable_for_node,
+)
 from situnet.cli import load_config, run_generation
 from situnet.disambiguation import SenseAssignment, UnknownSeedError
 from situnet.edges import RelationType, filter_multiword, load_edges
@@ -265,6 +273,29 @@ def grow_tree_oracle(words, sense_lists, start_word, start_sense, lexicon):
         total += cost
     return SenseAssignment(choices={w: fixed[w] for w in words}, total_cost=total,
                            start_word=start_word)
+
+
+def noisy_or_cpfs_oracle(fragments, graph, provider, alpha, root_prior):
+    """Leaky noisy-OR tables one cell at a time: a loop over rows and edges."""
+    incoming = graph.incoming()
+    out = []
+    for frag in fragments:
+        k = len(frag.parents)
+        if k == 0:
+            out.append(replace(frag, cpf=np.array([root_prior])))
+            continue
+        sources = [p.args[1] for p in frag.parents]
+        rows = np.empty(2 ** k)
+        for i in range(2 ** k):
+            miss = 1.0 - LEAK
+            for e in incoming[frag.child.args[1]]:
+                if (i >> (k - 1 - sources.index(e.src))) & 1:
+                    src, dst = graph.nodes[e.src], graph.nodes[e.dst]
+                    p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
+                    miss *= 1.0 - min(1.0 - LEAK, max(0.0, p))
+            rows[i] = 1.0 - miss
+        out.append(replace(frag, cpf=rows))
+    return out
 
 
 def simulate_evidence_oracle(graph, provider, alpha, n_worlds, seed, root_prior=0.5):

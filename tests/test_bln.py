@@ -28,12 +28,12 @@ from situnet.bln import (
     infer_lw,
     learn_cpfs,
     model_from_graph,
+    noisy_or_cpfs,
     read_model,
     simulate_evidence,
     write_model,
 )
-from situnet.cli import EVIDENCE_SEED_OFFSET
-from situnet.evaluation import OBJECT
+from situnet.evaluation import OBJECT, load_gold, run_scenario
 from situnet.edges import RelationType
 from situnet.netgen import ConceptGraph, ConceptNode, RelationEdge
 from situnet.relatedness import ConstantRelatedness, TableRelatedness
@@ -43,6 +43,7 @@ from conftest import (
     joint_table_oracle,
     learn_cpfs_oracle,
     lw_estimates_oracle,
+    noisy_or_cpfs_oracle,
     simulate_evidence_oracle,
 )
 
@@ -122,9 +123,8 @@ class TestModelFromGraph:
         assert decl.entities["season"] == frozenset({"affordance"})
 
     def test_too_many_parents_rejected(self):
-        with pytest.raises(DenseModelError) as err:
-            model_from_graph(hub_graph(13))
-        assert "hub" in str(err.value)
+        with pytest.raises(DenseModelError, match=r"node 'hub' has 17 parents \(max 16\)"):
+            model_from_graph(hub_graph(bln.MAX_PARENTS + 1))
 
 
 class TestSimulateEvidence:
@@ -191,8 +191,9 @@ class TestSimulateEvidence:
         assert np.array_equal(first.worlds, second.worlds)
 
     def test_too_many_sources_rejected(self):
-        with pytest.raises(DenseModelError, match="node 'hub' has 13 sources"):
-            simulate_evidence(hub_graph(13), ConstantRelatedness(0.3), 0.5, 10, 7)
+        with pytest.raises(DenseModelError, match=r"node 'hub' has 17 sources \(max 16\)"):
+            simulate_evidence(hub_graph(bln.MAX_PARENTS + 1), ConstantRelatedness(0.3),
+                              0.5, 10, 7)
 
     @pytest.mark.parametrize("root_prior", [-0.1, 1.5, float("nan")])
     def test_root_prior_outside_unit_interval_rejected(self, root_prior):
@@ -281,6 +282,88 @@ class TestLearnCpfs:
         assert np.allclose(flavorer.cpf, expected, atol=0.02)
 
 
+@st.composite
+def noisy_or_graphs(draw):
+    """Small DAGs of mixed kinds, with roots and repeated edges in any order."""
+    n_nodes = draw(st.integers(1, 7))
+    kinds = ("concept", "property", "location", "affordance")
+    nodes = [(f"n{i}", draw(st.sampled_from(kinds)), False) for i in range(n_nodes)]
+    pairs = st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1),
+                      st.sampled_from([0.0, 0.3, 0.8, 1.0]))
+    edges = [(f"n{min(a, b)}", RelationType.IsA, f"n{max(a, b)}", strength)
+             for a, b, strength in draw(st.lists(pairs, max_size=12)) if a != b]
+    return graph_of(nodes, edges)
+
+
+class TestNoisyOrCpfs:
+    """Closed-form leaky noisy-OR tables, the CPFs that ``generate`` writes."""
+
+    @settings(max_examples=80)
+    @given(graph=noisy_or_graphs(),
+           alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           score=st.sampled_from([0.0, 0.35, 1.0]), root_prior=st.floats(0.0, 1.0))
+    def test_equals_per_cell_oracle(self, graph, alpha, score, root_prior):
+        _, fragments = model_from_graph(graph)
+        args = (graph, ConstantRelatedness(score), alpha, root_prior)
+        ours = noisy_or_cpfs(fragments, *args)
+        expected = noisy_or_cpfs_oracle(fragments, *args)
+        assert [(f.child, f.parents) for f in ours] == [(f.child, f.parents) for f in fragments]
+        assert [f.cpf.tobytes() for f in ours] == [f.cpf.tobytes() for f in expected]
+
+    def test_strength_one_edge_is_capped_below_one(self):
+        graph = graph_of([("a", "concept", True), ("b", "concept", False)],
+                         [("a", RelationType.IsA, "b", 1.0)])
+        _, fragments = model_from_graph(graph)
+        cpfs = {str(f.child): f.cpf.tolist()
+                for f in noisy_or_cpfs(fragments, graph, ConstantRelatedness(0.0), 1.0, 0.3)}
+        assert cpfs == {"IsA(x,a)": [0.3],
+                        "IsA(x,b)": [1.0 - (1.0 - bln.LEAK), 1.0 - (1.0 - bln.LEAK) * bln.LEAK]}
+
+    def test_widest_node_gets_a_full_table(self):
+        graph = hub_graph(bln.MAX_PARENTS)
+        _, fragments = model_from_graph(graph)
+        hub = noisy_or_cpfs(fragments, graph, ConstantRelatedness(0.2), 0.5, 0.1)[0]
+        assert str(hub.child) == "IsA(x,hub)"
+        assert hub.cpf.shape == (2 ** 16,)
+        assert hub.cpf[0] == 1.0 - (1.0 - bln.LEAK)
+        assert hub.cpf[-1] == pytest.approx(1.0 - (1.0 - bln.LEAK) * 0.4 ** 16)
+
+    @pytest.mark.parametrize("name", ["recipe", "laundry", "cleaning"])
+    def test_learned_tables_agree_on_well_observed_rows(self, scenario_products, provider,
+                                                        name):
+        config, products = scenario_products[name]
+        n_worlds = 20000
+        evidence = simulate_evidence(products.graph, provider, config.alpha, n_worlds,
+                                     config.seed + 1, config.root_prior)
+        _, fragments = model_from_graph(products.graph)
+        learned = learn_cpfs(fragments, evidence, 0.0)
+        exact = noisy_or_cpfs(fragments, products.graph, provider, config.alpha,
+                              config.root_prior)
+        checked = 0
+        for frag, estimate, table in zip(fragments, learned, exact):
+            row_of_world = np.zeros(n_worlds, dtype=int)
+            for parent in frag.parents:
+                row_of_world = 2 * row_of_world + evidence.column(str(parent))
+            worlds = np.bincount(row_of_world, minlength=len(table.cpf))
+            well = worlds >= 200
+            sigma = np.sqrt(table.cpf * (1.0 - table.cpf) / np.maximum(worlds, 1))
+            # the leak and the cap each move a cell by at most LEAK
+            assert np.all(np.abs(estimate.cpf - table.cpf)[well]
+                          <= 4.0 * sigma[well] + 2.0 * bln.LEAK), str(frag.child)
+            checked += int(well.sum())
+        assert checked >= len(fragments)
+
+    def test_bundled_models_have_no_certain_cell_and_run_gibbs(self, scenario_products):
+        for name in ("mini", "recipe", "laundry", "cleaning"):
+            config, products = scenario_products[name]
+            cells = np.concatenate([f.cpf for f in products.fragments])
+            assert np.all((cells > 0.0) & (cells < 1.0)), name
+            results = run_scenario(products.declaration, products.fragments,
+                                   list(products.assignment.choices), load_gold(config.gold),
+                                   "gibbs", 2560, 5, config.seed + 100)
+            assert results, name
+
+
 def simple_fragments():
     return [
         Fragment(var("IsA(x,a)"), [], np.array([0.7])),
@@ -304,15 +387,15 @@ class TestGenerationOracle:
     @pytest.mark.parametrize("name", ["mini", "recipe", "laundry", "cleaning"])
     def test_bundled_scenario_equals_oracle(self, scenario_products, provider, name):
         config, products = scenario_products[name]
-        args = (products.graph, provider, config.alpha, config.n_worlds,
-                config.seed + EVIDENCE_SEED_OFFSET, config.root_prior)
+        args = (products.graph, provider, config.alpha, 20000, config.seed + 1,
+                config.root_prior)
         ours, reference = simulate_evidence(*args), simulate_evidence_oracle(*args)
         assert ours.variables == reference.variables
         assert np.array_equal(ours.worlds, reference.worlds)
         assert ours.worlds.T.flags.c_contiguous
         _, fragments = model_from_graph(products.graph)
-        learned = learn_cpfs(fragments, ours, config.pseudocount)
-        expected = learn_cpfs_oracle(fragments, reference, config.pseudocount)
+        learned = learn_cpfs(fragments, ours, 1.0)
+        expected = learn_cpfs_oracle(fragments, reference, 1.0)
         assert [str(f.child) for f in learned] == [str(f.child) for f in expected]
         assert [f.cpf.tobytes() for f in learned] == [f.cpf.tobytes() for f in expected]
 

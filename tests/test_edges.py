@@ -105,16 +105,6 @@ class TestIngest:
         second = ingest_edges(text)
         assert first.edges == second.edges
 
-    def test_indexes_mirror_each_other(self, raw_store):
-        from_start = sorted((e.start, e.relation.value, e.end, e.weight)
-                            for edges in raw_store.by_start.values() for e in edges)
-        from_end = sorted((e.start, e.relation.value, e.end, e.weight)
-                          for edges in raw_store.by_end.values() for e in edges)
-        assert from_start == from_end
-        for edges in raw_store.by_start.values():
-            for e in edges:
-                assert e in raw_store.by_end[(e.end, e.relation)]
-
 
 class TestFilterMultiword:
     def test_free_phrase_removed(self, lexicon):

@@ -697,8 +697,6 @@ min_children=2
 ic_threshold=5.0
 alpha=0.75
 root_prior=0.05
-pseudocount=1.0
-n_worlds=20000
 method=lw
 samples=20000
 seed=7

@@ -24,7 +24,9 @@ byte-identical outputs.  It covers:
   exact on ``mini``, one- and two-pattern queries; and one LW request per
   relation family (``IsA(obj1,*)`` and so on) on every bundled model,
   which LW answers from the family's variables, the evidence and their
-  ancestors alone.
+  ancestors alone; and an LW and a Gibbs ``AtLocation(obj1,*)`` request
+  on the ``mix-house-45`` model, whose ``closet`` has 13 parents (exit
+  code and output, so a missing model counts too).
 
 Usage, from the repository root:
 
@@ -60,15 +62,16 @@ QUERIES = (("*",), ("AtLocation(obj1,*)", "UsedFor(obj1,*)"))  # one- and two-pa
 FAMILY_QUERIES = tuple(f"{family}(obj1,*)"
                        for family in ("IsA", "UsedFor", "HasProperty", "AtLocation"))
 # larger than any bundled seed file (at most 19 words), so they reach the
-# tie order of large seed trees; the 45-word house mixes are refused.  A
-# second draw of 25 and 35 words reaches other shapes, such as a node of
-# 12 parents (mix2-house-35), the widest a model may hold.
+# tie order of large seed trees.  A second draw of 25 and 35 words reaches
+# other shapes, such as a node of 12 parents (mix2-house-35); the widest
+# node is mix-house-45's closet, of 13 parents (WIDE_MIX).
 MIX_ENVIRONMENTS = ("kitchen", "house")
 MIXES = ([(f"mix-{environment}-{size}", environment, size)
           for environment in MIX_ENVIRONMENTS for size in (15, 25, 35, 45)]
          + [(f"mix2-{environment}-{size}", environment, size)
             for environment in MIX_ENVIRONMENTS for size in (25, 35)])
 MIX_SEED_FILES = ("recipe", "laundry", "cleaning")
+WIDE_MIX = "mix-house-45"
 ARTIFACTS = ("graph.tsv", "model.tsv", "assignment.tsv")
 
 
@@ -173,6 +176,14 @@ def digests(work: Path):
                     "--model", str(models[name]), "--evidence", f"IsA(obj1,{seeds[0]})=true",
                     "--query", pattern]
             yield f"infer/{name}/lw/{seeds[0]}/{pattern}", sha(run_cli(cli.main, argv))
+
+    word = cli.load_seed_words(work / f"{WIDE_MIX}.txt")[0]
+    for label in METHODS:
+        argv = ["infer", "--config", str(work / f"infer_recipe_{label}.cfg"),
+                "--model", str(work / "generate" / WIDE_MIX / "model.tsv"),
+                "--evidence", f"IsA(obj1,{word})=true", "--query", "AtLocation(obj1,*)"]
+        printed = run_cli(cli.main, argv).replace(str(work).encode(), b"WORK")
+        yield f"infer/{WIDE_MIX}/{label}/{word}/AtLocation(obj1,*)", sha(printed)
 
 
 def main(argv=None) -> int:
