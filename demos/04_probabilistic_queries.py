@@ -3,8 +3,9 @@
 Builds the laundry scenario, whose conditional probability functions are
 leaky noisy-ORs of the network's relations, grounds the template for one
 object, and asks the questions a task-repair planner would ask: what is
-this object, where can I find one, what is it for.  Exact enumeration,
-likelihood weighting, and Gibbs sampling answer the same queries.
+this object, where can I find one, what is it for.  Exact variable
+elimination, likelihood weighting, and Gibbs sampling answer the same
+query.
 """
 
 from situnet import bln, data_path
@@ -39,15 +40,9 @@ print()
 
 # -- three inference methods, one answer ---------------------------------------
 
-# the three-seed mini scenario stays under the exact-enumeration guard
-mini_config, _ = load_config(data_path("configs", "mini.cfg"))
-mini = run_generation(mini_config)
-mini_net = bln.ground(mini.declaration, mini.fragments, ["obj1"])
-mini_evidence = {"IsA(obj1,garlic)": True}
-query = "UsedFor(obj1,season)"
-exact = bln.infer_exact(mini_net, query, mini_evidence)
-lw = bln.infer_lw(mini_net, query, mini_evidence, n_samples=50_000, seed=13)
-gibbs = bln.infer_gibbs(mini_net, query, mini_evidence, burn_in=500,
-                        n_samples=50_000, seed=13)
-print(f"mini scenario ({len(mini_net)} variables), {query} given garlic:")
+query = "AtLocation(obj1,dresser)"
+exact = bln.infer_exact(net, query, evidence)
+lw = bln.infer_lw(net, query, evidence, n_samples=50_000, seed=13)
+gibbs = bln.infer_gibbs(net, query, evidence, burn_in=500, n_samples=50_000, seed=13)
+print(f"{query} given IsA(obj1, sock):")
 print(f"  exact {exact:.4f} | likelihood weighting {lw:.4f} | Gibbs {gibbs:.4f}")

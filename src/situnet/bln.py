@@ -16,16 +16,17 @@ Deterministic first-order constraints are supported through auxiliary
 boolean variables whose CPF is the constraint's truth table; clamping an
 auxiliary variable to true enforces its formula during inference.
 
-Exact inference enumerates the joint and is guarded to 25 free
-variables; likelihood weighting and Gibbs sampling scale further.  Every
-sampling routine takes an explicit seed and owns its generator, so
-results are reproducible and calls may run concurrently on one network.
+Exact inference runs variable elimination; likelihood weighting and Gibbs
+sampling approximate.  Every sampling routine takes an explicit seed and
+owns its generator, so results are reproducible and calls may run
+concurrently on one network.
 
-Likelihood weighting draws only the ancestral closure of its queries and
-evidence: every other variable is barren, since no answer depends on it
-(Shachter 1986; Baker & Boult 1990).  Its share of the PCG64 stream is
-skipped with ``advance``, so the drawn rows, the weights and every
-estimate equal those of a full pass.
+Exact inference and likelihood weighting use only the ancestral closure
+of the queries and evidence: every other variable is barren, since no
+answer depends on it (Shachter 1986; Baker & Boult 1990).  Likelihood
+weighting skips the barren variables' share of the PCG64 stream with
+``advance``, so the drawn rows, the weights and every estimate equal
+those of a full pass.
 
 A Gibbs sweep runs level by level: each level holds no two Markov-blanket
 neighbours, so all its sites are drawn in one vector step with the states
@@ -44,7 +45,6 @@ from .netgen import ConceptGraph
 
 MAX_PARENTS = 16  # full-table CPF guard: 2^16 rows, the widest uint16 key of _pack
 LEAK = 1e-3  # P(true) of a noisy-OR node whose sources are all false
-ENUMERATION_LIMIT = 25
 METHODS = ("exact", "lw", "gibbs")  # inference methods accepted by estimates()
 
 TYPES = ("object", "concept", "property", "location", "affordance")
@@ -74,10 +74,6 @@ class GroundingCycleError(ValueError):
     def __init__(self, cycle):
         super().__init__("ground network is cyclic: " + " -> ".join(cycle))
         self.cycle = cycle
-
-
-class EnumerationLimitError(ValueError):
-    """Too many free variables for exact enumeration; use sampling."""
 
 
 class ErgodicityError(ValueError):
@@ -689,13 +685,6 @@ def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwo
 # ---------------------------------------------------------------------------
 
 
-def _config_index(net, v, values):
-    idx = 0
-    for p in net.parents[v]:
-        idx = (idx << 1) | values[p]
-    return idx
-
-
 def _resolve_evidence(net, evidence):
     out = {}
     for name, value in evidence.items():
@@ -705,12 +694,31 @@ def _resolve_evidence(net, evidence):
     return out
 
 
-def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
-    """P(query = true | evidence) by full enumeration of the joint.
+def _ancestral_closure(net, ids) -> list[bool]:
+    """Per variable, whether it is one of ``ids`` or an ancestor of one."""
+    closed = [False] * len(net.names)
+    for v in ids:
+        closed[v] = True
+    for v in reversed(net.topo_order()):
+        if closed[v]:
+            for p in net.parents[v]:
+                closed[p] = True
+    return closed
 
-    Guarded to :data:`ENUMERATION_LIMIT` free variables.  Auxiliary
-    variables for constraints that should hold must be clamped true in
-    the evidence by the caller.
+
+def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
+    """P(query = true | evidence) by variable elimination (Zhang & Poole 1994).
+
+    Only the query, the evidence and their ancestors take part; every
+    other variable is barren and sums out to one.  Each of their CPFs
+    becomes a factor over its parents and variable, sliced at the
+    evidence.  The free variables other than the query are then summed
+    out one by one, each time the one whose elimination makes the
+    smallest factor (ties to the lower index), by one ``np.einsum`` over
+    the factors that hold it.  Deterministic rows and constraint
+    auxiliaries are factors with zero entries; auxiliary variables for
+    constraints that should hold must be clamped true in the evidence by
+    the caller.  Evidence of probability zero raises ``ValueError``.
     """
     evidence = evidence or {}
     if query not in net.index:
@@ -720,45 +728,42 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
     if q in ev:
         return 1.0 if ev[q] else 0.0
 
-    free = len(net.names) - len(ev)
-    if free > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"{free} free variables exceed the exact-enumeration guard "
-            f"({ENUMERATION_LIMIT}); use infer_lw or infer_gibbs")
-
-    order = net.topo_order()
-    values = [0] * len(net.names)
-
-    def enumerate_from(pos: int) -> float:
-        if pos == len(order):
-            return 1.0
-        v = order[pos]
-        p_true = net.cpfs[v][_config_index(net, v, values)]
-        if v in ev or v == q:
-            want = ev[v] if v in ev else bool(values[q])
-            prob = p_true if want else 1.0 - p_true
-            if prob == 0.0:
-                return 0.0
-            values[v] = 1 if want else 0
-            return prob * enumerate_from(pos + 1)
-        total = 0.0
-        for val in (0, 1):
-            prob = p_true if val else 1.0 - p_true
-            if prob == 0.0:
-                continue
-            values[v] = val
-            total += prob * enumerate_from(pos + 1)
-        values[v] = 0
-        return total
-
-    values[q] = 1
-    numerator = enumerate_from(0)
-    values[q] = 0
-    complement = enumerate_from(0)
-    denominator = numerator + complement
-    if denominator == 0.0:
+    factors = []  # (scope, table): one axis of length 2 per variable of the scope
+    for v, kept in enumerate(_ancestral_closure(net, [q, *ev])):
+        if kept:
+            scope = [*net.parents[v], v]
+            table = np.stack((1.0 - net.cpfs[v], net.cpfs[v]), axis=-1)
+            at = tuple(int(ev[u]) if u in ev else slice(None) for u in scope)
+            factors.append(([u for u in scope if u not in ev],
+                            table.reshape((2,) * len(scope))[at]))
+    neighbours: dict[int, set[int]] = {}
+    for scope, _ in factors:
+        for u in scope:
+            neighbours.setdefault(u, set()).update(scope)
+    while len(neighbours) > 1:
+        v = min((u for u in neighbours if u != q),
+                key=lambda u: (len(neighbours[u]), u))  # each set holds its own variable
+        scope = sorted(neighbours.pop(v) - {v})
+        for u in scope:
+            neighbours[u].discard(v)
+            neighbours[u].update(scope)
+        joined = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        factors.append((scope, _sum_product(joined, scope)))
+    joint = _sum_product(factors, [q])
+    total = joint.sum()
+    if total == 0.0:
         raise ValueError("evidence has probability zero")
-    return numerator / denominator
+    return float(joint[1] / total)
+
+
+def _sum_product(factors, scope) -> np.ndarray:
+    """The product of the ``factors``, summed over every variable not in ``scope``."""
+    label: dict[int, int] = {}  # labels local to one step: einsum takes at most 52
+    operands = []
+    for factor_scope, table in factors:
+        operands += [table, [label.setdefault(u, len(label)) for u in factor_scope]]
+    return np.einsum(*operands, [label[u] for u in scope])
 
 
 def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng,
@@ -773,13 +778,7 @@ def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng,
     on a PCG64 bit generator (see :func:`_forward_sample`).
     """
     ev = _resolve_evidence(net, evidence)
-    drawn = [False] * len(net.names)
-    for v in [net.index[q] for q in queries] + list(ev):
-        drawn[v] = True
-    for v in reversed(net.topo_order()):
-        if drawn[v]:
-            for p in net.parents[v]:
-                drawn[p] = True
+    drawn = _ancestral_closure(net, [net.index[q] for q in queries] + list(ev))
     states, weights = _forward_sample(net, ev, n_samples, rng, drawn)
     return states.T, weights
 

@@ -12,7 +12,6 @@ from situnet.bln import (
     Atom,
     Declaration,
     DenseModelError,
-    EnumerationLimitError,
     ErgodicityError,
     EvidenceSet,
     Fragment,
@@ -521,13 +520,32 @@ class TestInferExact:
         assert p + (1 - flipped) == pytest.approx(1.0, abs=1e-12)
         assert p == pytest.approx(1 - q, abs=1e-12)
 
-    def test_enumeration_guard(self):
+    def test_many_roots_return_the_prior(self):
         n = 26
+        priors = np.linspace(0.05, 0.95, n)
         net = GroundNetwork(names=[f"IsA(o,v{i})" for i in range(n)],
                             parents=[[] for _ in range(n)],
-                            cpfs=[np.array([0.5]) for _ in range(n)])
-        with pytest.raises(EnumerationLimitError):
-            infer_exact(net, "IsA(o,v0)")
+                            cpfs=[np.array([p]) for p in priors])
+        assert [infer_exact(net, name) for name in net.names] == priors.tolist()
+
+    def test_deterministic_factors_match_joint_table_oracle(self):
+        # sampler_net: a child of ten parents, and an ``a and b`` auxiliary clamped true
+        rng = np.random.default_rng(25)
+        for _ in range(3):
+            net, evidence = sampler_net(rng)
+            for query in net.names:
+                assert abs(infer_exact(net, query, evidence) -
+                           joint_table_oracle(net, query, evidence)) < 1e-12, query
+
+    def test_contradictory_evidence_raises(self):
+        decl, fragments = simple_declaration(), simple_fragments()
+        rule = LogicConstraint(And(Atom(var("IsA(x,a)")), Not(Atom(var("IsA(x,a)")))))
+        net = ground(decl, fragments, ["o1"], [rule])
+        evidence = {net.aux[0]: True}
+        with pytest.raises(ValueError, match="^evidence has probability zero$"):
+            infer_exact(net, "IsA(o1,b)", evidence)
+        with pytest.raises(ValueError, match="^evidence has probability zero$"):
+            bln.estimates(net, net.names, evidence, "exact")
 
 
 class TestInferLw:

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from situnet import evaluation, netgen
+from situnet.bln import read_model
 from situnet.cli import ConfigError, load_config, main, run_generation
 
 from conftest import bundled
@@ -100,6 +101,20 @@ class TestInfer:
         assert ranked["AtLocation(obj1,dresser)"] > 0.5
         probs = [float(l[0]) for l in lines]
         assert probs == sorted(probs, reverse=True)
+
+    def test_exact_lists_every_location(self, laundry_model, capsys):
+        code, out, err = run_cli(
+            ["infer", "--model", str(laundry_model),
+             "--evidence", "IsA(obj1,sock)=true",
+             "--query", "AtLocation(obj1,*)", "--method", "exact"], capsys)
+        assert code == 0, err
+        _, fragments = read_model(laundry_model)
+        locations = {f"AtLocation(obj1,{f.child.args[1]})" for f in fragments
+                     if f.child.predicate == "AtLocation"}
+        ranked = {name: float(p) for p, name in (l.split("\t") for l in out.splitlines())}
+        assert len(ranked) == len(out.splitlines())
+        assert set(ranked) == locations
+        assert ranked["AtLocation(obj1,dresser)"] > 0.5
 
     def test_query_equal_to_evidence_is_one(self, laundry_model, capsys):
         code, out, _ = run_cli(

@@ -697,7 +697,7 @@ min_children=2
 ic_threshold=5.0
 alpha=0.75
 root_prior=0.05
-method=lw
+method=exact
 samples=20000
 seed=7
 """

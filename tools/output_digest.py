@@ -20,13 +20,13 @@ byte-identical outputs.  It covers:
   chains, a sample count that is not a multiple of the chain count.
   ``run_scenario`` gets the gold when it takes a ``gold`` parameter, so
   trees from before and after that parameter give comparable lines;
-- a fixed set of ``infer`` requests: LW and Gibbs on every bundled model,
-  exact on ``mini``, one- and two-pattern queries; and one LW request per
+- a fixed set of ``infer`` requests: LW, Gibbs and exact on every
+  bundled model, one- and two-pattern queries; and one LW request per
   relation family (``IsA(obj1,*)`` and so on) on every bundled model,
   which LW answers from the family's variables, the evidence and their
-  ancestors alone; and an LW and a Gibbs ``AtLocation(obj1,*)`` request
-  on the ``mix-house-45`` model, whose ``closet`` has 13 parents (exit
-  code and output, so a missing model counts too).
+  ancestors alone; and an LW, a Gibbs and an exact ``AtLocation(obj1,*)``
+  request on the ``mix-house-45`` model, whose ``closet`` has 13 parents
+  (exit code and output, so a missing model or a refusal counts too).
 
 Usage, from the repository root:
 
@@ -54,6 +54,7 @@ from pathlib import Path
 SCENARIOS = ("mini", "recipe", "laundry", "cleaning")
 METHODS = {"lw": {"method": "lw"},
            "gibbs": {"method": "gibbs", "samples": "2560", "burn_in": "5"}}
+INFER_METHODS = {**METHODS, "exact": {"method": "exact"}}
 # run_scenario also checks Gibbs with no burn-in and an overshooting last sweep
 SCENARIO_METHODS = {**METHODS,
                     "gibbs-b0-s1000": {"method": "gibbs", "samples": "1000", "burn_in": "0"}}
@@ -160,8 +161,7 @@ def digests(work: Path):
 
     for name in SCENARIOS:
         seeds = cli.load_seed_words(cli.load_config(configs / f"{name}.cfg")[0].seeds)
-        requests = {**METHODS, **({"exact": {"method": "exact"}} if name == "mini" else {})}
-        for label, overrides in requests.items():
+        for label, overrides in INFER_METHODS.items():
             config = copy_config(configs / f"{name}.cfg", work / f"infer_{name}_{label}.cfg",
                                  overrides)
             for word in seeds[:SEEDS_PER_MODEL]:
@@ -178,7 +178,7 @@ def digests(work: Path):
             yield f"infer/{name}/lw/{seeds[0]}/{pattern}", sha(run_cli(cli.main, argv))
 
     word = cli.load_seed_words(work / f"{WIDE_MIX}.txt")[0]
-    for label in METHODS:
+    for label in INFER_METHODS:
         argv = ["infer", "--config", str(work / f"infer_recipe_{label}.cfg"),
                 "--model", str(work / "generate" / WIDE_MIX / "model.tsv"),
                 "--evidence", f"IsA(obj1,{word})=true", "--query", "AtLocation(obj1,*)"]
