@@ -21,12 +21,14 @@ sampling approximate.  Every sampling routine takes an explicit seed and
 owns its generator, so results are reproducible and calls may run
 concurrently on one network.
 
-Exact inference and likelihood weighting use only the ancestral closure
-of the queries and evidence: every other variable is barren, since no
-answer depends on it (Shachter 1986; Baker & Boult 1990).  Likelihood
-weighting skips the barren variables' share of the PCG64 stream with
-``advance``, so the drawn rows, the weights and every estimate equal
-those of a full pass.
+All three methods use only the ancestral closure of the queries and
+evidence: every other variable is barren, since no answer depends on it
+(Shachter 1986; Baker & Boult 1990).  Likelihood weighting skips the
+barren variables' share of the PCG64 stream with ``advance``, so the
+drawn rows, the weights and every estimate equal those of a full pass.
+Gibbs runs its chains on the closure's :meth:`GroundNetwork.subnetwork`,
+so its chains, unlike its target posterior, depend on which queries
+share a call.
 
 A Gibbs sweep runs level by level: each level holds no two Markov-blanket
 neighbours, so all its sites are drawn in one vector step with the states
@@ -465,7 +467,6 @@ class GroundNetwork:
         self._topo: list[int] | None = None
         self._children: list[list[int]] | None = None
         self._deterministic: list[bool] | None = None
-        self._sweep: SweepPlan | None = None
 
     def __len__(self):
         return len(self.names)
@@ -504,12 +505,6 @@ class GroundNetwork:
             self._deterministic = [bool(np.any(cpf == 0.0) or np.any(cpf == 1.0))
                                    for cpf in self.cpfs]
         return self._deterministic
-
-    def sweep_plan(self) -> "SweepPlan":
-        """The Gibbs sweep's packed CPF table and level schedule, built once."""
-        if self._sweep is None:
-            self._sweep = SweepPlan.build(self)
-        return self._sweep
 
     def _find_cycle(self):
         state = [0] * len(self.names)
@@ -861,9 +856,12 @@ def infer_gibbs(net: GroundNetwork, query: str, evidence=None, burn_in: int = 10
     """Single-site Gibbs estimate of P(query | evidence).
 
     ``n_samples`` counts collected states across all chains; each chain
-    runs ``burn_in`` warm-up sweeps first.  Unclamped variables must have
-    strictly non-deterministic CPF rows (otherwise the chain cannot
-    leave absorbing states and an :class:`ErgodicityError` is raised).
+    runs ``burn_in`` warm-up sweeps first.  The chains run on the query,
+    the evidence and their ancestors alone, so the estimate can differ
+    from that of the same query in a larger :func:`gibbs_estimates`
+    call.  Unclamped variables among them must have strictly
+    non-deterministic CPF rows (otherwise the chain cannot leave
+    absorbing states and an :class:`ErgodicityError` is raised).
     """
     return gibbs_estimates(net, [query], evidence, burn_in, n_samples, seed,
                            n_chains)[query]
@@ -873,6 +871,16 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
                     n_samples: int = 50_000, seed: int = 0,
                     n_chains: int = 512) -> dict[str, float]:
     """Single-site Gibbs estimates for many queries from one chain set.
+
+    The chains run on the :meth:`GroundNetwork.subnetwork` of the
+    queries, the evidence and their ancestors; every other variable is
+    barren.  The initial sample, the sweep plan, the uniforms and the
+    kept sweeps described below are all that subnetwork's.  So the
+    target posterior does not depend on the other queries of the call,
+    but the chains, and each estimate, do: a query asked alone can get
+    another estimate than in a batch whose closure is larger.  Only a
+    deterministic free variable inside the closure raises
+    :class:`ErgodicityError`.
 
     Every chain starts from an ancestral forward sample and runs
     ``burn_in`` sweeps over the free variables in topological order; then
@@ -906,18 +914,22 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     for q in queries:
         if q not in net.index:
             raise KeyError(f"unknown query variable {q!r}")
+    closure = _ancestral_closure(net, [net.index[q] for q in queries] + list(ev))
     for v, deterministic in enumerate(net.deterministic()):
-        if deterministic and v not in ev:
+        if deterministic and closure[v] and v not in ev:
             raise ErgodicityError(
                 f"variable {net.names[v]} has a deterministic CPF row and is not "
                 "clamped by evidence; use infer_lw instead")
+    # every other variable is barren: the chains run on the closure alone
+    net = net.subnetwork(v for v, kept in enumerate(closure) if kept)
+    ev = _resolve_evidence(net, evidence)
 
     rng = np.random.default_rng(seed)
     # ancestral initialization: forward-sample each chain so the sweep
     # starts near the target distribution instead of uniform noise
     states, _ = _forward_sample(net, ev, n_chains, rng)
 
-    plan = net.sweep_plan()
+    plan = SweepPlan.build(net)
     table = plan.table
     pad = len(net.names)  # a keys row that always looks up the padding 1.0
     keys = np.empty((pad + 1, n_chains), dtype=np.intp)

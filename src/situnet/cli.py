@@ -6,10 +6,10 @@ command-line flag, which wins over the file: ``--seeds``,
 ``--root-prior``, ``--samples``, ``--method`` and ``--seed``.  Every
 other key (``burn_in``, ``min_doc_freq``, ``esa_weighting``,
 ``language``, ``scenarios`` and the data paths such as ``lexicon``,
-``edges`` and ``gold``) is set in the file only, and an unknown key is
-refused at ``path:line``.  Paths in a config file resolve relative to
-the file's own directory, so the bundled scenario configs work from any
-working directory.
+``edges`` and ``gold``) is set in the file only.  An unknown key or a
+key set twice is refused at ``path:line``.  Paths in a config file
+resolve relative to the file's own directory, so the bundled scenario
+configs work from any working directory.
 
 Generation draws no random number: the model's CPFs are written down in
 closed form (:func:`situnet.bln.noisy_or_cpfs`).  One master seed drives
@@ -106,10 +106,12 @@ def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
     Raw entries keep scenario-scoped keys (``recipe.seeds=...``) that the
     flat dataclass does not model; their suffix must be in
     :data:`SCOPED_KEYS`.  Numeric values, scoped or not, are checked here
-    and a malformed one raises :class:`ConfigError` at ``path:line``.
+    and a malformed one raises :class:`ConfigError` at ``path:line``, as
+    does a key set a second time.
     """
     config = PipelineConfig()
     raw: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> line of its setting
     base = Path(path).parent
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -120,6 +122,10 @@ def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
                 raise ConfigError(f"{path}:{line_no}: expected key=value, got {text!r}")
             key, _, value = text.partition("=")
             key, value = key.strip(), value.strip()
+            if key in set_on:
+                raise ConfigError(f"{path}:{line_no}: {key!r} is already set on line "
+                                  f"{set_on[key]}")
+            set_on[key] = line_no
             raw[key] = value
             scoped = "." in key
             field = key.rpartition(".")[2]

@@ -2,7 +2,8 @@
 
 Also the reference oracles that tests compare against: a 2^n joint
 table, and the sample-major forward pass and per-site Gibbs sweep that
-the library's samplers must reproduce value for value; and, for
+the library's samplers must reproduce value for value (Gibbs on the
+ancestral closure of its queries and evidence); and, for
 generation, the cubic seed-tree growth, the per-cell leaky noisy-OR
 tables, the sample-major evidence simulation and the per-row CPF
 learning that the library must reproduce byte for byte.
@@ -225,6 +226,24 @@ def gibbs_estimates_oracle(net, queries, evidence, burn_in, n_samples, seed, n_c
         else:
             out[q] = collected[v] / count
     return out
+
+
+def ancestral_closure(net, names):
+    """Indices of ``names`` and of all their ancestors."""
+    closed, stack = set(), [net.index[name] for name in names]
+    while stack:
+        v = stack.pop()
+        if v not in closed:
+            closed.add(v)
+            stack.extend(net.parents[v])
+    return closed
+
+
+def gibbs_closure_oracle(net, queries, evidence, burn_in, n_samples, seed, n_chains):
+    """:func:`gibbs_estimates_oracle` on the subnetwork of the queries, the evidence
+    and their ancestors, where the library's Gibbs chains run."""
+    sub = net.subnetwork(ancestral_closure(net, [*queries, *evidence]))
+    return gibbs_estimates_oracle(sub, queries, evidence, burn_in, n_samples, seed, n_chains)
 
 
 def disambiguate_seeds_oracle(seeds, lexicon):

@@ -20,6 +20,7 @@ from situnet.bln import (
     Implies,
     LogicConstraint,
     Not,
+    SweepPlan,
     ZeroWeightWarning,
     ground,
     infer_exact,
@@ -38,6 +39,8 @@ from situnet.netgen import ConceptGraph, ConceptNode, RelationEdge
 from situnet.relatedness import ConstantRelatedness, TableRelatedness
 
 from conftest import (
+    ancestral_closure,
+    gibbs_closure_oracle,
     gibbs_estimates_oracle,
     joint_table_oracle,
     learn_cpfs_oracle,
@@ -645,6 +648,18 @@ class TestInferGibbs:
         with pytest.raises(ErgodicityError, match=r"^variable IsA\(o1,b\) has a deterministic"):
             infer_gibbs(net, "UsedFor(o1,u)", {}, burn_in=2, n_samples=10)
 
+    def test_deterministic_row_outside_the_closure_allowed(self):
+        decl, fragments = simple_declaration(), simple_fragments()
+        fragments[2] = Fragment(var("UsedFor(x,u)"), [var("IsA(x,a)"), var("IsA(x,b)")],
+                                np.array([0.0, 0.5, 0.4, 1.0]))
+        net = ground(decl, fragments, ["o1"])
+        # UsedFor(o1,u) is no ancestor of IsA(o1,b), so its chain never visits it
+        estimate = infer_gibbs(net, "IsA(o1,b)", {}, burn_in=200, n_samples=20_000, seed=18)
+        assert estimate == pytest.approx(infer_exact(net, "IsA(o1,b)", {}), abs=0.02)
+        with pytest.raises(ErgodicityError, match=r"^variable UsedFor\(o1,u\) has a deterministic"):
+            bln.gibbs_estimates(net, ["IsA(o1,b)", "UsedFor(o1,u)"], {}, burn_in=2,
+                                n_samples=10)
+
     def test_clamped_deterministic_row_allowed(self):
         decl, fragments = simple_declaration(), simple_fragments()
         fragments[1] = Fragment(var("IsA(x,b)"), [var("IsA(x,a)")],
@@ -665,7 +680,8 @@ class TestInferGibbs:
 
 
 class TestEstimates:
-    """``estimates`` answers a query batch exactly as per-query calls do."""
+    """``estimates`` answers a query batch exactly as per-query calls do (LW, exact),
+    or as the Gibbs oracle on the batch's ancestral closure does."""
 
     def batches(self, seed):
         rng = np.random.default_rng(seed)
@@ -680,13 +696,26 @@ class TestEstimates:
             assert batch == {q: infer_lw(net, q, evidence, n_samples=3000, seed=5)
                              for q in net.names}
 
-    def test_gibbs_equals_per_query_infer_gibbs(self):
+    def test_gibbs_equals_oracle_on_the_ancestral_closure(self):
+        # the chains run on the closure of the queries and the evidence, so
+        # a query asked alone can get another estimate than in a larger batch
+        rng = np.random.default_rng(25)
+        run = dict(burn_in=20, n_samples=1000, seed=6, n_chains=64)
+        pruned_any = False
         for net, evidence in self.batches(22):
-            batch = bln.estimates(net, net.names, evidence, "gibbs", n_samples=1000,
-                                  burn_in=20, seed=6, n_chains=64)
-            assert batch == {q: infer_gibbs(net, q, evidence, burn_in=20, n_samples=1000,
-                                            seed=6, n_chains=64)
-                             for q in net.names}
+            queries = [net.names[int(v)] for v in rng.choice(len(net), size=2, replace=False)]
+            closure = ancestral_closure(net, [*queries, *evidence])
+            pruned_any |= len(closure) < len(net)
+            batch = bln.estimates(net, queries, evidence, "gibbs", **run)
+            assert batch == gibbs_closure_oracle(net, queries, evidence, 20, 1000, 6, 64)
+            for q in queries:
+                assert infer_gibbs(net, q, evidence, **run) == \
+                    gibbs_closure_oracle(net, [q], evidence, 20, 1000, 6, 64)[q]
+            # asking for the rest of the closure too leaves every estimate as it is
+            wider = bln.estimates(net, [net.names[v] for v in sorted(closure)], evidence,
+                                  "gibbs", **run)
+            assert {q: wider[q] for q in queries} == batch
+        assert pruned_any
 
     def test_exact_equals_per_query_infer_exact(self):
         for net, evidence in self.batches(23):
@@ -806,7 +835,7 @@ class TestLevelSweep:
 
     def test_levels_respect_blankets(self, scenario_products):
         for net in self.networks(scenario_products):
-            levels = net.sweep_plan().levels
+            levels = SweepPlan.build(net).levels
             level_of = {v: i for i, level in enumerate(levels) for v in level}
             position = {v: i for i, v in enumerate(net.topo_order())}
             assert sorted(level_of) == list(range(len(net)))
@@ -823,7 +852,7 @@ class TestLevelSweep:
 
     def test_packed_table_holds_each_cpf_at_an_aligned_offset(self, scenario_products):
         for net in self.networks(scenario_products):
-            plan = net.sweep_plan()
+            plan = SweepPlan.build(net)
             assert plan.table[-1] == 1.0
             spans = []
             for v, cpf in enumerate(net.cpfs):
@@ -857,17 +886,6 @@ class TestLevelSweep:
         assert bln.gibbs_estimates(net, net.names, evidence, burn_in, n_samples, seed,
                                    n_chains) == \
             gibbs_estimates_oracle(net, net.names, evidence, burn_in, n_samples, seed, n_chains)
-
-
-def ancestral_closure(net, names):
-    """Indices of ``names`` and of all their ancestors."""
-    closed, stack = set(), [net.index[name] for name in names]
-    while stack:
-        v = stack.pop()
-        if v not in closed:
-            closed.add(v)
-            stack.extend(net.parents[v])
-    return closed
 
 
 class TestPrunedLw:

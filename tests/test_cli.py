@@ -5,10 +5,17 @@ import re
 import pytest
 
 from situnet import evaluation, netgen
-from situnet.bln import read_model
-from situnet.cli import ConfigError, load_config, main, run_generation
+from situnet.bln import ground, read_model
+from situnet.cli import (
+    INFER_SEED_OFFSET,
+    ConfigError,
+    PipelineConfig,
+    load_config,
+    main,
+    run_generation,
+)
 
-from conftest import bundled
+from conftest import bundled, gibbs_closure_oracle
 
 
 def run_cli(args, capsys):
@@ -175,6 +182,15 @@ class TestInfer:
             separate += out.splitlines()
         code, out, err = run_cli(args + patterns[0] + patterns[1], capsys)
         assert code == 0, err
+        if method == "gibbs":
+            # the chains run on the closure of every query of the run, with the
+            # default burn-in and chain count
+            net = ground(*read_model(mini_model), ["obj1"])
+            queries = [line.split("\t")[1] for line in separate]
+            joint = gibbs_closure_oracle(net, queries, {"IsA(obj1,stove)": True},
+                                         PipelineConfig().burn_in, 2000,
+                                         6 + INFER_SEED_OFFSET, 512)
+            separate = [f"{prob:.6f}\t{name}" for name, prob in joint.items()]
         ranked = sorted(separate, key=lambda line: (-float(line.split("\t")[0]),
                                                     line.split("\t")[1]))
         assert out.splitlines() == ranked
@@ -214,6 +230,17 @@ class TestLoadConfig:
         path = self.write(tmp_path, [line])
         key = line.partition("=")[0]
         with pytest.raises(ConfigError, match=re.escape(f"{path}:3: unknown key '{key}'")):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("samples", "20000", "20000"),
+        ("method", "lw", "gibbs"),
+        ("cleaning.seeds", "a.txt", "b.txt"),
+    ])
+    def test_key_set_twice_names_its_first_line(self, tmp_path, key, first, second):
+        path = self.write(tmp_path, [f"{key}={first}", "# a comment", f"{key} = {second}"])
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path}:5: '{key}' is already set on line 3")):
             load_config(path)
 
     def test_scoped_keys_kept_for_unlisted_scenarios(self, tmp_path):

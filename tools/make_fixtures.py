@@ -732,7 +732,6 @@ def write_configs():
         "seeds=../seeds/wsd_kitchen.txt\n"
         "gold=../gold/mini.tsv\n"
         "environment=kitchen\n"
-        "samples=20000\n"
     )
     (configs / "mini.cfg").write_text(mini, encoding="utf-8")
 
