@@ -30,10 +30,8 @@ Gibbs runs its chains on the closure's :meth:`GroundNetwork.subnetwork`,
 so its chains, unlike its target posterior, depend on which queries
 share a call.
 
-A Gibbs sweep runs level by level: each level holds no two Markov-blanket
-neighbours, so all its sites are drawn in one vector step with the states
-and the uniforms a site-by-site scan would give them (level scheduling,
-Anderson & Saad 1989), and every estimate equals that of the scan.
+A Gibbs sweep visits the free variables one site at a time in
+topological order, each draw a vector step over all chains.
 """
 
 from __future__ import annotations
@@ -573,55 +571,6 @@ class GroundNetwork:
         )
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """A network's Gibbs sweep: one packed CPF table and a level schedule.
-
-    ``table`` holds every variable's CPF interleaved as ``(1 - cpf[i],
-    cpf[i])`` at ``(2i, 2i + 1)``, starting at ``offsets[v]``.  Tables are
-    packed largest first, so each offset is a multiple of its table's size
-    and ``key | bit`` and ``key & ~bit`` act on the global index as on the
-    local one.  The last entry is ``1.0``, for padding.
-
-    ``levels`` partitions the variables, each level in topological order.
-    A variable with children is placed one level above the highest of its
-    earlier Markov-blanket neighbours (parents and co-parents, as no child
-    comes earlier); every childless variable goes into the last level.
-    So no level holds two blanket neighbours, and blanket neighbours keep
-    their topological order across levels.
-    """
-
-    table: np.ndarray
-    offsets: np.ndarray
-    levels: list[list[int]]
-
-    @classmethod
-    def build(cls, net: GroundNetwork) -> "SweepPlan":
-        sizes = [2 * len(cpf) for cpf in net.cpfs]
-        offsets = np.zeros(len(sizes), dtype=np.intp)
-        end = 0
-        for v in sorted(range(len(sizes)), key=lambda v: -sizes[v]):
-            offsets[v] = end
-            end += sizes[v]
-        table = np.ones(end + 1)
-        for v, cpf in enumerate(net.cpfs):
-            table[offsets[v]:offsets[v] + sizes[v]:2] = 1.0 - cpf
-            table[offsets[v] + 1:offsets[v] + sizes[v]:2] = cpf
-
-        order = net.topo_order()
-        children = net.children()
-        level: dict[int, int] = {}
-        for v in order:
-            if children[v]:
-                # the blanket neighbours placed so far are exactly the earlier ones
-                blanket = set(net.parents[v]).union(*(net.parents[c] for c in children[v]))
-                level[v] = 1 + max((level[u] for u in blanket if u in level), default=-1)
-        levels: list[list[int]] = [[] for _ in range(max(level.values(), default=-1) + 2)]
-        for v in order:
-            levels[level.get(v, -1)].append(v)  # childless: the last level
-        return cls(table=table, offsets=offsets, levels=levels)
-
-
 def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwork:
     """Instantiate the per-object subnetworks plus constraint auxiliaries.
 
@@ -874,8 +823,8 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
 
     The chains run on the :meth:`GroundNetwork.subnetwork` of the
     queries, the evidence and their ancestors; every other variable is
-    barren.  The initial sample, the sweep plan, the uniforms and the
-    kept sweeps described below are all that subnetwork's.  So the
+    barren.  The initial sample, the sites, the uniforms and the kept
+    sweeps described below are all that subnetwork's.  So the
     target posterior does not depend on the other queries of the call,
     but the chains, and each estimate, do: a query asked alone can get
     another estimate than in a batch whose closure is larger.  Only a
@@ -888,24 +837,16 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     are counted per chain and at least ``n_samples`` states are collected.
 
     Sampler state is one integer key per variable and chain,
-    ``2 * parent_config + state`` plus the variable's offset in the
-    network's packed table (:class:`SweepPlan`), so ``table[key]`` is the
-    probability of the variable's current state given its parents.  A
-    parent sits at one bit of its child's key; ``key & ~bit`` and
-    ``key | bit`` look up the child with that parent false and true.  A
-    draw for ``v`` reads and rewrites only the keys of ``v`` and of its
-    children.
-
-    The sweep runs level by level.  Two sites of one level are not in
-    each other's Markov blanket, so they touch disjoint keys, and each
-    sees exactly the states a site-by-site scan in topological order
-    would give it (level scheduling; Anderson & Saad 1989).  One step
-    gathers each site's slots (the site, then its children, then padding
-    that looks up ``1.0``), takes the products of the slot probabilities
-    in the scan's order, and draws every site of the level at once.  Each
-    sweep draws one ``(free sites, n_chains)`` block of uniforms; on
-    PCG64 its row ``i`` equals the ``i``-th per-site draw of the scan.
-    So every key, and every estimate, equals that of the per-site sweep.
+    ``2 * parent_config + state``, with the parent configuration ordered
+    as in the CPF (:func:`_pack`).  Each variable's CPF is stored
+    interleaved as ``(1 - cpf[i], cpf[i])`` at ``(2i, 2i + 1)``, so
+    ``table[key]`` is the probability of the variable's current state
+    given its parents.  A parent sits at one bit of its child's key;
+    ``key & ~bit`` and ``key | bit`` look up the child with that parent
+    false and true.  A draw for ``v`` reads and rewrites only the keys of
+    ``v`` and of its children.  Each sweep draws one ``(free sites,
+    n_chains)`` block of uniforms, row ``i`` for the ``i``-th site; on
+    PCG64 it equals drawing ``n_chains`` uniforms per site.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -929,49 +870,45 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     # starts near the target distribution instead of uniform noise
     states, _ = _forward_sample(net, ev, n_chains, rng)
 
-    plan = SweepPlan.build(net)
-    table = plan.table
-    pad = len(net.names)  # a keys row that always looks up the padding 1.0
-    keys = np.empty((pad + 1, n_chains), dtype=np.intp)
-    keys[pad] = len(table) - 1
+    keys = np.empty((len(net.names), n_chains), dtype=np.intp)
     for v, ps in enumerate(net.parents):
         keys[v] = _pack(states, [*ps, v])
-    keys[:pad] += plan.offsets[:, None]
+    tables = [np.column_stack((1.0 - cpf, cpf)).ravel() for cpf in net.cpfs]
 
     children = net.children()
-    free = [v for v in net.topo_order() if v not in ev]
-    draw_row = {v: i for i, v in enumerate(free)}
-    steps = []
-    for level in plan.levels:
-        sites = [v for v in level if v not in ev]
-        if not sites:
-            continue
-        rows = np.full((1 + max(len(children[v]) for v in sites), len(sites)), pad,
-                       dtype=np.intp)
-        bits = np.zeros((*rows.shape, 1), dtype=np.intp)
-        for j, v in enumerate(sites):
-            rows[0, j], bits[0, j] = v, 1
-            for slot, c in enumerate(children[v], start=1):
-                rows[slot, j] = c
-                bits[slot, j] = 2 << (len(net.parents[c]) - 1 - net.parents[c].index(v))
-        steps.append((rows, bits, np.array([draw_row[v] for v in sites])))
+    # per free variable: its table, and each child's table and key bit for it
+    sites = [
+        (v, tables[v],
+         [(c, tables[c], 2 << (len(net.parents[c]) - 1 - net.parents[c].index(v)))
+          for c in children[v]])
+        for v in net.topo_order() if v not in ev
+    ]
 
     per_chain = -(-n_samples // n_chains)  # ceil
     asked = np.array([net.index[q] for q in queries], dtype=np.intp)
     collected = np.zeros(len(asked), dtype=np.int64)
     count = 0
+    half = np.full(n_chains, 0.5)  # P(true) where both states have weight zero
 
     for sweep in range(burn_in + per_chain):
-        uniforms = rng.random((len(free), n_chains))
-        for rows, bits, draw_rows in steps:
-            high = keys[rows] | bits
-            low = high ^ bits  # key & ~bit
-            # a left fold over the slots: the scan's order of multiplication
-            w1 = np.multiply.reduce(table[high], axis=0)
-            w0 = np.multiply.reduce(table[low], axis=0)
+        uniforms = rng.random((len(sites), n_chains))
+        for (v, table, kids), uniform in zip(sites, uniforms):
+            high = keys[v] | 1
+            low = high ^ 1
+            w1, w0 = table.take(high), table.take(low)
+            moves = []
+            for c, c_table, bit in kids:
+                c_high = keys[c] | bit
+                c_low = c_high ^ bit  # key & ~bit
+                w1 *= c_table.take(c_high)
+                w0 *= c_table.take(c_low)
+                moves.append((c, c_high, c_low))
             total = w1 + w0
-            p = np.divide(w1, total, out=np.full(total.shape, 0.5), where=total > 0)
-            keys[rows] = np.where(uniforms[draw_rows] < p, high, low)
+            p = np.divide(w1, total, out=half.copy(), where=total > 0)
+            draw = uniform < p
+            keys[v] = low | draw
+            for c, c_high, c_low in moves:
+                keys[c] = np.where(draw, c_high, c_low)
         if sweep >= burn_in:
             collected += (keys[asked] & 1).sum(axis=1)
             count += n_chains
@@ -1031,10 +968,16 @@ def write_model(decl: Declaration, fragments, path) -> None:
 
 
 def read_model(path) -> tuple[Declaration, list[Fragment]]:
+    """Read the :func:`write_model` layout.
+
+    A malformed record, or a fragment whose child is declared twice,
+    raises ``ValueError`` naming its line.
+    """
     types: set[str] = set()
     signatures: dict[str, tuple[str, ...]] = {}
     entities: dict[str, frozenset[str]] = {}
     fragments: list[Fragment] = []
+    declared: set[AbstractVar] = set()
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -1051,6 +994,9 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
             elif tag == "FRAGMENT" and len(cols) == 5:
                 try:
                     child = AbstractVar.parse(cols[1])
+                    if child in declared:
+                        raise ValueError(f"fragment {child} declared twice")
+                    declared.add(child)
                     parents = [AbstractVar.parse(p) for p in _split_vars(cols[2])]
                     cpf = np.array([float(x) for x in cols[3].split()])
                     fragments.append(Fragment(child=child, parents=parents, cpf=cpf,

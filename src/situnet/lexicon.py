@@ -465,7 +465,10 @@ def load_lexicon(directory, pos: str = "noun") -> LexiconIndex:
 
 
 def load_frequencies(source) -> CorpusFrequencies:
-    """Read ``word<TAB>count`` lines into :class:`CorpusFrequencies`."""
+    """Read ``word<TAB>count`` lines into :class:`CorpusFrequencies`.
+
+    A malformed line or a count below 1 raises :class:`LexiconParseError`.
+    """
     counts: dict[str, int] = {}
     for line_no, raw in enumerate(_lines(_read_if_path(source)), start=1):
         line = raw.strip()
@@ -473,9 +476,12 @@ def load_frequencies(source) -> CorpusFrequencies:
             continue
         try:
             word, count = line.split("\t")
-            counts[normalize_lemma(word)] = counts.get(normalize_lemma(word), 0) + int(count)
+            count = int(count)
         except ValueError:
             raise LexiconParseError(f"bad frequency line {line!r}", line_no) from None
+        if count < 1:
+            raise LexiconParseError(f"count below 1 in {line!r}", line_no)
+        counts[normalize_lemma(word)] = counts.get(normalize_lemma(word), 0) + count
     return CorpusFrequencies.from_counts(counts)
 
 

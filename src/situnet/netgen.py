@@ -497,6 +497,12 @@ def serialize_graph(graph: ConceptGraph) -> str:
 
 
 def parse_graph(text: str) -> ConceptGraph:
+    """Read :func:`serialize_graph` text.
+
+    A malformed record, a node declared twice, a kind other than the four
+    node kinds, or an ``is_seed`` other than 0 or 1 raises ``ValueError``
+    naming its line.
+    """
     graph = ConceptGraph()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -504,6 +510,16 @@ def parse_graph(text: str) -> ConceptGraph:
         cols = raw.split("\t")
         if cols[0] == "NODE" and len(cols) == 5:
             _, node_id, kind, synset, is_seed = cols
+            if node_id in graph.nodes:
+                problem = f"node {node_id!r} declared twice"
+            elif kind != "concept" and kind not in KIND_FOR_RELATION.values():
+                problem = f"unknown node kind {kind!r}"
+            elif is_seed not in ("0", "1"):
+                problem = f"is_seed must be 0 or 1, got {is_seed!r}"
+            else:
+                problem = None
+            if problem:
+                raise ValueError(f"bad graph record on line {line_no}: {problem}")
             term = node_id.split("@")[0]
             if synset != "-" and f"_{synset}" in node_id:
                 term = node_id[: node_id.rindex(f"_{synset}")]

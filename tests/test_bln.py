@@ -20,7 +20,6 @@ from situnet.bln import (
     Implies,
     LogicConstraint,
     Not,
-    SweepPlan,
     ZeroWeightWarning,
     ground,
     infer_exact,
@@ -814,56 +813,8 @@ class TestSamplerOracle:
         assert shapes == [((777, len(net)), (777,))]
 
 
-def blanket(net, v):
-    """Markov blanket of ``v``: parents, children and co-parents."""
-    out = set(net.parents[v]) | set(net.children()[v])
-    for c in net.children()[v]:
-        out |= set(net.parents[c])
-    return out - {v}
-
-
-class TestLevelSweep:
-    """The level-scheduled Gibbs sweep equals the per-site scan value for value."""
-
-    def networks(self, scenario_products):
-        rng = np.random.default_rng(51)
-        nets = [random_net(rng) for _ in range(4)] + [sampler_net(rng)[0] for _ in range(4)]
-        for name in ("recipe", "laundry", "cleaning"):
-            _, products = scenario_products[name]
-            nets.append(ground(products.declaration, products.fragments, [OBJECT]))
-        return nets
-
-    def test_levels_respect_blankets(self, scenario_products):
-        for net in self.networks(scenario_products):
-            levels = SweepPlan.build(net).levels
-            level_of = {v: i for i, level in enumerate(levels) for v in level}
-            position = {v: i for i, v in enumerate(net.topo_order())}
-            assert sorted(level_of) == list(range(len(net)))
-            for level in levels:
-                assert level == sorted(level, key=position.get)
-                members = set(level)
-                assert not any(blanket(net, v) & members for v in level)
-            for v in range(len(net)):
-                for u in blanket(net, v):
-                    if position[u] < position[v]:
-                        assert level_of[u] < level_of[v], (net.names[u], net.names[v])
-            leaves = {v for v in range(len(net)) if not net.children()[v]}
-            assert set(levels[-1]) == leaves
-
-    def test_packed_table_holds_each_cpf_at_an_aligned_offset(self, scenario_products):
-        for net in self.networks(scenario_products):
-            plan = SweepPlan.build(net)
-            assert plan.table[-1] == 1.0
-            spans = []
-            for v, cpf in enumerate(net.cpfs):
-                offset, size = int(plan.offsets[v]), 2 * len(cpf)
-                assert offset % size == 0
-                assert np.array_equal(plan.table[offset:offset + size],
-                                      np.column_stack((1.0 - cpf, cpf)).ravel())
-                spans.append((offset, offset + size))
-            spans.sort()
-            assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
-            assert spans[-1][1] == len(plan.table) - 1
+class TestGibbsSweep:
+    """The keyed Gibbs sweep equals the per-site oracle value for value."""
 
     @settings(max_examples=40)
     @given(net_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
@@ -1043,9 +994,11 @@ class TestModelSerialization:
         ("FRAGMENT\tIsA(x,a)\t-\t0.5 0.5\t-", "must have 1 rows"),
         ("FRAGMENT\tIsA(x,a\t-\t0.5\t-", "bad variable syntax"),
         ("FRAGMENT\tIsA(x,a)\t-\tnan\t-", "outside \\[0, 1\\]"),
+        ("FRAGMENT\tIsA(x,b)\t-\t0.5\t-", "fragment IsA\\(x,b\\) declared twice"),
     ])
     def test_malformed_fragment_names_its_line(self, tmp_path, fragment, reason):
         path = tmp_path / "model.tsv"
-        path.write_text(f"TYPE\tobject\n# comment\n{fragment}\n", encoding="utf-8")
+        path.write_text(f"# comment\nFRAGMENT\tIsA(x,b)\t-\t0.5\t-\n{fragment}\n",
+                        encoding="utf-8")
         with pytest.raises(ValueError, match=f"bad model record on line 3: .*{reason}"):
             read_model(path)

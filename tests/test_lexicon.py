@@ -242,6 +242,12 @@ class TestInformationContent:
         assert frequencies.total == sum(frequencies.counts.values())
         assert all(c >= 1 for c in frequencies.counts.values())
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_count_below_one_names_its_line(self, count):
+        with pytest.raises(LexiconParseError, match="line 2: count below 1") as err:
+            load_frequencies(f"a\t3\nb\t{count}\n")
+        assert err.value.line_number == 2
+
 
 class TestWspNeighbors:
     def test_synonyms_are_all_lemmas(self, lexicon):

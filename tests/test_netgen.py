@@ -476,11 +476,14 @@ class TestGraphStructure:
         again = run_generation(config)
         assert serialize_graph(again.graph) == serialize_graph(products.graph)
 
-    @pytest.mark.parametrize("edge, reason", [
+    @pytest.mark.parametrize("record, reason", [
         ("EDGE\tMadeOf\ta\tb\t1.0", "'MadeOf' is not a valid RelationType"),
         ("EDGE\tIsA\ta\tb\tstrong", "could not convert"),
+        ("NODE\ta\tconcept\t-\t0", "node 'a' declared twice"),
+        ("NODE\tb\tconcept\t-\t2", "is_seed must be 0 or 1, got '2'"),
+        ("NODE\tb\tcolor\t-\t0", "unknown node kind 'color'"),
     ])
-    def test_malformed_edge_names_its_line(self, edge, reason):
-        text = f"NODE\ta\tconcept\t-\t1\n\n{edge}\n"
+    def test_malformed_record_names_its_line(self, record, reason):
+        text = f"NODE\ta\tconcept\t-\t1\n\n{record}\n"
         with pytest.raises(ValueError, match=f"bad graph record on line 3: .*{reason}"):
             parse_graph(text)

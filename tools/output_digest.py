@@ -15,9 +15,10 @@ byte-identical outputs.  It covers:
   LW and with Gibbs at samples=2560 burn_in=5;
 - the ``evaluation.run_scenario`` result dicts (keys, order and float
   reprs) of every bundled scenario, restricted to the triples its gold
-  file labels, with the same two method settings and with Gibbs at
+  file labels, with the same two method settings, with Gibbs at
   samples=1000 burn_in=0: the initial state plus two kept sweeps of 512
-  chains, a sample count that is not a multiple of the chain count.
+  chains, a sample count that is not a multiple of the chain count, and
+  with Gibbs on 2 048 chains at samples=4096 burn_in=2.
   ``run_scenario`` gets the gold when it takes a ``gold`` parameter, so
   trees from before and after that parameter give comparable lines;
 - a fixed set of ``infer`` requests: LW, Gibbs and exact on every
@@ -55,9 +56,12 @@ SCENARIOS = ("mini", "recipe", "laundry", "cleaning")
 METHODS = {"lw": {"method": "lw"},
            "gibbs": {"method": "gibbs", "samples": "2560", "burn_in": "5"}}
 INFER_METHODS = {**METHODS, "exact": {"method": "exact"}}
-# run_scenario also checks Gibbs with no burn-in and an overshooting last sweep
+# run_scenario also checks Gibbs with no burn-in and an overshooting last sweep,
+# and Gibbs on many chains
 SCENARIO_METHODS = {**METHODS,
-                    "gibbs-b0-s1000": {"method": "gibbs", "samples": "1000", "burn_in": "0"}}
+                    "gibbs-b0-s1000": {"method": "gibbs", "samples": "1000", "burn_in": "0"},
+                    "gibbs-c2048": {"method": "gibbs", "samples": "4096", "burn_in": "2"}}
+SCENARIO_CHAINS = {"gibbs-c2048": 2048}  # n_chains is no config key; the rest use the default
 SEEDS_PER_MODEL = 3
 QUERIES = (("*",), ("AtLocation(obj1,*)", "UsedFor(obj1,*)"))  # one- and two-pattern requests
 FAMILY_QUERIES = tuple(f"{family}(obj1,*)"
@@ -154,7 +158,8 @@ def digests(work: Path):
             results = evaluation.run_scenario(
                 products.declaration, products.fragments, list(products.assignment.choices),
                 *([gold] if takes_gold else []), config.method, config.samples,
-                config.burn_in, config.seed + cli.SCENARIO_SEED_OFFSET)
+                config.burn_in, config.seed + cli.SCENARIO_SEED_OFFSET,
+                **({"n_chains": SCENARIO_CHAINS[label]} if label in SCENARIO_CHAINS else {}))
             labeled = [(key, prob) for key, prob in results.items()
                        if key in gold.relation_labels]
             yield f"run_scenario/{name}/{label}", sha(repr(labeled).encode())
