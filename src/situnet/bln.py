@@ -31,7 +31,11 @@ so its chains, unlike its target posterior, depend on which queries
 share a call.
 
 A Gibbs sweep visits the free variables one site at a time in
-topological order, each draw a vector step over all chains.
+topological order, each draw a vector step over all chains.  The chains
+start from a forward sample with the evidence clamped.  When every
+evidence variable's parents are evidence too, as for root evidence, that
+sample is an exact posterior draw, so ``burn_in`` warm-up sweeps are run
+only for evidence with a free parent: ``burn_in`` is a cap.
 """
 
 from __future__ import annotations
@@ -577,7 +581,9 @@ def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwo
     Every fragment is replicated once per object with the meta-variable
     substituted; each ground constraint contributes one boolean auxiliary
     variable whose parents are the constraint's atoms and whose CPF is 1
-    exactly on satisfying configurations.
+    exactly on satisfying configurations.  Two ground variables of one
+    name (two fragments with one child, or an object listed twice) raise
+    ``ValueError`` naming it.
     """
     if not objects:
         raise ValueError("at least one object is required")
@@ -612,6 +618,9 @@ def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwo
             aux.append(name)
 
     index = {name: i for i, name in enumerate(names)}
+    if len(index) < len(names):
+        duplicate = next(name for i, name in enumerate(names) if index[name] != i)
+        raise ValueError(f"ground variable {duplicate} is defined twice")
     parents = []
     for var, ps in zip(names, parent_names):
         try:
@@ -805,7 +814,9 @@ def infer_gibbs(net: GroundNetwork, query: str, evidence=None, burn_in: int = 10
     """Single-site Gibbs estimate of P(query | evidence).
 
     ``n_samples`` counts collected states across all chains; each chain
-    runs ``burn_in`` warm-up sweeps first.  The chains run on the query,
+    runs up to ``burn_in`` warm-up sweeps first, and none when every
+    evidence variable's parents are evidence too (see
+    :func:`gibbs_estimates`).  The chains run on the query,
     the evidence and their ancestors alone, so the estimate can differ
     from that of the same query in a larger :func:`gibbs_estimates`
     call.  Unclamped variables among them must have strictly
@@ -831,10 +842,16 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     deterministic free variable inside the closure raises
     :class:`ErgodicityError`.
 
-    Every chain starts from an ancestral forward sample and runs
-    ``burn_in`` sweeps over the free variables in topological order; then
-    ``ceil(n_samples / n_chains)`` further sweeps are kept, so kept sweeps
-    are counted per chain and at least ``n_samples`` states are collected.
+    Every chain starts from an ancestral forward sample with the evidence
+    clamped and runs ``burn_in`` warm-up sweeps over the free variables in
+    topological order; then ``ceil(n_samples / n_chains)`` further sweeps
+    are kept, so kept sweeps are counted per chain and at least
+    ``n_samples`` states are collected.  ``burn_in`` is a cap: when every
+    evidence variable's parents are evidence too (root evidence is the
+    common case), the evidence's CPF entries are constants, so the
+    forward sample is an exact draw from P(free | evidence) (Henrion 1988)
+    and the chains run no warm-up sweep at all.  Evidence with a free
+    parent runs all ``burn_in`` sweeps.
 
     Sampler state is one integer key per variable and chain,
     ``2 * parent_config + state``, with the parent configuration ordered
@@ -864,6 +881,8 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     # every other variable is barren: the chains run on the closure alone
     net = net.subnetwork(v for v, kept in enumerate(closure) if kept)
     ev = _resolve_evidence(net, evidence)
+    if all(p in ev for v in ev for p in net.parents[v]):
+        burn_in = 0  # the ancestral start is already an exact posterior draw
 
     rng = np.random.default_rng(seed)
     # ancestral initialization: forward-sample each chain so the sweep

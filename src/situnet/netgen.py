@@ -500,10 +500,11 @@ def parse_graph(text: str) -> ConceptGraph:
     """Read :func:`serialize_graph` text.
 
     A malformed record, a node declared twice, a kind other than the four
-    node kinds, or an ``is_seed`` other than 0 or 1 raises ``ValueError``
-    naming its line.
+    node kinds, an ``is_seed`` other than 0 or 1, or an edge whose source
+    or target has no ``NODE`` record raises ``ValueError`` naming its line.
     """
     graph = ConceptGraph()
+    edge_lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
@@ -534,8 +535,14 @@ def parse_graph(text: str) -> ConceptGraph:
             except ValueError as error:
                 raise ValueError(f"bad graph record on line {line_no}: {error}") from None
             graph.edges.append(edge)
+            edge_lines.append(line_no)
         else:
             raise ValueError(f"bad graph record on line {line_no}: {raw!r}")
+    for line_no, edge in zip(edge_lines, graph.edges):
+        for end, node_id in (("source", edge.src), ("target", edge.dst)):
+            if node_id not in graph.nodes:
+                raise ValueError(f"bad graph record on line {line_no}: "
+                                 f"edge {end} {node_id!r} has no NODE record")
     return graph
 
 

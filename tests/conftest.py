@@ -174,8 +174,14 @@ def lw_estimates_oracle(net, queries, evidence, n_samples, seed):
 
 
 def gibbs_estimates_oracle(net, queries, evidence, burn_in, n_samples, seed, n_chains):
-    """Per-site Gibbs sweep that re-encodes every parent configuration."""
+    """Per-site Gibbs sweep that re-encodes every parent configuration.
+
+    No warm-up when every clamped variable's parents are clamped: the
+    forward sample is then already an exact posterior draw.
+    """
     ev = _clamped(net, evidence)
+    if all(set(net.parents[v]) <= ev.keys() for v in ev):
+        burn_in = 0
     rng = np.random.default_rng(seed)
     states, _ = forward_sample_oracle(net, ev, n_chains, rng)
     children = net.children()

@@ -469,6 +469,13 @@ class TestGround:
         with pytest.raises(ValueError):
             ground(simple_declaration(), simple_fragments(), [])
 
+    def test_duplicate_ground_variable_rejected(self):
+        decl, fragments = simple_declaration(), simple_fragments()
+        with pytest.raises(ValueError, match=r"ground variable IsA\(o1,a\) is defined twice"):
+            ground(decl, [*fragments, fragments[0]], ["o1"])
+        with pytest.raises(ValueError, match=r"ground variable IsA\(o2,a\) is defined twice"):
+            ground(decl, fragments, ["o2", "o1", "o2"])
+
 
 def random_net(rng, max_vars=12):
     n = int(rng.integers(3, max_vars + 1))
@@ -837,6 +844,41 @@ class TestGibbsSweep:
         assert bln.gibbs_estimates(net, net.names, evidence, burn_in, n_samples, seed,
                                    n_chains) == \
             gibbs_estimates_oracle(net, net.names, evidence, burn_in, n_samples, seed, n_chains)
+
+
+class TestBurnIn:
+    """Gibbs runs no warm-up sweep when every evidence variable's parents are evidence."""
+
+    def test_evidence_with_clamped_parents_needs_no_burn_in(self):
+        rng = np.random.default_rng(35)
+        clamped_child = False
+        for _ in range(6):
+            net, _ = sampler_net(rng)
+            roots = [v for v, ps in enumerate(net.parents) if not ps]
+            clamped = {int(v) for v in rng.choice(roots, size=int(rng.integers(1, len(roots))),
+                                                   replace=False)}
+            # a child whose parents are all clamped may be clamped too
+            children = {v for v, ps in enumerate(net.parents)
+                        if ps and set(ps) <= clamped and net.names[v] not in net.aux}
+            clamped_child |= bool(children)
+            evidence = {net.names[v]: bool(rng.random() < 0.5) for v in clamped | children}
+            queries = [name for name in net.names if name not in net.aux]
+            run = dict(n_samples=300, seed=int(rng.integers(1000)), n_chains=32)
+            cold = bln.gibbs_estimates(net, queries, evidence, burn_in=0, **run)
+            assert bln.gibbs_estimates(net, queries, evidence, burn_in=7, **run) == cold
+        assert clamped_child
+
+    def test_evidence_with_a_free_parent_burns_in(self):
+        rng = np.random.default_rng(36)
+        differs = False
+        for _ in range(4):
+            # sampler_net clamps a constraint auxiliary over two free variables
+            net, evidence = sampler_net(rng)
+            seed = int(rng.integers(1000))
+            warm = bln.gibbs_estimates(net, net.names, evidence, 7, 300, seed, 32)
+            assert warm == gibbs_estimates_oracle(net, net.names, evidence, 7, 300, seed, 32)
+            differs |= warm != bln.gibbs_estimates(net, net.names, evidence, 0, 300, seed, 32)
+        assert differs
 
 
 class TestPrunedLw:

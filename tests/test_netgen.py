@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from situnet.disambiguation import SenseAssignment, build_wsp, disambiguate_edge, disambiguate_seeds
 from situnet.edges import ConceptEdge, EdgeStore, RelationType
@@ -470,6 +472,25 @@ class TestGraphStructure:
                         restored.is_seed) == \
                     (node.kind, node.term, node.synset, node.is_seed)
 
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_generated_graph_round_trip(self, data):
+        kinds = st.sampled_from(("concept", "property", "location", "affordance"))
+        synsets = st.none() | st.from_regex(r"[0-9]{8}-n", fullmatch=True)
+        graph = ConceptGraph()
+        for node_id in data.draw(st.lists(st.text("abz_@-.09", min_size=1, max_size=8),
+                                          unique=True, min_size=1, max_size=8), label="ids"):
+            graph.nodes[node_id] = ConceptNode(
+                id=node_id, kind=data.draw(kinds, label="kind"), term=node_id,
+                synset=data.draw(synsets, label="synset"),
+                is_seed=data.draw(st.booleans(), label="is_seed"))
+        ends = st.sampled_from(sorted(graph.nodes))
+        graph.edges = data.draw(st.lists(st.builds(
+            RelationEdge, ends, st.sampled_from(RelationType), ends, st.floats()),
+            max_size=12), label="edges")
+        text = serialize_graph(graph)
+        assert serialize_graph(parse_graph(text)) == text
+
     def test_generation_is_reproducible(self, scenario_products):
         from situnet.cli import run_generation
         config, products = scenario_products["mini"]
@@ -482,6 +503,8 @@ class TestGraphStructure:
         ("NODE\ta\tconcept\t-\t0", "node 'a' declared twice"),
         ("NODE\tb\tconcept\t-\t2", "is_seed must be 0 or 1, got '2'"),
         ("NODE\tb\tcolor\t-\t0", "unknown node kind 'color'"),
+        ("EDGE\tIsA\ta\tb\t1.0", "edge target 'b' has no NODE record"),
+        ("EDGE\tUsedFor\tb\ta\t1.0", "edge source 'b' has no NODE record"),
     ])
     def test_malformed_record_names_its_line(self, record, reason):
         text = f"NODE\ta\tconcept\t-\t1\n\n{record}\n"

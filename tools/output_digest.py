@@ -27,7 +27,10 @@ byte-identical outputs.  It covers:
   which LW answers from the family's variables, the evidence and their
   ancestors alone; and an LW, a Gibbs and an exact ``AtLocation(obj1,*)``
   request on the ``mix-house-45`` model, whose ``closet`` has 13 parents
-  (exit code and output, so a missing model or a refusal counts too).
+  (exit code and output, so a missing model or a refusal counts too);
+  and a Gibbs ``AtLocation(obj1,*)`` request on laundry with the evidence
+  ``IsA(obj1,basket)``, the one bundled seed whose variable has a parent,
+  so its chains still run their burn-in sweeps.
 
 Usage, from the repository root:
 
@@ -189,6 +192,11 @@ def digests(work: Path):
                 "--evidence", f"IsA(obj1,{word})=true", "--query", "AtLocation(obj1,*)"]
         printed = run_cli(cli.main, argv).replace(str(work).encode(), b"WORK")
         yield f"infer/{WIDE_MIX}/{label}/{word}/AtLocation(obj1,*)", sha(printed)
+
+    argv = ["infer", "--config", str(work / "infer_laundry_gibbs.cfg"),
+            "--model", str(models["laundry"]), "--evidence", "IsA(obj1,basket)=true",
+            "--query", "AtLocation(obj1,*)"]
+    yield "infer/laundry/gibbs/basket/AtLocation(obj1,*)", sha(run_cli(cli.main, argv))
 
 
 def main(argv=None) -> int:
