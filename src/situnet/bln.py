@@ -45,6 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dag import CycleError, topological_order
 from .netgen import ConceptGraph
 
 MAX_PARENTS = 16  # full-table CPF guard: 2^16 rows, the widest uint16 key of _pack
@@ -378,24 +379,11 @@ def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int
 
 
 def _graph_topo_order(graph: ConceptGraph) -> list[str]:
-    indegree = {i: 0 for i in graph.nodes}
-    outgoing: dict[str, list[str]] = {i: [] for i in graph.nodes}
-    for e in graph.edges:
-        indegree[e.dst] += 1
-        outgoing[e.src].append(e.dst)
-    ready = sorted(i for i, d in indegree.items() if d == 0)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for nxt in sorted(outgoing[node]):
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-        ready.sort()
-    if len(order) != len(graph.nodes):
-        raise ValueError("graph contains a cycle; cannot sample top-down")
-    return order
+    sources = {i: [e.src for e in edges] for i, edges in graph.incoming().items()}
+    try:
+        return topological_order(graph.nodes, sources)
+    except CycleError:
+        raise ValueError("graph contains a cycle; cannot sample top-down") from None
 
 
 def learn_cpfs(fragments, evidence: EvidenceSet, pseudocount: float = 1.0) -> list[Fragment]:
@@ -475,21 +463,10 @@ class GroundNetwork:
 
     def topo_order(self) -> list[int]:
         if self._topo is None:
-            indegree = [len(p) for p in self.parents]
-            children = self.children()
-            ready = sorted(i for i, d in enumerate(indegree) if d == 0)
-            order = []
-            while ready:
-                v = ready.pop(0)
-                order.append(v)
-                for c in children[v]:
-                    indegree[c] -= 1
-                    if indegree[c] == 0:
-                        ready.append(c)
-                ready.sort()
-            if len(order) != len(self.names):
-                raise GroundingCycleError(self._find_cycle())
-            self._topo = order
+            try:
+                self._topo = topological_order(range(len(self.names)), self.parents)
+            except CycleError as error:
+                raise GroundingCycleError([self.names[v] for v in error.cycle]) from None
         return self._topo
 
     def children(self) -> list[list[int]]:
@@ -507,32 +484,6 @@ class GroundNetwork:
             self._deterministic = [bool(np.any(cpf == 0.0) or np.any(cpf == 1.0))
                                    for cpf in self.cpfs]
         return self._deterministic
-
-    def _find_cycle(self):
-        state = [0] * len(self.names)
-        path: list[int] = []
-
-        def dfs(v):
-            state[v] = 1
-            path.append(v)
-            for p in self.parents[v]:
-                if state[p] == 1:
-                    cycle = path[path.index(p):] + [p]
-                    return [self.names[i] for i in cycle]
-                if state[p] == 0:
-                    found = dfs(p)
-                    if found:
-                        return found
-            path.pop()
-            state[v] = 2
-            return None
-
-        for v in range(len(self.names)):
-            if state[v] == 0:
-                found = dfs(v)
-                if found:
-                    return found
-        return []
 
     def components(self) -> list[list[int]]:
         """Weakly connected components, each sorted by variable index."""

@@ -67,7 +67,7 @@ class PipelineConfig:
     root_prior: float = 0.15
     min_doc_freq: int = 1
     esa_weighting: str = "raw_count"
-    method: str = "lw"
+    method: str = "exact"
     samples: int = 20000
     burn_in: int = 1000
     seed: int = 7

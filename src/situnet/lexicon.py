@@ -15,6 +15,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .dag import CycleError, reachable, topological_order
+
 MERONYM_SYMBOLS = ("%p", "%m", "%s")
 HOLONYM_SYMBOLS = ("#p", "#m", "#s")
 
@@ -98,56 +100,16 @@ class LexiconIndex:
         self.synsets = synsets
         self.lemma_index = lemma_index
         self.roots = [sid for sid, syn in synsets.items() if not syn.hypernyms]
-        self._check_acyclic()
-        self._depths = self._compute_depths()
+        self._hypernyms = {sid: syn.hypernyms for sid, syn in synsets.items()}
+        try:
+            order = topological_order(synsets, self._hypernyms)
+        except CycleError as error:
+            raise HierarchyCycleError(error.cycle) from None
+        self._depths: dict[str, int] = {}
+        for sid in order:
+            self._depths[sid] = 1 + max((self._depths[p] for p in self._hypernyms[sid]
+                                         if p in synsets), default=0)
         self._ancestor_cache: dict[str, frozenset[str]] = {}
-
-    # -- construction helpers -------------------------------------------
-
-    def _check_acyclic(self):
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = dict.fromkeys(self.synsets, WHITE)
-        for start in self.synsets:
-            if color[start] != WHITE:
-                continue
-            stack = [(start, iter(self.synsets[start].hypernyms))]
-            color[start] = GRAY
-            path = [start]
-            while stack:
-                node, links = stack[-1]
-                advanced = False
-                for nxt in links:
-                    if nxt not in self.synsets:
-                        continue
-                    if color[nxt] == GRAY:
-                        cycle = path[path.index(nxt):] + [nxt]
-                        raise HierarchyCycleError(cycle)
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        path.append(nxt)
-                        stack.append((nxt, iter(self.synsets[nxt].hypernyms)))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    path.pop()
-                    stack.pop()
-
-    def _compute_depths(self) -> dict[str, int]:
-        depths: dict[str, int] = {}
-
-        def depth(sid: str) -> int:
-            if sid in depths:
-                return depths[sid]
-            syn = self.synsets[sid]
-            parents = [p for p in syn.hypernyms if p in self.synsets]
-            d = 1 if not parents else 1 + max(depth(p) for p in parents)
-            depths[sid] = d
-            return d
-
-        for sid in self.synsets:
-            depth(sid)
-        return depths
 
     # -- lookups ---------------------------------------------------------
 
@@ -174,19 +136,10 @@ class LexiconIndex:
     def ancestors(self, synset_id: str) -> frozenset[str]:
         """The hypernym closure of a synset, including the synset itself."""
         cached = self._ancestor_cache.get(synset_id)
-        if cached is not None:
-            return cached
-        seen = {synset_id}
-        frontier = [synset_id]
-        while frontier:
-            sid = frontier.pop()
-            for parent in self.synsets[sid].hypernyms:
-                if parent in self.synsets and parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        result = frozenset(seen)
-        self._ancestor_cache[synset_id] = result
-        return result
+        if cached is None:
+            cached = frozenset(reachable([synset_id], self._hypernyms))
+            self._ancestor_cache[synset_id] = cached
+        return cached
 
     # -- taxonomy metrics --------------------------------------------------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .dag import CycleError, reachable, topological_order
 from .disambiguation import SenseAssignment, disambiguate_edge
 from .edges import ATTRIBUTE_RELATIONS, EdgeStore, RelationType, normalized_weight
 from .lexicon import CorpusFrequencies, LexiconIndex, normalize_lemma
@@ -230,7 +231,8 @@ class _CompressState:
         swept = True
         while swept:
             swept = False
-            for node_id in self._leaves_up_order():
+            # leaves up: each concept after its children
+            for node_id in topological_order(self.concept_ids(), self.children):
                 node = self.nodes.get(node_id)
                 if node is None or node.is_seed or node.kind != "concept":
                     continue
@@ -265,37 +267,13 @@ class _CompressState:
         seeds = [i for i, n in self.nodes.items() if n.is_seed]
         if not seeds:  # seedless graphs occur only in synthetic tests
             return False
-        reachable = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            node_id = frontier.pop()
-            for parent in self.parents[node_id]:
-                if parent not in reachable:
-                    reachable.add(parent)
-                    frontier.append(parent)
+        kept = reachable(seeds, self.parents)
         changed = False
         for node_id in self.concept_ids():
-            if node_id not in reachable:
+            if node_id not in kept:
                 self.delete(node_id, reconnect_to=())
                 changed = True
         return changed
-
-    def _leaves_up_order(self):
-        """Concept ids ordered children-before-parents, ties by id."""
-        remaining = {i: len(self.children[i]) for i in self.concept_ids()}
-        ready = sorted(i for i, n in remaining.items() if n == 0)
-        order = []
-        pending = dict(remaining)
-        while ready:
-            node_id = ready.pop(0)
-            order.append(node_id)
-            for parent in sorted(self.parents[node_id]):
-                if parent in pending:
-                    pending[parent] -= 1
-                    if pending[parent] == 0:
-                        ready.append(parent)
-            ready.sort()
-        return order
 
     def to_graph(self, original: ConceptGraph) -> ConceptGraph:
         nodes = {i: self.nodes[i] for i in sorted(self.nodes)}
@@ -448,39 +426,15 @@ def validate_graph(graph: ConceptGraph) -> None:
         elif KIND_FOR_RELATION[e.relation] != dst_kind:
             raise ValueError(f"{e.relation.value} edge into kind {dst_kind}: {e}")
 
-    # IsA acyclicity via iterative DFS
-    parents = graph.isa_parents()
-    state = dict.fromkeys(graph.nodes, 0)
-    for start in graph.nodes:
-        if state[start]:
-            continue
-        stack = [(start, iter(parents[start]))]
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if state[nxt] == 1:
-                    raise ValueError(f"IsA cycle through {nxt}")
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(parents[nxt])))
-                    break
-            else:
-                state[node] = 2
-                stack.pop()
+    try:
+        topological_order(graph.nodes, graph.isa_parents())
+    except CycleError as error:
+        raise ValueError(f"IsA cycle through {error.cycle[0]}") from None
 
-    reachable = {n.id for n in graph.seeds()}
-    frontier = sorted(reachable)
     adjacency: dict[str, list[str]] = {i: [] for i in graph.nodes}
     for e in graph.edges:
         adjacency[e.src].append(e.dst)
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency[node]:
-            if nxt not in reachable:
-                reachable.add(nxt)
-                frontier.append(nxt)
-    orphans = set(graph.nodes) - reachable
+    orphans = set(graph.nodes) - reachable([n.id for n in graph.seeds()], adjacency)
     if orphans:
         raise ValueError(f"orphan nodes not reachable from any seed: {sorted(orphans)}")
 

@@ -465,6 +465,16 @@ class TestGround:
         with pytest.raises(GroundingCycleError):
             ground(decl, loop, ["o1"])
 
+    def test_deep_cycle_named_as_closed_cycle(self):
+        n = 3000
+        net = GroundNetwork(names=[f"v{i}" for i in range(n)],
+                            parents=[[(i + 1) % n] for i in range(n)],
+                            cpfs=[np.array([0.5, 0.5])] * n)
+        with pytest.raises(GroundingCycleError) as err:
+            net.topo_order()
+        cycle = err.value.cycle
+        assert len(cycle) == n + 1 and cycle[0] == cycle[-1]
+
     def test_objects_required(self):
         with pytest.raises(ValueError):
             ground(simple_declaration(), simple_fragments(), [])

@@ -111,6 +111,16 @@ class TestParsing:
         with pytest.raises(HierarchyCycleError) as err:
             parse_lexicon("", data)
         assert set(err.value.cycle) >= {"00000001-n", "00000002-n"}
+        assert err.value.cycle[0] == err.value.cycle[-1]
+
+    def test_deep_chain_listed_leaf_first(self):
+        n = 3000
+        data = "".join(f"{i:08d} 03 n 01 w{i} 0 001 @ {i + 1:08d} n 0000 | link\n"
+                       for i in range(1, n))
+        data += f"{n:08d} 03 n 01 w{n} 0 000 | root\n"
+        index = parse_lexicon("", data)
+        assert index.depth("00000001-n") == n
+        assert index.depth(f"{n:08d}-n") == 1
 
     def test_parse_write_parse_round_trip(self, lexicon):
         index_text, data_text = write_lexicon(lexicon)

@@ -460,6 +460,24 @@ class TestGraphStructure:
         for _, products in scenario_products.values():
             validate_graph(products.graph)
 
+    @pytest.mark.parametrize("nodes, edges, message", [
+        ([], [("a", RelationType.IsA, "ghost", 1.0)], "dangling edge"),
+        ([], [("a", RelationType.IsA, "b", 1.5)], "strength out of range"),
+        ([("p", "location")], [("a", RelationType.IsA, "p", 1.0)],
+         "IsA edge between non-concepts"),
+        ([("p", "property")], [("a", RelationType.UsedFor, "p", 0.5)],
+         "UsedFor edge into kind property"),
+        ([], [("b", RelationType.IsA, "a", 1.0)], "IsA cycle through"),
+        ([("c", "concept")], [], r"orphan nodes not reachable from any seed: \['c'\]"),
+    ])
+    def test_validate_rejects(self, nodes, edges, message):
+        graph = build_graph([("a", "concept", True), ("b", "concept", False)], [("a", "b")])
+        for node_id, kind in nodes:
+            graph.nodes[node_id] = ConceptNode(id=node_id, kind=kind, term=node_id)
+        graph.edges.extend(RelationEdge(*edge) for edge in edges)
+        with pytest.raises(ValueError, match=message):
+            validate_graph(graph)
+
     def test_serialization_round_trip(self, scenario_products):
         for _, products in scenario_products.values():
             text = serialize_graph(products.graph)
