@@ -39,7 +39,6 @@ from situnet.relatedness import (
     EsaRelatedness,
     TableRelatedness,
     build_esa_index,
-    esa_relatedness,
     load_documents,
 )
 

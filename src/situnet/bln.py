@@ -518,11 +518,12 @@ class GroundNetwork:
             for p in self.parents[v]:
                 if p not in remap:
                     raise ValueError("subset is not closed under parents")
+        kept = {self.names[v] for v in ids}
         return GroundNetwork(
             names=[self.names[v] for v in ids],
             parents=[[remap[p] for p in self.parents[v]] for v in ids],
             cpfs=[self.cpfs[v] for v in ids],
-            aux=[a for a in self.aux if a in {self.names[v] for v in ids}],
+            aux=[a for a in self.aux if a in kept],
         )
 
 
@@ -589,6 +590,20 @@ def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwo
 # ---------------------------------------------------------------------------
 
 
+def _query_ids(net, queries) -> list[int]:
+    """The variable id of each query; an unknown name raises ``KeyError``."""
+    for q in queries:
+        if q not in net.index:
+            raise KeyError(f"unknown query variable {q!r}")
+    return [net.index[q] for q in queries]
+
+
+def _answers(queries, evidence, estimate) -> dict[str, float]:
+    """Per query, in order: 1.0 or 0.0 if the evidence clamps it, else ``estimate(i)``."""
+    return {q: (1.0 if evidence[q] else 0.0) if q in evidence else estimate(i)
+            for i, q in enumerate(queries)}
+
+
 def _resolve_evidence(net, evidence):
     out = {}
     for name, value in evidence.items():
@@ -625,13 +640,13 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
     the caller.  Evidence of probability zero raises ``ValueError``.
     """
     evidence = evidence or {}
-    if query not in net.index:
-        raise KeyError(f"unknown query variable {query!r}")
+    (q,) = _query_ids(net, [query])
     ev = _resolve_evidence(net, evidence)
-    q = net.index[query]
-    if q in ev:
-        return 1.0 if ev[q] else 0.0
+    return _answers([query], evidence, lambda _: _eliminate(net, q, ev))[query]
 
+
+def _eliminate(net, q, ev) -> float:
+    """P(variable ``q`` = true | resolved evidence ``ev``), ``q`` not clamped."""
     factors = []  # (scope, table): one axis of length 2 per variable of the scope
     for v, kept in enumerate(_ancestral_closure(net, [q, *ev])):
         if kept:
@@ -682,7 +697,7 @@ def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng,
     on a PCG64 bit generator (see :func:`_forward_sample`).
     """
     ev = _resolve_evidence(net, evidence)
-    drawn = _ancestral_closure(net, [net.index[q] for q in queries] + list(ev))
+    drawn = _ancestral_closure(net, _query_ids(net, queries) + list(ev))
     states, weights = _forward_sample(net, ev, n_samples, rng, drawn)
     return states.T, weights
 
@@ -739,9 +754,7 @@ def lw_estimates(net: GroundNetwork, queries, evidence=None, n_samples: int = 50
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     evidence = evidence or {}
-    for q in queries:
-        if q not in net.index:
-            raise KeyError(f"unknown query variable {q!r}")
+    ids = _query_ids(net, queries)
     rng = np.random.default_rng(seed)
     states, weights = lw_sample(net, evidence, n_samples, rng, queries)
     total = weights.sum()
@@ -749,15 +762,8 @@ def lw_estimates(net: GroundNetwork, queries, evidence=None, n_samples: int = 50
         warnings.warn("all sample weights are zero; evidence is contradictory",
                       ZeroWeightWarning, stacklevel=2)
         return {q: 0.5 for q in queries}
-    ev = _resolve_evidence(net, evidence)
-    out = {}
-    for q in queries:
-        v = net.index[q]
-        if v in ev:
-            out[q] = 1.0 if ev[v] else 0.0
-        else:
-            out[q] = float(np.compress(states[:, v], weights).sum() / total)
-    return out
+    return _answers(queries, evidence,
+                    lambda i: float(np.compress(states[:, ids[i]], weights).sum() / total))
 
 
 def infer_gibbs(net: GroundNetwork, query: str, evidence=None, burn_in: int = 1000,
@@ -819,11 +825,9 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     evidence = evidence or {}
+    ids = _query_ids(net, queries)
     ev = _resolve_evidence(net, evidence)
-    for q in queries:
-        if q not in net.index:
-            raise KeyError(f"unknown query variable {q!r}")
-    closure = _ancestral_closure(net, [net.index[q] for q in queries] + list(ev))
+    closure = _ancestral_closure(net, ids + list(ev))
     for v, deterministic in enumerate(net.deterministic()):
         if deterministic and closure[v] and v not in ev:
             raise ErgodicityError(
@@ -883,14 +887,8 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
             collected += (keys[asked] & 1).sum(axis=1)
             count += n_chains
 
-    out = {}
-    for q, hits in zip(queries, collected.tolist()):
-        v = net.index[q]
-        if v in ev:
-            out[q] = 1.0 if ev[v] else 0.0
-        else:
-            out[q] = hits / count
-    return out
+    hits = collected.tolist()
+    return _answers(queries, evidence, lambda i: hits[i] / count)
 
 
 def estimates(net: GroundNetwork, queries, evidence=None, method: str = "lw",

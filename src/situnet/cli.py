@@ -1,15 +1,17 @@
 """Batch command-line driver: ``generate``, ``infer``, ``evaluate``.
 
-Configuration is a flat ``key=value`` text file.  Nine keys also have a
-command-line flag, which wins over the file: ``--seeds``,
-``--environment``, ``--min-children``, ``--ic-threshold``, ``--alpha``,
-``--root-prior``, ``--samples``, ``--method`` and ``--seed``.  Every
-other key (``burn_in``, ``min_doc_freq``, ``esa_weighting``,
-``language``, ``scenarios`` and the data paths such as ``lexicon``,
-``edges`` and ``gold``) is set in the file only.  An unknown key or a
-key set twice is refused at ``path:line``.  Paths in a config file
-resolve relative to the file's own directory, so the bundled scenario
-configs work from any working directory.
+Configuration is a flat ``key=value`` text file, one key per field of
+:class:`PipelineConfig`.  Nine keys also have a command-line flag,
+which wins over the file: ``--seeds``, ``--environment``,
+``--min-children``, ``--ic-threshold``, ``--alpha``, ``--root-prior``,
+``--samples``, ``--method`` and ``--seed``.  Every other key
+(``burn_in``, ``scenarios`` and the data paths such as ``lexicon``,
+``edges`` and ``gold``) is set in the file only.  ``evaluate`` runs each
+scenario listed in ``scenarios`` with its ``<scenario>.<key>`` lines
+applied; a flag wins over those too.  An unknown key or a key set twice
+is refused at ``path:line``.  Paths in a config file resolve relative to
+the file's own directory, so the bundled scenario configs work from any
+working directory.
 
 Generation draws no random number: the model's CPFs are written down in
 closed form (:func:`situnet.bln.noisy_or_cpfs`).  One master seed drives
@@ -24,8 +26,9 @@ from __future__ import annotations
 import argparse
 import difflib
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from . import bln, evaluation, netgen
 from .disambiguation import disambiguate_seeds, save_assignment
@@ -60,13 +63,10 @@ class PipelineConfig:
     gold: str = ""
     blocklist: str = ""
     environment: str = ""
-    language: str = "en"
     min_children: int = 2
     ic_threshold: float = 5.0
     alpha: float = 0.5
     root_prior: float = 0.15
-    min_doc_freq: int = 1
-    esa_weighting: str = "raw_count"
     method: str = "exact"
     samples: int = 20000
     burn_in: int = 1000
@@ -87,30 +87,29 @@ class PipelineConfig:
         if self.method not in bln.METHODS:
             raise ConfigError(f"method must be one of {', '.join(bln.METHODS)}, "
                               f"got {self.method!r}")
-        if self.esa_weighting not in ("raw_count", "tfidf"):
-            raise ConfigError(f"bad esa_weighting {self.esa_weighting!r}")
         return self
 
 
-_INT_KEYS = {"min_children", "min_doc_freq", "samples", "burn_in", "seed"}
-_FLOAT_KEYS = {"ic_threshold", "alpha", "root_prior"}
-_KNOWN_KEYS = {f.name for f in fields(PipelineConfig)}
+_TYPES = get_type_hints(PipelineConfig)  # key -> int, float or str
+_PATH_KEYS = ("lexicon", "edges", "corpus", "stopwords", "esa_corpus",
+              "seeds", "gold", "blocklist")
 # keys a scenario of ``evaluate`` can override as ``<scenario>.<key>``
 SCOPED_KEYS = ("seeds", "gold", "environment", "alpha", "root_prior",
                "min_children", "ic_threshold", "samples")
 
 
-def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
-    """Parse a key=value config file; returns the config plus raw entries.
+def load_config(path) -> tuple[PipelineConfig, dict[str, dict[str, object]]]:
+    """Parse a key=value config file into a config and per-scenario overrides.
 
-    Raw entries keep scenario-scoped keys (``recipe.seeds=...``) that the
-    flat dataclass does not model; their suffix must be in
-    :data:`SCOPED_KEYS`.  Numeric values, scoped or not, are checked here
-    and a malformed one raises :class:`ConfigError` at ``path:line``, as
-    does a key set a second time.
+    A scenario-scoped line ``recipe.seeds=...`` goes to
+    ``overrides["recipe"]["seeds"]``; its key must be in
+    :data:`SCOPED_KEYS`.  Every value, scoped or not, is converted once to
+    its field's type, and a relative path resolves against the file's
+    directory.  A malformed number raises :class:`ConfigError` at
+    ``path:line``, as do an unknown key and a key set a second time.
     """
-    config = PipelineConfig()
-    raw: dict[str, str] = {}
+    values: dict[str, object] = {}
+    overrides: dict[str, dict[str, object]] = {}
     set_on: dict[str, int] = {}  # key -> line of its setting
     base = Path(path).parent
     with open(path, encoding="utf-8") as handle:
@@ -126,54 +125,28 @@ def load_config(path) -> tuple[PipelineConfig, dict[str, str]]:
                 raise ConfigError(f"{path}:{line_no}: {key!r} is already set on line "
                                   f"{set_on[key]}")
             set_on[key] = line_no
-            raw[key] = value
-            scoped = "." in key
-            field = key.rpartition(".")[2]
+            scenario, scoped, field = key.rpartition(".")
             if scoped and field not in SCOPED_KEYS:
                 raise ConfigError(f"{path}:{line_no}: {key!r} cannot be scoped to a "
                                   f"scenario; scopable keys: {', '.join(SCOPED_KEYS)}")
-            if not scoped and key not in _KNOWN_KEYS:
+            if field not in _TYPES:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            kind = _TYPES[field]
             try:
-                converted = _convert(field, value)
+                typed = kind(value)
             except ValueError:
-                kind = "an integer" if field in _INT_KEYS else "a number"
-                raise ConfigError(f"{path}:{line_no}: {key} must be {kind}, "
+                raise ConfigError(f"{path}:{line_no}: {key} must be "
+                                  f"{'an integer' if kind is int else 'a number'}, "
                                   f"got {value!r}") from None
-            if not scoped:
-                setattr(config, key, converted)
-    _resolve_paths(config, base)
-    for key in list(raw):
-        if key.endswith((".seeds", ".gold")) and raw[key] and not raw[key].startswith("/"):
-            raw[key] = str(base / raw[key])
-    return config, raw
+            if field in _PATH_KEYS and value and not Path(value).is_absolute():
+                typed = str(base / value)
+            (overrides.setdefault(scenario, {}) if scoped else values)[field] = typed
+    return PipelineConfig(**values), overrides
 
 
-def _convert(key, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    return value
-
-
-_PATH_KEYS = ("lexicon", "edges", "corpus", "stopwords", "esa_corpus",
-              "seeds", "gold", "blocklist")
-
-
-def _resolve_paths(config, base):
-    for key in _PATH_KEYS:
-        value = getattr(config, key)
-        if value and not Path(value).is_absolute():
-            setattr(config, key, str(base / value))
-
-
-def apply_overrides(config: PipelineConfig, args) -> PipelineConfig:
-    for key in _KNOWN_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, _convert(key, str(value)) if key in _INT_KEYS | _FLOAT_KEYS else value)
-    return config
+def _flags(args) -> dict[str, object]:
+    """The config keys given as command-line flags; a flag wins over the file."""
+    return {key: value for key in _TYPES if (value := getattr(args, key, None)) is not None}
 
 
 def load_seed_words(path) -> list[str]:
@@ -215,11 +188,9 @@ def run_generation(config: PipelineConfig) -> PipelineProducts:
     lexicon = _stage("lexicon", load_lexicon, config.lexicon)
     freq = _stage("corpus", load_frequencies, Path(config.corpus))
     stopwords = _stage("stopwords", load_stopwords, Path(config.stopwords))
-    store = _stage("edges", lambda: filter_multiword(
-        load_edges(config.edges, config.language), lexicon))
+    store = _stage("edges", lambda: filter_multiword(load_edges(config.edges), lexicon))
     documents = _stage("esa", load_documents, config.esa_corpus)
-    index = _stage("esa", build_esa_index, documents, config.esa_weighting,
-                   stopwords, config.min_doc_freq)
+    index = _stage("esa", build_esa_index, documents, stopwords=stopwords)
     provider = EsaRelatedness(index)
 
     seeds = _stage("seeds", load_seed_words, config.seeds)
@@ -254,8 +225,7 @@ def run_generation(config: PipelineConfig) -> PipelineProducts:
 
 
 def cmd_generate(args) -> int:
-    config, _ = load_config(args.config)
-    apply_overrides(config, args)
+    config = replace(load_config(args.config)[0], **_flags(args))
     products = run_generation(config)
 
     out_dir = Path(args.out_dir)
@@ -274,9 +244,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    config, _ = load_config(args.config) if args.config else (PipelineConfig(), {})
-    apply_overrides(config, args)
-    config.validate()
+    config = load_config(args.config)[0] if args.config else PipelineConfig()
+    config = replace(config, **_flags(args)).validate()
     declaration, fragments = bln.read_model(args.model)
 
     evidence_items = []
@@ -352,22 +321,14 @@ def _unknown_variable(name, net):
 
 
 def cmd_evaluate(args) -> int:
-    config, raw = load_config(args.config)
-    apply_overrides(config, args)
-    config.validate()
+    config, overrides = load_config(args.config)
+    flags = _flags(args)
+    config = replace(config, **flags).validate()
 
-    scenario_names = [s.strip() for s in (config.scenarios or "").split(",") if s.strip()]
-    runs: list[tuple[str, PipelineConfig]] = []
-    if scenario_names:
-        for name in scenario_names:
-            sub = PipelineConfig(**{f.name: getattr(config, f.name)
-                                    for f in fields(PipelineConfig)})
-            for key in SCOPED_KEYS:
-                scoped = raw.get(f"{name}.{key}")
-                if scoped is not None:
-                    setattr(sub, key, _convert(key, scoped))
-            runs.append((name, sub))
-    else:
+    # a scenario's own keys win over the file's, and a flag over both
+    runs = [(name, replace(config, **{**overrides.get(name, {}), **flags}))
+            for name in map(str.strip, config.scenarios.split(",")) if name]
+    if not runs:
         runs.append((Path(config.seeds).stem or "scenario", config))
 
     reports: dict[str, evaluation.AccuracyReport] = {}

@@ -90,13 +90,11 @@ def _sparse_cosine(a, b) -> float:
     return min(1.0, dot / math.sqrt(ssq_a * ssq_b))
 
 
-def esa_relatedness(index: EsaIndex, a: str, b: str) -> float:
-    """Cosine similarity of two word vectors; 0 for unknown words."""
-    return _sparse_cosine(index.vector(normalize_lemma(a)), index.vector(normalize_lemma(b)))
-
-
 class EsaRelatedness:
     """Relatedness provider backed by an :class:`EsaIndex`.
+
+    A term scores by the cosine of its index vector; an unknown term
+    scores 0 against every term.
 
     Multiword terms (underscore compounds) that are not indexed directly
     are scored through the sum of their constituent token vectors, so

@@ -17,7 +17,7 @@ from situnet.cli import load_config, run_generation
 from situnet.disambiguation import disambiguate_seeds
 from situnet.edges import RelationType
 from situnet.lexicon import load_lexicon
-from situnet.relatedness import TableRelatedness, esa_relatedness
+from situnet.relatedness import EsaRelatedness, TableRelatedness
 
 from conftest import bundled, joint_table_oracle
 from test_bln import graph_of, random_net, random_query_evidence
@@ -178,18 +178,20 @@ def test_criterion_5_two_hop_location_pruning(scenario_products, store):
 
 
 def test_criterion_6_esa(esa_index):
-    """Cosine against a dense oracle; symmetry and self-similarity."""
+    """The pipeline's ESA provider against a dense cosine oracle; symmetry and
+    self-similarity."""
     with criterion(6, "relatedness matches dense cosine oracle"):
         from test_relatedness import dense_cosine
+        score = EsaRelatedness(esa_index).score
         rng = np.random.default_rng(606)
         words = sorted(esa_index.words())
         for _ in range(100):
             a, b = rng.choice(words, size=2)
-            ours = esa_relatedness(esa_index, a, b)
+            ours = score(a, b)
             assert abs(ours - dense_cosine(esa_index, a, b)) < 1e-9
-            assert ours == esa_relatedness(esa_index, b, a)
+            assert ours == score(b, a)
         for word in words:
-            assert esa_relatedness(esa_index, word, word) == 1.0
+            assert score(word, word) == 1.0
 
 
 def test_criterion_7_end_to_end_determinism(tmp_path):

@@ -1,5 +1,7 @@
 """Bayesian Logic Network: model building, learning, grounding, inference."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -737,6 +739,22 @@ class TestEstimates:
         for net, evidence in self.batches(23):
             assert bln.estimates(net, net.names, evidence, "exact") == \
                 {q: infer_exact(net, q, evidence) for q in net.names}
+
+    @pytest.mark.parametrize("method", bln.METHODS)
+    def test_unknown_names_raise_and_clamped_queries_are_exact(self, method):
+        net = ground(simple_declaration(), simple_fragments(), ["o1"])
+        run = dict(n_samples=200, burn_in=2, seed=3)
+        with pytest.raises(KeyError, match=re.escape("unknown query variable 'IsA(o1,z)'")):
+            bln.estimates(net, ["IsA(o1,b)", "IsA(o1,z)"], {}, method, **run)
+        with pytest.raises(KeyError,
+                           match=re.escape("unknown evidence variable 'IsA(o1,z)'")):
+            bln.estimates(net, ["IsA(o1,b)"], {"IsA(o1,z)": True}, method, **run)
+        queries = ["IsA(o1,a)", "UsedFor(o1,u)", "IsA(o1,b)"]
+        answers = bln.estimates(net, queries, {"IsA(o1,a)": True, "IsA(o1,b)": False},
+                                method, **run)
+        assert list(answers) == queries
+        assert answers["IsA(o1,a)"] == 1.0 and answers["IsA(o1,b)"] == 0.0
+        assert 0.0 < answers["UsedFor(o1,u)"] < 1.0
 
     def test_unknown_method_rejected(self):
         net = random_net(np.random.default_rng(24))

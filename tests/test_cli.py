@@ -225,7 +225,8 @@ class TestLoadConfig:
         assert code == 1
         assert err == f"error: {path}:3: cleaning.min_children must be an integer, got 'many'\n"
 
-    @pytest.mark.parametrize("line", ["n_worlds=20000", "pseudocount=1.0"])
+    @pytest.mark.parametrize("line", ["n_worlds=20000", "pseudocount=1.0", "language=en",
+                                      "min_doc_freq=1", "esa_weighting=raw_count"])
     def test_removed_sampling_keys_are_unknown(self, tmp_path, line):
         path = self.write(tmp_path, [line])
         key = line.partition("=")[0]
@@ -245,13 +246,31 @@ class TestLoadConfig:
 
     def test_scoped_keys_kept_for_unlisted_scenarios(self, tmp_path):
         path = self.write(tmp_path, ["cleaning.samples=10", "recipe.seeds=r.txt"])
-        config, raw = load_config(path)
+        config, overrides = load_config(path)
         assert config.scenarios == "cleaning"
-        assert raw["cleaning.samples"] == "10"
-        assert raw["recipe.seeds"] == str(tmp_path / "r.txt")
+        assert overrides["cleaning"]["samples"] == 10
+        assert overrides["recipe"]["seeds"] == str(tmp_path / "r.txt")
 
 
 class TestEvaluate:
+    def test_flag_wins_over_scoped_key(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "eval.cfg"
+        data = (("lexicon", "lexicon"), ("edges", "conceptnet.tsv"),
+                ("corpus", "frequencies.tsv"), ("stopwords", "stopwords.txt"),
+                ("esa_corpus", "esa_corpus.tsv"), ("cleaning.seeds", "seeds/cleaning.txt"),
+                ("cleaning.gold", "gold/cleaning.tsv"))
+        path.write_text("\n".join([*(f"{key}={bundled(name)}" for key, name in data),
+                                   "scenarios=cleaning", "cleaning.environment=house",
+                                   "cleaning.samples=300"]) + "\n", encoding="utf-8")
+        samples = []
+        run_scenario = evaluation.run_scenario
+        monkeypatch.setattr(evaluation, "run_scenario",
+                            lambda *args: samples.append(args[5]) or run_scenario(*args))
+        code, _, err = run_cli(["evaluate", "--config", str(path), "--samples", "50"],
+                               capsys)
+        assert code == 0, err
+        assert samples == [50]
+
     def test_three_bundled_scenarios(self, tmp_path, capsys):
         code, out, err = run_cli(
             ["evaluate", "--config", bundled("configs", "eval_all.cfg"),

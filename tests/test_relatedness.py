@@ -9,7 +9,6 @@ from situnet.relatedness import (
     EsaRelatedness,
     TableRelatedness,
     build_esa_index,
-    esa_relatedness,
 )
 
 
@@ -71,39 +70,38 @@ def dense_cosine(index, a, b):
 
 
 class TestRelatedness:
-    def test_self_similarity_is_one(self, esa_index):
+    def test_self_similarity_is_one(self, esa_index, provider):
         for word in esa_index.words():
-            assert esa_relatedness(esa_index, word, word) == 1.0
+            assert provider.score(word, word) == 1.0
 
     def test_disjoint_support_is_zero(self):
         index = build_esa_index([("A", "pan"), ("B", "sock")])
-        assert esa_relatedness(index, "pan", "sock") == 0.0
+        assert EsaRelatedness(index).score("pan", "sock") == 0.0
 
-    def test_unknown_word_scores_zero(self, esa_index):
-        assert esa_relatedness(esa_index, "pan", "zzz") == 0.0
+    def test_unknown_word_scores_zero(self, provider):
+        assert provider.score("pan", "zzz") == 0.0
 
-    def test_hundred_random_pairs_match_dense_oracle(self, esa_index):
+    def test_hundred_random_pairs_match_dense_oracle(self, esa_index, provider):
         rng = np.random.default_rng(6)
         words = sorted(esa_index.words())
         for _ in range(100):
             a, b = rng.choice(words, size=2)
-            assert esa_relatedness(esa_index, a, b) == pytest.approx(
-                dense_cosine(esa_index, a, b), abs=1e-9)
+            assert provider.score(a, b) == pytest.approx(dense_cosine(esa_index, a, b),
+                                                         abs=1e-9)
 
-    def test_symmetry(self, esa_index):
+    def test_symmetry(self, esa_index, provider):
         rng = np.random.default_rng(7)
         words = sorted(esa_index.words())
         for _ in range(100):
             a, b = rng.choice(words, size=2)
-            assert esa_relatedness(esa_index, a, b) == \
-                esa_relatedness(esa_index, b, a)
+            assert provider.score(a, b) == provider.score(b, a)
 
-    def test_range_zero_to_one(self, esa_index):
+    def test_range_zero_to_one(self, esa_index, provider):
         rng = np.random.default_rng(8)
         words = sorted(esa_index.words())
         for _ in range(200):
             a, b = rng.choice(words, size=2)
-            assert 0.0 <= esa_relatedness(esa_index, a, b) <= 1.0
+            assert 0.0 <= provider.score(a, b) <= 1.0
 
     def test_duplicating_corpus_preserves_scores(self, documents, stopwords):
         base = build_esa_index(documents, "raw_count", stopwords)
@@ -112,8 +110,8 @@ class TestRelatedness:
         words = sorted(base.words())
         for _ in range(100):
             a, b = rng.choice(words, size=2)
-            assert esa_relatedness(base, a, b) == pytest.approx(
-                esa_relatedness(doubled, a, b), abs=1e-12)
+            assert EsaRelatedness(base).score(a, b) == pytest.approx(
+                EsaRelatedness(doubled).score(a, b), abs=1e-12)
 
 
 class TestProviders:

@@ -12,7 +12,9 @@ byte-identical outputs.  It covers:
   refusals such as ``DenseModelError`` count), and the artifacts where
   the run wrote them;
 - ``report.txt`` and ``report.tsv`` from ``evaluate eval_all.cfg``, with
-  LW and with Gibbs at samples=2560 burn_in=5;
+  LW and with Gibbs at samples=2560 burn_in=5; and ``report.tsv`` with
+  LW where the file scopes two numbers to laundry (``laundry.samples``,
+  ``laundry.alpha``), so a scenario's typed overrides count too;
 - the ``evaluation.run_scenario`` result dicts (keys, order and float
   reprs) of every bundled scenario, restricted to the triples its gold
   file labels, with the same two method settings, with Gibbs at
@@ -59,6 +61,9 @@ SCENARIOS = ("mini", "recipe", "laundry", "cleaning")
 METHODS = {"lw": {"method": "lw"},
            "gibbs": {"method": "gibbs", "samples": "2560", "burn_in": "5"}}
 INFER_METHODS = {**METHODS, "exact": {"method": "exact"}}
+# laundry's report moves with each of the two scoped numbers, and differs
+# from the plain LW report, so a dropped or mistyped override shows
+SCOPED = {"method": "lw", "laundry.samples": "20", "laundry.alpha": "0.5"}
 # run_scenario also checks Gibbs with no burn-in and an overshooting last sweep,
 # and Gibbs on many chains
 SCENARIO_METHODS = {**METHODS,
@@ -149,6 +154,10 @@ def digests(work: Path):
         run_cli(cli.main, ["evaluate", "--config", str(config), "--out-dir", str(out_dir)])
         for report in ("report.txt", "report.tsv"):
             yield f"evaluate/{label}/{report}", sha((out_dir / report).read_bytes())
+    config = copy_config(configs / "eval_all.cfg", work / "eval_lw_scoped.cfg", SCOPED)
+    out_dir = work / "evaluate" / "lw-scoped"
+    run_cli(cli.main, ["evaluate", "--config", str(config), "--out-dir", str(out_dir)])
+    yield "evaluate/lw-scoped/report.tsv", sha((out_dir / "report.tsv").read_bytes())
 
     takes_gold = "gold" in inspect.signature(evaluation.run_scenario).parameters
     for name in SCENARIOS:
