@@ -5,10 +5,11 @@ leaky noisy-ORs of the network's relations, grounds the template for one
 object, and asks the questions a task-repair planner would ask: what is
 this object, where can I find one, what is it for.  Exact variable
 elimination, likelihood weighting, and Gibbs sampling answer the same
-query: 0.7696, 0.7670 and 0.7697.  Gibbs runs its chains on the query's
-and the evidence's ancestors alone; ``IsA(obj1,sock)`` is a root, so its
-forward-sampled start is already an exact posterior draw and none of the
-500 burn-in sweeps runs.
+query: 0.7696 all three.  The query's one parent is the evidence
+``IsA(obj1,sock)`` and nothing depends on the query, so both samplers
+answer it by its CPF row at that parent, averaged over the samples: the
+exact answer.  They draw no variable, and none of Gibbs' 500 burn-in
+sweeps runs.
 """
 
 from situnet import bln, data_path

@@ -23,12 +23,13 @@ concurrently on one network.
 
 All three methods use only the ancestral closure of the queries and
 evidence: every other variable is barren, since no answer depends on it
-(Shachter 1986; Baker & Boult 1990).  Likelihood weighting skips the
-barren variables' share of the PCG64 stream with ``advance``, so the
-drawn rows, the weights and every estimate equal those of a full pass.
-Gibbs runs its chains on the closure's :meth:`GroundNetwork.subnetwork`,
-so its chains, unlike its target posterior, depend on which queries
-share a call.
+(Shachter 1986; Baker & Boult 1990).  The samplers draw less still
+(:func:`_reduced`): a query that nothing in the closure depends on is
+answered by its CPF row averaged over its parents' sampled states, and
+an unqueried root with a single child is summed into that child's CPF.
+Both are exact, so the target posterior stays the same, but which
+variables are drawn, and so every LW and Gibbs estimate, depends on
+which queries share a call.
 
 A Gibbs sweep visits the free variables one site at a time in
 topological order, each draw a vector step over all chains.  The chains
@@ -599,9 +600,9 @@ def _query_ids(net, queries) -> list[int]:
 
 
 def _answers(queries, evidence, estimate) -> dict[str, float]:
-    """Per query, in order: 1.0 or 0.0 if the evidence clamps it, else ``estimate(i)``."""
-    return {q: (1.0 if evidence[q] else 0.0) if q in evidence else estimate(i)
-            for i, q in enumerate(queries)}
+    """Per query, in order: 1.0 or 0.0 if the evidence clamps it, else ``estimate(q)``."""
+    return {q: (1.0 if evidence[q] else 0.0) if q in evidence else estimate(q)
+            for q in queries}
 
 
 def _resolve_evidence(net, evidence):
@@ -623,6 +624,45 @@ def _ancestral_closure(net, ids) -> list[bool]:
             for p in net.parents[v]:
                 closed[p] = True
     return closed
+
+
+def _reduced(net, ids, ev) -> tuple[GroundNetwork, dict[str, tuple[list[int], np.ndarray]]]:
+    """The network the samplers draw for queries ``ids`` and resolved evidence ``ev``.
+
+    It starts from the ancestral closure of the queries and the evidence.
+    A free query with no child in the closure is a leaf: it is not drawn,
+    and the second value maps its name to its parents' ids in the result
+    and its CPF, so a sampler answers it by its CPF row averaged over the
+    sampled parent states (Rao-Blackwellisation; Casella & Robert 1996).
+    A free, unqueried root with exactly one child in the closure is summed
+    into that child's CPF, ``(1 - p) * row[r=0] + p * row[r=1]``, and
+    dropped (Bidyuk & Dechter 2007).  A leaf counts as a child, and can
+    take the sum, since its parents must stay sampled.  Roots are summed
+    in topological order, so a child left without parents is summed on in
+    turn.  The result is a :meth:`GroundNetwork.subnetwork`, whose
+    parent-closure check validates every fold.
+    """
+    closure = _ancestral_closure(net, ids + list(ev))
+    children = [[c for c in kids if closure[c]] for kids in net.children()]
+    asked = set(ids)
+    leaves = {v for v in asked if v not in ev and not children[v]}
+    parents, cpfs = list(net.parents), list(net.cpfs)
+    dropped = set(leaves)
+    for r in net.topo_order():
+        if (closure[r] and not parents[r] and r not in ev and r not in asked
+                and len(children[r]) == 1):
+            (c,) = children[r]
+            i = parents[c].index(r)
+            p = cpfs[r][0]
+            table = cpfs[c].reshape(2 ** i, 2, -1)  # axis 1 is parent i's bit
+            cpfs[c] = ((1.0 - p) * table[:, 0] + p * table[:, 1]).ravel()
+            parents[c] = parents[c][:i] + parents[c][i + 1:]
+            dropped.add(r)
+    folded = GroundNetwork(net.names, parents, cpfs, net.aux)
+    sampled = folded.subnetwork(v for v, kept in enumerate(closure)
+                                if kept and v not in dropped)
+    return sampled, {net.names[v]: ([sampled.index[net.names[p]] for p in parents[v]],
+                                    cpfs[v]) for v in leaves}
 
 
 def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
@@ -685,43 +725,27 @@ def _sum_product(factors, scope) -> np.ndarray:
     return np.einsum(*operands, [label[u] for u in scope])
 
 
-def lw_sample(net: GroundNetwork, evidence, n_samples: int, rng,
-              queries) -> tuple[np.ndarray, np.ndarray]:
-    """Likelihood-weighted samples: (n_samples, n_vars) states and weights.
+def lw_sample(net: GroundNetwork, evidence, n_samples: int,
+              rng) -> tuple[np.ndarray, np.ndarray]:
+    """Likelihood-weighted samples of every variable: (n_samples, n_vars) states and weights.
 
-    The states are a transposed view of the variable-major sampler array.
-    Only the ``queries``, the evidence and their ancestors are drawn; the
-    columns of all other variables stay ``False`` (pass every name for a
-    full pass).  The drawn columns, the weights and the generator's state
-    afterwards equal those of the full pass, which needs ``rng`` to run
-    on a PCG64 bit generator (see :func:`_forward_sample`).
+    The states are a transposed view of the variable-major sampler array
+    (see :func:`_forward_sample`).
     """
-    ev = _resolve_evidence(net, evidence)
-    drawn = _ancestral_closure(net, _query_ids(net, queries) + list(ev))
-    states, weights = _forward_sample(net, ev, n_samples, rng, drawn)
+    states, weights = _forward_sample(net, _resolve_evidence(net, evidence), n_samples, rng)
     return states.T, weights
 
 
-def _forward_sample(net, ev, n_samples, rng, drawn=None):
+def _forward_sample(net, ev, n_samples, rng):
     """Ancestral pass in topological order; clamped variables weight, free ones draw.
 
     States are variable-major, ``(n_vars, n_samples)``: row ``v`` holds
     variable ``v``, and each sample looks its CPF row up by the packed
     configuration of the parents' contiguous rows (:func:`_pack`).
-
-    ``drawn``, when given, flags the variables to sample; it must be
-    closed under parents and hold every clamped variable.  Each other
-    variable keeps an all-``False`` row, and its ``n_samples`` uniforms
-    are skipped with ``rng.bit_generator.advance``.  On PCG64 one double
-    is one 64-bit step, so every drawn row sees the uniforms of the full
-    pass and the generator ends in the same state.
     """
     states = np.zeros((len(net.names), n_samples), dtype=bool)
     weights = np.ones(n_samples)
     for v in net.topo_order():
-        if drawn is not None and not drawn[v]:
-            rng.bit_generator.advance(n_samples)
-            continue
         ps = net.parents[v]
         p_true = net.cpfs[v].take(_pack(states, ps)) if ps else net.cpfs[v][0]
         if v in ev:
@@ -748,22 +772,34 @@ def lw_estimates(net: GroundNetwork, queries, evidence=None, n_samples: int = 50
                  seed: int = 0) -> dict[str, float]:
     """Estimates for many queries from one shared weighted sample set.
 
-    Only the queries, the evidence and their ancestors are sampled; the
-    estimates equal those of a full forward pass.
+    The whole network of :func:`_reduced` is forward-sampled by
+    :func:`lw_sample`.  A drawn query's estimate is the weight of the
+    samples where it is true over the total weight; a leaf query's is its
+    CPF row at each sample's parent states, averaged with the weights as
+    ``(weights * row).sum() / total``, so a certain row gives exactly 1.0.
+    Which variables are drawn, and so each estimate, depends on the other
+    queries of the call; the estimated posterior does not.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     evidence = evidence or {}
-    ids = _query_ids(net, queries)
+    sampled, leaves = _reduced(net, _query_ids(net, queries), _resolve_evidence(net, evidence))
     rng = np.random.default_rng(seed)
-    states, weights = lw_sample(net, evidence, n_samples, rng, queries)
+    states, weights = lw_sample(sampled, evidence, n_samples, rng)
     total = weights.sum()
     if total == 0.0:
         warnings.warn("all sample weights are zero; evidence is contradictory",
                       ZeroWeightWarning, stacklevel=2)
         return {q: 0.5 for q in queries}
-    return _answers(queries, evidence,
-                    lambda i: float(np.compress(states[:, ids[i]], weights).sum() / total))
+    rows = states.T  # variable-major
+
+    def estimate(q):
+        if q in leaves:
+            ps, cpf = leaves[q]
+            return float((weights * cpf.take(_pack(rows, ps))).sum() / total)
+        return float(np.compress(rows[sampled.index[q]], weights).sum() / total)
+
+    return _answers(queries, evidence, estimate)
 
 
 def infer_gibbs(net: GroundNetwork, query: str, evidence=None, burn_in: int = 1000,
@@ -773,12 +809,12 @@ def infer_gibbs(net: GroundNetwork, query: str, evidence=None, burn_in: int = 10
     ``n_samples`` counts collected states across all chains; each chain
     runs up to ``burn_in`` warm-up sweeps first, and none when every
     evidence variable's parents are evidence too (see
-    :func:`gibbs_estimates`).  The chains run on the query,
-    the evidence and their ancestors alone, so the estimate can differ
-    from that of the same query in a larger :func:`gibbs_estimates`
-    call.  Unclamped variables among them must have strictly
-    non-deterministic CPF rows (otherwise the chain cannot leave
-    absorbing states and an :class:`ErgodicityError` is raised).
+    :func:`gibbs_estimates`).  The chains run on the network reduced for
+    this query and evidence (:func:`_reduced`), so the estimate can
+    differ from that of the same query in a larger
+    :func:`gibbs_estimates` call.  The variables the chains draw must
+    have strictly non-deterministic CPF rows (otherwise the chain cannot
+    leave absorbing states and an :class:`ErgodicityError` is raised).
     """
     return gibbs_estimates(net, [query], evidence, burn_in, n_samples, seed,
                            n_chains)[query]
@@ -789,23 +825,26 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
                     n_chains: int = 512) -> dict[str, float]:
     """Single-site Gibbs estimates for many queries from one chain set.
 
-    The chains run on the :meth:`GroundNetwork.subnetwork` of the
-    queries, the evidence and their ancestors; every other variable is
-    barren.  The initial sample, the sites, the uniforms and the kept
-    sweeps described below are all that subnetwork's.  So the
-    target posterior does not depend on the other queries of the call,
-    but the chains, and each estimate, do: a query asked alone can get
-    another estimate than in a batch whose closure is larger.  Only a
-    deterministic free variable inside the closure raises
-    :class:`ErgodicityError`.
+    The chains run on the network of :func:`_reduced`: the queries, the
+    evidence and their ancestors, less the leaf queries and the
+    single-child roots summed into their child.  The initial sample, the
+    sites, the uniforms and the kept sweeps described below are all that
+    network's.  A leaf query's estimate is its CPF row at the chains'
+    parent states, summed over the kept sweeps and divided by the number
+    of kept states.  So the target posterior does not depend on the other
+    queries of the call, but the chains, and each estimate, do: a query
+    asked alone can get another estimate than in a larger batch.  Only a
+    deterministic CPF row of a variable the chains draw, as summed,
+    raises :class:`ErgodicityError`.
 
     Every chain starts from an ancestral forward sample with the evidence
     clamped and runs ``burn_in`` warm-up sweeps over the free variables in
     topological order; then ``ceil(n_samples / n_chains)`` further sweeps
     are kept, so kept sweeps are counted per chain and at least
     ``n_samples`` states are collected.  ``burn_in`` is a cap: when every
-    evidence variable's parents are evidence too (root evidence is the
-    common case), the evidence's CPF entries are constants, so the
+    evidence variable's parents in the reduced network are evidence too
+    (root evidence is the common case, and a single-child root parent is
+    summed into its child), the evidence's CPF entries are constants, so the
     forward sample is an exact draw from P(free | evidence) (Henrion 1988)
     and the chains run no warm-up sweep at all.  Evidence with a free
     parent runs all ``burn_in`` sweeps.
@@ -825,17 +864,13 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     evidence = evidence or {}
-    ids = _query_ids(net, queries)
+    net, leaves = _reduced(net, _query_ids(net, queries), _resolve_evidence(net, evidence))
     ev = _resolve_evidence(net, evidence)
-    closure = _ancestral_closure(net, ids + list(ev))
     for v, deterministic in enumerate(net.deterministic()):
-        if deterministic and closure[v] and v not in ev:
+        if deterministic and v not in ev:
             raise ErgodicityError(
                 f"variable {net.names[v]} has a deterministic CPF row and is not "
                 "clamped by evidence; use infer_lw instead")
-    # every other variable is barren: the chains run on the closure alone
-    net = net.subnetwork(v for v, kept in enumerate(closure) if kept)
-    ev = _resolve_evidence(net, evidence)
     if all(p in ev for v in ev for p in net.parents[v]):
         burn_in = 0  # the ancestral start is already an exact posterior draw
 
@@ -859,8 +894,10 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     ]
 
     per_chain = -(-n_samples // n_chains)  # ceil
-    asked = np.array([net.index[q] for q in queries], dtype=np.intp)
+    drawn = [q for q in queries if q in net.index]
+    asked = np.array([net.index[q] for q in drawn], dtype=np.intp)
     collected = np.zeros(len(asked), dtype=np.int64)
+    expected = dict.fromkeys(leaves, 0.0)  # per leaf query, its summed CPF rows
     count = 0
     half = np.full(n_chains, 0.5)  # P(true) where both states have weight zero
 
@@ -885,10 +922,15 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
                 keys[c] = np.where(draw, c_high, c_low)
         if sweep >= burn_in:
             collected += (keys[asked] & 1).sum(axis=1)
+            if leaves:
+                state = (keys & 1).astype(bool)
+                for q, (ps, cpf) in leaves.items():
+                    expected[q] += cpf.take(_pack(state, ps)).sum()
             count += n_chains
 
-    hits = collected.tolist()
-    return _answers(queries, evidence, lambda i: hits[i] / count)
+    hits = dict(zip(drawn, collected.tolist()))
+    return _answers(queries, evidence,
+                    lambda q: float(expected[q] / count) if q in leaves else hits[q] / count)
 
 
 def estimates(net: GroundNetwork, queries, evidence=None, method: str = "lw",

@@ -32,8 +32,14 @@ from typing import get_type_hints
 
 from . import bln, evaluation, netgen
 from .disambiguation import disambiguate_seeds, save_assignment
-from .edges import filter_multiword, load_edges
-from .lexicon import load_frequencies, load_lexicon, load_stopwords
+from .edges import EdgeStore, filter_multiword, load_edges
+from .lexicon import (
+    CorpusFrequencies,
+    LexiconIndex,
+    load_frequencies,
+    load_lexicon,
+    load_stopwords,
+)
 from .relatedness import EsaRelatedness, build_esa_index, load_documents
 
 INFER_SEED_OFFSET = 2
@@ -182,33 +188,52 @@ class PipelineProducts:
     dropped_edges: int
 
 
-def run_generation(config: PipelineConfig) -> PipelineProducts:
-    """The full generation pipeline, in memory."""
-    config.validate()
+@dataclass
+class _Inputs:
+    """The loaded data files, none of which a scenario can override."""
+
+    lexicon: LexiconIndex
+    freq: CorpusFrequencies
+    stopwords: frozenset[str]
+    store: EdgeStore
+    provider: EsaRelatedness
+    blocklist: frozenset[str]
+
+
+def _load_inputs(config: PipelineConfig) -> _Inputs:
     lexicon = _stage("lexicon", load_lexicon, config.lexicon)
     freq = _stage("corpus", load_frequencies, Path(config.corpus))
     stopwords = _stage("stopwords", load_stopwords, Path(config.stopwords))
     store = _stage("edges", lambda: filter_multiword(load_edges(config.edges), lexicon))
     documents = _stage("esa", load_documents, config.esa_corpus)
     index = _stage("esa", build_esa_index, documents, stopwords=stopwords)
-    provider = EsaRelatedness(index)
+    blocklist = netgen.DEFAULT_BLOCKLIST
+    if config.blocklist:
+        blocklist = frozenset(load_stopwords(Path(config.blocklist)))
+    return _Inputs(lexicon, freq, stopwords, store, EsaRelatedness(index), blocklist)
 
+
+def run_generation(config: PipelineConfig) -> PipelineProducts:
+    """The full generation pipeline, in memory."""
+    config.validate()
+    return _generate(config, _load_inputs(config))
+
+
+def _generate(config: PipelineConfig, inputs: _Inputs) -> PipelineProducts:
+    """The pipeline from the seed words on, over data files already loaded."""
+    lexicon, provider = inputs.lexicon, inputs.provider
     seeds = _stage("seeds", load_seed_words, config.seeds)
     if not seeds:
         raise ConfigError(f"seeds file {config.seeds} is empty")
 
-    blocklist = netgen.DEFAULT_BLOCKLIST
-    if config.blocklist:
-        blocklist = frozenset(load_stopwords(Path(config.blocklist)))
-
     assignment = _stage("disambiguation", disambiguate_seeds, seeds, lexicon)
     graph = _stage("isa", netgen.add_isa_paths, assignment, lexicon)
-    graph = _stage("compress", netgen.compress, graph, freq, config.min_children,
-                   config.ic_threshold, blocklist)
-    graph = _stage("relations", netgen.attach_relations, graph, store, lexicon,
-                   provider, assignment, stopwords)
+    graph = _stage("compress", netgen.compress, graph, inputs.freq, config.min_children,
+                   config.ic_threshold, inputs.blocklist)
+    graph = _stage("relations", netgen.attach_relations, graph, inputs.store, lexicon,
+                   provider, assignment, inputs.stopwords)
     dropped = getattr(graph, "dropped_edges", 0)
-    graph = _stage("locations", netgen.attach_locations_two_hop, graph, store,
+    graph = _stage("locations", netgen.attach_locations_two_hop, graph, inputs.store,
                    config.environment)
     _stage("validate", netgen.validate_graph, graph)
     declaration, fragments = _stage("model", bln.model_from_graph, graph)
@@ -331,12 +356,14 @@ def cmd_evaluate(args) -> int:
     if not runs:
         runs.append((Path(config.seeds).stem or "scenario", config))
 
+    # no data path can be scoped, so every scenario shares one load of the data
+    inputs = _load_inputs(config)
     reports: dict[str, evaluation.AccuracyReport] = {}
     for name, sub in runs:
         if not sub.gold:
             raise ConfigError(f"scenario {name!r} has no gold file configured")
         gold = evaluation.load_gold(sub.gold)
-        products = run_generation(sub)
+        products = _generate(sub.validate(), inputs)
         results = _stage("scenario", evaluation.run_scenario, products.declaration,
                          products.fragments, list(products.assignment.choices), gold,
                          sub.method, sub.samples, sub.burn_in,

@@ -2,8 +2,8 @@
 
 Also the reference oracles that tests compare against: a 2^n joint
 table, and the sample-major forward pass and per-site Gibbs sweep that
-the library's samplers must reproduce value for value (Gibbs on the
-ancestral closure of its queries and evidence); and, for
+the library's samplers must reproduce value for value, both on the
+reduced network of :func:`reduced_oracle`; and, for
 generation, the cubic seed-tree growth, the per-cell leaky noisy-OR
 tables, the sample-major evidence simulation and the per-row CPF
 learning that the library must reproduce byte for byte.
@@ -22,6 +22,7 @@ from situnet.bln import (
     LEAK,
     AbstractVar,
     EvidenceSet,
+    GroundNetwork,
     _graph_topo_order,
     ground,
     variable_for_node,
@@ -156,29 +157,92 @@ def _clamped(net, evidence):
     return {net.index[name]: bool(value) for name, value in evidence.items()}
 
 
+def ancestral_closure(net, names):
+    """Indices of ``names`` and of all their ancestors."""
+    closed, stack = set(), [net.index[name] for name in names]
+    while stack:
+        v = stack.pop()
+        if v not in closed:
+            closed.add(v)
+            stack.extend(net.parents[v])
+    return closed
+
+
+def reduced_oracle(net, queries, evidence):
+    """The network both samplers draw, by name lookups and a row-by-row fold.
+
+    From the ancestral closure of the queries and the evidence, drop each
+    free query with no child in the closure (a leaf), and sum each free,
+    unqueried root with one child in the closure into that child, in
+    topological order.  Returns the reduced network and, per leaf query,
+    its parents' indices in it and its (possibly summed) CPF.
+    """
+    keep = ancestral_closure(net, [*queries, *evidence])
+    kids = {v: [c for c in sorted(keep) if v in net.parents[c]] for v in keep}
+    leaves = {q for q in queries if q not in evidence and not kids[net.index[q]]}
+    parents = {v: [net.names[p] for p in net.parents[v]] for v in keep}
+    cpfs = {v: net.cpfs[v] for v in keep}
+    for r in net.topo_order():
+        name = net.names[r]
+        if (r in keep and not parents[r] and name not in evidence and name not in queries
+                and len(kids[r]) == 1):
+            (c,) = kids[r]
+            shift = len(parents[c]) - 1 - parents[c].index(name)  # r's bit in c's rows
+            p = cpfs[r][0]
+            folded = np.empty(len(cpfs[c]) // 2)
+            for row in range(len(folded)):
+                low = ((row >> shift) << (shift + 1)) | (row & ((1 << shift) - 1))
+                folded[row] = (1.0 - p) * cpfs[c][low] + p * cpfs[c][low | (1 << shift)]
+            cpfs[c] = folded
+            parents[c].remove(name)
+            keep.remove(r)
+    kept = sorted(keep - {net.index[q] for q in leaves})
+    at = {net.names[v]: i for i, v in enumerate(kept)}
+    sub = GroundNetwork(names=list(at), parents=[[at[n] for n in parents[v]] for v in kept],
+                        cpfs=[cpfs[v] for v in kept], aux=[a for a in net.aux if a in at])
+    return sub, {q: ([at[n] for n in parents[net.index[q]]], cpfs[net.index[q]])
+                 for q in leaves}
+
+
+def _config(states, ps):
+    """Per sample-major row, the CPF row index of the parent columns ``ps``."""
+    return states[:, ps].astype(int) @ (1 << np.arange(len(ps) - 1, -1, -1))
+
+
 def lw_estimates_oracle(net, queries, evidence, n_samples, seed):
-    """Likelihood weighting over :func:`forward_sample_oracle`."""
-    ev = _clamped(net, evidence)
-    states, weights = forward_sample_oracle(net, ev, n_samples, np.random.default_rng(seed))
+    """Likelihood weighting over :func:`forward_sample_oracle` on :func:`reduced_oracle`.
+
+    A leaf query's estimate is its CPF row at each sample's parents,
+    weighted: ``(weights * rows).sum() / total``.
+    """
+    sub, leaves = reduced_oracle(net, queries, evidence)
+    ev = _clamped(sub, evidence)
+    states, weights = forward_sample_oracle(sub, ev, n_samples, np.random.default_rng(seed))
     total = weights.sum()
     out = {}
     for q in queries:
-        v = net.index[q]
         if total == 0.0:
             out[q] = 0.5
-        elif v in ev:
-            out[q] = 1.0 if ev[v] else 0.0
+        elif q in evidence:
+            out[q] = 1.0 if evidence[q] else 0.0
+        elif q in leaves:
+            ps, cpf = leaves[q]
+            out[q] = float((weights * cpf[_config(states, ps)]).sum() / total)
         else:
-            out[q] = float(weights[states[:, v]].sum() / total)
+            out[q] = float(weights[states[:, sub.index[q]]].sum() / total)
     return out
 
 
 def gibbs_estimates_oracle(net, queries, evidence, burn_in, n_samples, seed, n_chains):
-    """Per-site Gibbs sweep that re-encodes every parent configuration.
+    """Per-site Gibbs sweep on :func:`reduced_oracle` that re-encodes every
+    parent configuration.
 
     No warm-up when every clamped variable's parents are clamped: the
-    forward sample is then already an exact posterior draw.
+    forward sample is then already an exact posterior draw.  A leaf
+    query's estimate is its CPF row at the chains' parent states, summed
+    per kept sweep and divided by the number of kept states.
     """
+    net, leaves = reduced_oracle(net, queries, evidence)
     ev = _clamped(net, evidence)
     if all(set(net.parents[v]) <= ev.keys() for v in ev):
         burn_in = 0
@@ -197,7 +261,8 @@ def gibbs_estimates_oracle(net, queries, evidence, burn_in, n_samples, seed, n_c
         for v in range(len(net.names))
     }
     per_chain = -(-n_samples // n_chains)
-    collected = {net.index[q]: 0 for q in queries}
+    collected = {net.index[q]: 0 for q in queries if q not in leaves}
+    expected = {q: 0.0 for q in leaves}
     count = 0
     for sweep in range(burn_in + per_chain):
         for v in free_order:
@@ -223,33 +288,18 @@ def gibbs_estimates_oracle(net, queries, evidence, burn_in, n_samples, seed, n_c
         if sweep >= burn_in:
             for v in collected:
                 collected[v] += int(states[:, v].sum())
+            for q, (ps, cpf) in leaves.items():
+                expected[q] += cpf[_config(states, ps)].sum()
             count += n_chains
     out = {}
     for q in queries:
-        v = net.index[q]
-        if v in ev:
-            out[q] = 1.0 if ev[v] else 0.0
+        if q in evidence:
+            out[q] = 1.0 if evidence[q] else 0.0
+        elif q in leaves:
+            out[q] = float(expected[q] / count)
         else:
-            out[q] = collected[v] / count
+            out[q] = collected[net.index[q]] / count
     return out
-
-
-def ancestral_closure(net, names):
-    """Indices of ``names`` and of all their ancestors."""
-    closed, stack = set(), [net.index[name] for name in names]
-    while stack:
-        v = stack.pop()
-        if v not in closed:
-            closed.add(v)
-            stack.extend(net.parents[v])
-    return closed
-
-
-def gibbs_closure_oracle(net, queries, evidence, burn_in, n_samples, seed, n_chains):
-    """:func:`gibbs_estimates_oracle` on the subnetwork of the queries, the evidence
-    and their ancestors, where the library's Gibbs chains run."""
-    sub = net.subnetwork(ancestral_closure(net, [*queries, *evidence]))
-    return gibbs_estimates_oracle(sub, queries, evidence, burn_in, n_samples, seed, n_chains)
 
 
 def disambiguate_seeds_oracle(seeds, lexicon):

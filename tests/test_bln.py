@@ -41,12 +41,13 @@ from situnet.relatedness import ConstantRelatedness, TableRelatedness
 
 from conftest import (
     ancestral_closure,
-    gibbs_closure_oracle,
+    forward_sample_oracle,
     gibbs_estimates_oracle,
     joint_table_oracle,
     learn_cpfs_oracle,
     lw_estimates_oracle,
     noisy_or_cpfs_oracle,
+    reduced_oracle,
     simulate_evidence_oracle,
 )
 
@@ -671,12 +672,11 @@ class TestInferGibbs:
         fragments[2] = Fragment(var("UsedFor(x,u)"), [var("IsA(x,a)"), var("IsA(x,b)")],
                                 np.array([0.0, 0.5, 0.4, 1.0]))
         net = ground(decl, fragments, ["o1"])
-        # UsedFor(o1,u) is no ancestor of IsA(o1,b), so its chain never visits it
-        estimate = infer_gibbs(net, "IsA(o1,b)", {}, burn_in=200, n_samples=20_000, seed=18)
-        assert estimate == pytest.approx(infer_exact(net, "IsA(o1,b)", {}), abs=0.02)
-        with pytest.raises(ErgodicityError, match=r"^variable UsedFor\(o1,u\) has a deterministic"):
-            bln.gibbs_estimates(net, ["IsA(o1,b)", "UsedFor(o1,u)"], {}, burn_in=2,
-                                n_samples=10)
+        # UsedFor(o1,u) is a leaf query: the chains never draw it, they average its row
+        queries = ["IsA(o1,b)", "UsedFor(o1,u)"]
+        batch = bln.gibbs_estimates(net, queries, {}, burn_in=200, n_samples=20_000, seed=18)
+        for q in queries:
+            assert batch[q] == pytest.approx(infer_exact(net, q, {}), abs=0.02)
 
     def test_clamped_deterministic_row_allowed(self):
         decl, fragments = simple_declaration(), simple_fragments()
@@ -698,8 +698,8 @@ class TestInferGibbs:
 
 
 class TestEstimates:
-    """``estimates`` answers a query batch exactly as per-query calls do (LW, exact),
-    or as the Gibbs oracle on the batch's ancestral closure does."""
+    """``estimates`` answers a query batch exactly as per-query calls do (exact), or
+    as the sampler oracles on the batch's reduced network do (LW, Gibbs)."""
 
     def batches(self, seed):
         rng = np.random.default_rng(seed)
@@ -709,14 +709,18 @@ class TestEstimates:
             yield net, evidence
 
     def test_lw_equals_per_query_infer_lw(self):
+        # which variables are drawn depends on the batch, so a query asked
+        # alone is compared with the oracle on that query alone
         for net, evidence in self.batches(21):
             batch = bln.estimates(net, net.names, evidence, "lw", n_samples=3000, seed=5)
-            assert batch == {q: infer_lw(net, q, evidence, n_samples=3000, seed=5)
-                             for q in net.names}
+            assert batch == lw_estimates_oracle(net, net.names, evidence, 3000, 5)
+            for q in net.names:
+                assert infer_lw(net, q, evidence, n_samples=3000, seed=5) == \
+                    lw_estimates_oracle(net, [q], evidence, 3000, 5)[q]
 
     def test_gibbs_equals_oracle_on_the_ancestral_closure(self):
-        # the chains run on the closure of the queries and the evidence, so
-        # a query asked alone can get another estimate than in a larger batch
+        # the chains run on the reduced closure of the queries and the evidence,
+        # so a query asked alone can get another estimate than in a larger batch
         rng = np.random.default_rng(25)
         run = dict(burn_in=20, n_samples=1000, seed=6, n_chains=64)
         pruned_any = False
@@ -725,14 +729,13 @@ class TestEstimates:
             closure = ancestral_closure(net, [*queries, *evidence])
             pruned_any |= len(closure) < len(net)
             batch = bln.estimates(net, queries, evidence, "gibbs", **run)
-            assert batch == gibbs_closure_oracle(net, queries, evidence, 20, 1000, 6, 64)
+            assert batch == gibbs_estimates_oracle(net, queries, evidence, 20, 1000, 6, 64)
             for q in queries:
                 assert infer_gibbs(net, q, evidence, **run) == \
-                    gibbs_closure_oracle(net, [q], evidence, 20, 1000, 6, 64)[q]
-            # asking for the rest of the closure too leaves every estimate as it is
-            wider = bln.estimates(net, [net.names[v] for v in sorted(closure)], evidence,
-                                  "gibbs", **run)
-            assert {q: wider[q] for q in queries} == batch
+                    gibbs_estimates_oracle(net, [q], evidence, 20, 1000, 6, 64)[q]
+            wider = [net.names[v] for v in sorted(closure)]
+            assert bln.estimates(net, wider, evidence, "gibbs", **run) == \
+                gibbs_estimates_oracle(net, wider, evidence, 20, 1000, 6, 64)
         assert pruned_any
 
     def test_exact_equals_per_query_infer_exact(self):
@@ -755,6 +758,16 @@ class TestEstimates:
         assert list(answers) == queries
         assert answers["IsA(o1,a)"] == 1.0 and answers["IsA(o1,b)"] == 0.0
         assert 0.0 < answers["UsedFor(o1,u)"] < 1.0
+
+    @pytest.mark.parametrize("method", ["lw", "gibbs"])
+    def test_query_named_twice(self, method):
+        # UsedFor(o1,u) is a leaf query, answered by its averaged row
+        net = ground(simple_declaration(), simple_fragments(), ["o1"])
+        run = dict(n_samples=500, burn_in=2, seed=3)
+        once = bln.estimates(net, ["IsA(o1,b)", "UsedFor(o1,u)"], {}, method, **run)
+        twice = bln.estimates(net, ["UsedFor(o1,u)", "IsA(o1,b)", "UsedFor(o1,u)"], {},
+                              method, **run)
+        assert twice == once
 
     def test_unknown_method_rejected(self):
         net = random_net(np.random.default_rng(24))
@@ -845,7 +858,8 @@ class TestSamplerOracle:
 
         monkeypatch.setattr(bln, "lw_sample", spy)
         bln.lw_estimates(net, net.names, evidence, n_samples=777, seed=1)
-        assert shapes == [((777, len(net)), (777,))]
+        sampled, _ = reduced_oracle(net, net.names, evidence)
+        assert shapes == [((777, len(sampled)), (777,))]
 
 
 class TestGibbsSweep:
@@ -910,7 +924,9 @@ class TestBurnIn:
 
 
 class TestPrunedLw:
-    """LW that draws only queries, evidence and ancestors equals the full pass."""
+    """LW equals the oracle's full sample-major pass over the reduced network:
+    the closure of the queries and the evidence, less the leaf queries and the
+    single-child roots summed into their child."""
 
     def cases(self, seed):
         rng = np.random.default_rng(seed)
@@ -928,11 +944,10 @@ class TestPrunedLw:
         net = ground(products.declaration, products.fragments, [OBJECT])
         for seed, word in enumerate(products.assignment.choices):
             evidence = {f"IsA({OBJECT},{word})": True}
-            full = lw_estimates_oracle(net, net.names, evidence, 600, seed)
             for family in bln.SIGNATURES:
                 queries = [q for q in net.names if q.startswith(f"{family}({OBJECT},")]
                 assert bln.lw_estimates(net, queries, evidence, n_samples=600, seed=seed) == \
-                    {q: full[q] for q in queries}, (word, family)
+                    lw_estimates_oracle(net, queries, evidence, 600, seed), (word, family)
 
     def test_query_subsets_equal_full_pass(self):
         # sampler_net clamps a constraint auxiliary and a non-root child
@@ -950,22 +965,16 @@ class TestPrunedLw:
         assert ours == lw_estimates_oracle(net, queries, evidence, 500, 2) == \
             {q: 0.5 for q in queries}
 
-    def test_sample_draws_closure_and_skips_the_stream(self):
-        pruned_any = False
-        for net, evidence, queries in self.cases(43):
-            full_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-            full_states, full_weights = bln.lw_sample(net, evidence, 900, full_rng,
-                                                       net.names)
-            states, weights = bln.lw_sample(net, evidence, 900, rng, queries)
-            drawn = sorted(ancestral_closure(net, [*queries, *evidence]))
-            skipped = sorted(set(range(len(net))) - set(drawn))
-            pruned_any |= bool(skipped)
-            assert states.shape == full_states.shape
-            assert np.array_equal(states[:, drawn], full_states[:, drawn])
-            assert not states[:, skipped].any()
-            assert np.array_equal(weights, full_weights)
-            assert np.array_equal(rng.random(16), full_rng.random(16))
-        assert pruned_any
+    def test_sample_draws_every_variable(self):
+        for net, evidence, _ in self.cases(43):
+            oracle_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+            expected_states, expected_weights = forward_sample_oracle(
+                net, {net.index[name]: value for name, value in evidence.items()}, 900,
+                oracle_rng)
+            states, weights = bln.lw_sample(net, evidence, 900, rng)
+            assert np.array_equal(states, expected_states)
+            assert np.array_equal(weights, expected_weights)
+            assert np.array_equal(rng.random(16), oracle_rng.random(16))
 
     @settings(max_examples=60)
     @given(net_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
@@ -978,6 +987,50 @@ class TestPrunedLw:
         seed = data.draw(st.integers(0, 1000))
         assert bln.lw_estimates(net, queries, evidence, n_samples=257, seed=seed) == \
             lw_estimates_oracle(net, queries, evidence, 257, seed)
+
+
+class TestReducedNetwork:
+    """The network the samplers draw implies the exact answers, and is small."""
+
+    @settings(max_examples=40)
+    @given(net_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_implied_answers_equal_exact(self, net_seed, data):
+        rng = np.random.default_rng(net_seed)
+        if data.draw(st.booleans(), label="sampler_net"):
+            net, evidence = sampler_net(rng)
+        else:
+            net, evidence = random_net(rng), {}
+        queries = data.draw(st.lists(st.sampled_from(net.names), min_size=1, max_size=6),
+                            label="queries")
+        sampled, leaves = bln._reduced(net, [net.index[q] for q in queries],
+                                       {net.index[name]: v for name, v in evidence.items()})
+        # each leaf query rejoins the sampled network as a child of its parents there
+        implied = GroundNetwork(names=[*sampled.names, *leaves],
+                                parents=[*sampled.parents, *(ps for ps, _ in leaves.values())],
+                                cpfs=[*sampled.cpfs, *(cpf for _, cpf in leaves.values())])
+        assert set(queries) <= set(implied.names)
+        for name in implied.names:
+            assert infer_exact(implied, name, evidence) == \
+                pytest.approx(infer_exact(net, name, evidence), abs=1e-12), name
+
+    @pytest.mark.parametrize("name", ["mini", "recipe", "laundry", "cleaning"])
+    def test_samplers_draw_at_most_half_the_closure(self, scenario_products, name):
+        # per seed, the batch run_scenario asks: that seed's gold-labelled variables
+        config, products = scenario_products[name]
+        gold = load_gold(config.gold)
+        net = ground(products.declaration, products.fragments, [OBJECT])
+        closure_free = sampled_free = 0
+        for word in products.assignment.choices:
+            ids = [v for v, q in enumerate(net.names)
+                   if (word, RelationType(var(q).predicate), var(q).args[1])
+                   in gold.relation_labels]
+            if ids:
+                ev = {net.index[f"IsA({OBJECT},{word})"]: True}
+                closure_free += len(ancestral_closure(net, [net.names[v] for v in ids])
+                                    | set(ev)) - 1
+                sampled_free += len(bln._reduced(net, ids, ev)[0]) - 1
+        assert closure_free > 0
+        assert sampled_free <= closure_free / 2
 
 
 class TestPack:

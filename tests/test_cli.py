@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from situnet import evaluation, netgen
+from situnet import cli, evaluation, netgen
 from situnet.bln import ground, read_model
 from situnet.cli import (
     INFER_SEED_OFFSET,
@@ -15,7 +15,7 @@ from situnet.cli import (
     run_generation,
 )
 
-from conftest import bundled, gibbs_closure_oracle
+from conftest import bundled, gibbs_estimates_oracle, lw_estimates_oracle
 
 
 def run_cli(args, capsys):
@@ -182,14 +182,15 @@ class TestInfer:
             separate += out.splitlines()
         code, out, err = run_cli(args + patterns[0] + patterns[1], capsys)
         assert code == 0, err
-        if method == "gibbs":
-            # the chains run on the closure of every query of the run, with the
-            # default burn-in and chain count
+        if method != "exact":
+            # the samplers draw the network reduced for every query of the run,
+            # Gibbs with the default burn-in and chain count
             net = ground(*read_model(mini_model), ["obj1"])
             queries = [line.split("\t")[1] for line in separate]
-            joint = gibbs_closure_oracle(net, queries, {"IsA(obj1,stove)": True},
-                                         PipelineConfig().burn_in, 2000,
-                                         6 + INFER_SEED_OFFSET, 512)
+            evidence, seed = {"IsA(obj1,stove)": True}, 6 + INFER_SEED_OFFSET
+            joint = (lw_estimates_oracle(net, queries, evidence, 2000, seed) if method == "lw"
+                     else gibbs_estimates_oracle(net, queries, evidence,
+                                                 PipelineConfig().burn_in, 2000, seed, 512))
             separate = [f"{prob:.6f}\t{name}" for name, prob in joint.items()]
         ranked = sorted(separate, key=lambda line: (-float(line.split("\t")[0]),
                                                     line.split("\t")[1]))
@@ -285,6 +286,27 @@ class TestEvaluate:
         assert (tmp_path / "report.txt").exists()
         machine = (tmp_path / "report.tsv").read_text(encoding="utf-8")
         assert len(machine.strip().splitlines()) == 15
+
+    def test_data_files_loaded_once_for_all_scenarios(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for loader in ("load_lexicon", "load_frequencies", "load_stopwords", "load_edges",
+                       "load_documents", "build_esa_index"):
+            real = getattr(cli, loader)
+            monkeypatch.setattr(cli, loader, lambda *args, real=real, loader=loader, **kw:
+                                calls.append(loader) or real(*args, **kw))
+        code, _, err = run_cli(["evaluate", "--config", bundled("configs", "eval_all.cfg"),
+                                "--out-dir", str(tmp_path / "all")], capsys)
+        assert code == 0, err
+        assert sorted(calls) == ["build_esa_index", "load_documents", "load_edges",
+                                 "load_frequencies", "load_lexicon", "load_stopwords"]
+        # each scenario on its own config loads its own data
+        single = b""
+        for name in ("recipe", "laundry", "cleaning"):
+            code, _, err = run_cli(["evaluate", "--config", bundled("configs", f"{name}.cfg"),
+                                    "--out-dir", str(tmp_path / name)], capsys)
+            assert code == 0, err
+            single += (tmp_path / name / "report.tsv").read_bytes()
+        assert (tmp_path / "all" / "report.tsv").read_bytes() == single
 
     def test_single_scenario_single_row(self, tmp_path, capsys):
         code, out, _ = run_cli(
