@@ -3,7 +3,10 @@
 Builds the laundry scenario, whose conditional probability functions are
 leaky noisy-ORs of the network's relations, grounds the template for one
 object, and asks the questions a task-repair planner would ask: what is
-this object, where can I find one, what is it for.  Exact variable
+this object, where can I find one, what is it for.  Likelihood weighting
+counts how many of its 30 000 samples fall into each configuration of
+the variables it draws, a few hundred here, rather than drawing one
+state per sample.  Exact variable
 elimination, likelihood weighting, and Gibbs sampling answer the same
 query: 0.7696 all three.  The query's one parent is the evidence
 ``IsA(obj1,sock)`` and nothing depends on the query, so both samplers

@@ -31,6 +31,14 @@ Both are exact, so the target posterior stays the same, but which
 variables are drawn, and so every LW and Gibbs estimate, depends on
 which queries share a call.
 
+Likelihood weighting (Fung & Chang 1990) draws the counts of distinct
+configurations, not one state per sample: one ancestral pass splits each
+configuration's count by a binomial draw at every free variable, so the
+counts are multinomial (Davis 1993), and weights each by the evidence.
+Its cost follows the configurations, a few dozen on a typical query
+batch, until they average too few samples each and the rest of the pass
+draws one uniform per sample (:func:`lw_sample`).
+
 A Gibbs sweep visits the free variables one site at a time in
 topological order, each draw a vector step over all chains.  The chains
 start from a forward sample with the evidence clamped.  When every
@@ -52,6 +60,9 @@ from .netgen import ConceptGraph
 MAX_PARENTS = 16  # full-table CPF guard: 2^16 rows, the widest uint16 key of _pack
 LEAK = 1e-3  # P(true) of a noisy-OR node whose sources are all false
 METHODS = ("exact", "lw", "gibbs")  # inference methods accepted by estimates()
+# LW splits configurations by binomial draws while they hold at least this many
+# samples on average: one binomial draw costs about as much as 35 uniforms
+_MIN_MEAN_COUNT = 32
 
 TYPES = ("object", "concept", "property", "location", "affordance")
 
@@ -456,6 +467,7 @@ class GroundNetwork:
     def __post_init__(self):
         self.index = {name: i for i, name in enumerate(self.names)}
         self._topo: list[int] | None = None
+        self._rank: list[int] | None = None
         self._children: list[list[int]] | None = None
         self._deterministic: list[bool] | None = None
 
@@ -469,6 +481,14 @@ class GroundNetwork:
             except CycleError as error:
                 raise GroundingCycleError([self.names[v] for v in error.cycle]) from None
         return self._topo
+
+    def topo_rank(self) -> list[int]:
+        """Per variable, its position in :meth:`topo_order`."""
+        if self._rank is None:
+            self._rank = [0] * len(self.names)
+            for position, v in enumerate(self.topo_order()):
+                self._rank[v] = position
+        return self._rank
 
     def children(self) -> list[list[int]]:
         if self._children is None:
@@ -511,19 +531,25 @@ class GroundNetwork:
             components.append(sorted(group))
         return components
 
-    def subnetwork(self, variable_ids) -> "GroundNetwork":
-        """Restriction to a parent-closed variable subset."""
+    def subnetwork(self, variable_ids, parents=None, cpfs=None) -> "GroundNetwork":
+        """Restriction to a parent-closed variable subset.
+
+        ``parents`` and ``cpfs``, mappings from a variable to its parent
+        list and CPF, replace the network's own for every kept variable.
+        """
         ids = sorted(variable_ids)
+        parents = self.parents if parents is None else parents
+        cpfs = self.cpfs if cpfs is None else cpfs
         remap = {old: new for new, old in enumerate(ids)}
         for v in ids:
-            for p in self.parents[v]:
+            for p in parents[v]:
                 if p not in remap:
                     raise ValueError("subset is not closed under parents")
         kept = {self.names[v] for v in ids}
         return GroundNetwork(
             names=[self.names[v] for v in ids],
-            parents=[[remap[p] for p in self.parents[v]] for v in ids],
-            cpfs=[self.cpfs[v] for v in ids],
+            parents=[[remap[p] for p in parents[v]] for v in ids],
+            cpfs=[cpfs[v] for v in ids],
             aux=[a for a in self.aux if a in kept],
         )
 
@@ -614,43 +640,47 @@ def _resolve_evidence(net, evidence):
     return out
 
 
-def _ancestral_closure(net, ids) -> list[bool]:
-    """Per variable, whether it is one of ``ids`` or an ancestor of one."""
-    closed = [False] * len(net.names)
-    for v in ids:
-        closed[v] = True
-    for v in reversed(net.topo_order()):
-        if closed[v]:
-            for p in net.parents[v]:
-                closed[p] = True
-    return closed
+def _ancestral_closure(net, ids) -> list[int]:
+    """``ids`` and all their ancestors, sorted; the walk visits no other variable."""
+    closed = set(ids)
+    frontier = list(closed)
+    while frontier:
+        for p in net.parents[frontier.pop()]:
+            if p not in closed:
+                closed.add(p)
+                frontier.append(p)
+    return sorted(closed)
 
 
 def _reduced(net, ids, ev) -> tuple[GroundNetwork, dict[str, tuple[list[int], np.ndarray]]]:
     """The network the samplers draw for queries ``ids`` and resolved evidence ``ev``.
 
-    It starts from the ancestral closure of the queries and the evidence.
-    A free query with no child in the closure is a leaf: it is not drawn,
-    and the second value maps its name to its parents' ids in the result
-    and its CPF, so a sampler answers it by its CPF row averaged over the
-    sampled parent states (Rao-Blackwellisation; Casella & Robert 1996).
-    A free, unqueried root with exactly one child in the closure is summed
-    into that child's CPF, ``(1 - p) * row[r=0] + p * row[r=1]``, and
-    dropped (Bidyuk & Dechter 2007).  A leaf counts as a child, and can
-    take the sum, since its parents must stay sampled.  Roots are summed
-    in topological order, so a child left without parents is summed on in
-    turn.  The result is a :meth:`GroundNetwork.subnetwork`, whose
-    parent-closure check validates every fold.
+    It starts from the ancestral closure of the queries and the evidence,
+    and visits no other variable.  A free query with no child in the
+    closure is a leaf: it is not drawn, and the second value maps its name
+    to its parents' ids in the result and its CPF, so a sampler answers it
+    by its CPF row averaged over the sampled parent states
+    (Rao-Blackwellisation; Casella & Robert 1996).  A free, unqueried root
+    with exactly one child in the closure is summed into that child's CPF,
+    ``(1 - p) * row[r=0] + p * row[r=1]``, and dropped (Bidyuk & Dechter
+    2007).  A leaf counts as a child, and can take the sum, since its
+    parents must stay sampled.  Roots are summed in topological order, so
+    a child left without parents is summed on in turn.  The result is a
+    :meth:`GroundNetwork.subnetwork`, whose parent-closure check validates
+    every fold.
     """
     closure = _ancestral_closure(net, ids + list(ev))
-    children = [[c for c in kids if closure[c]] for kids in net.children()]
+    children: dict[int, list[int]] = {v: [] for v in closure}
+    for v in closure:
+        for p in net.parents[v]:
+            children[p].append(v)
     asked = set(ids)
     leaves = {v for v in asked if v not in ev and not children[v]}
-    parents, cpfs = list(net.parents), list(net.cpfs)
+    parents = {v: net.parents[v] for v in closure}
+    cpfs = {v: net.cpfs[v] for v in closure}
     dropped = set(leaves)
-    for r in net.topo_order():
-        if (closure[r] and not parents[r] and r not in ev and r not in asked
-                and len(children[r]) == 1):
+    for r in sorted(closure, key=net.topo_rank().__getitem__):
+        if not parents[r] and r not in ev and r not in asked and len(children[r]) == 1:
             (c,) = children[r]
             i = parents[c].index(r)
             p = cpfs[r][0]
@@ -658,9 +688,7 @@ def _reduced(net, ids, ev) -> tuple[GroundNetwork, dict[str, tuple[list[int], np
             cpfs[c] = ((1.0 - p) * table[:, 0] + p * table[:, 1]).ravel()
             parents[c] = parents[c][:i] + parents[c][i + 1:]
             dropped.add(r)
-    folded = GroundNetwork(net.names, parents, cpfs, net.aux)
-    sampled = folded.subnetwork(v for v, kept in enumerate(closure)
-                                if kept and v not in dropped)
+    sampled = net.subnetwork([v for v in closure if v not in dropped], parents, cpfs)
     return sampled, {net.names[v]: ([sampled.index[net.names[p]] for p in parents[v]],
                                     cpfs[v]) for v in leaves}
 
@@ -688,13 +716,12 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
 def _eliminate(net, q, ev) -> float:
     """P(variable ``q`` = true | resolved evidence ``ev``), ``q`` not clamped."""
     factors = []  # (scope, table): one axis of length 2 per variable of the scope
-    for v, kept in enumerate(_ancestral_closure(net, [q, *ev])):
-        if kept:
-            scope = [*net.parents[v], v]
-            table = np.stack((1.0 - net.cpfs[v], net.cpfs[v]), axis=-1)
-            at = tuple(int(ev[u]) if u in ev else slice(None) for u in scope)
-            factors.append(([u for u in scope if u not in ev],
-                            table.reshape((2,) * len(scope))[at]))
+    for v in _ancestral_closure(net, [q, *ev]):
+        scope = [*net.parents[v], v]
+        table = np.stack((1.0 - net.cpfs[v], net.cpfs[v]), axis=-1)
+        at = tuple(int(ev[u]) if u in ev else slice(None) for u in scope)
+        factors.append(([u for u in scope if u not in ev],
+                        table.reshape((2,) * len(scope))[at]))
     neighbours: dict[int, set[int]] = {}
     for scope, _ in factors:
         for u in scope:
@@ -727,39 +754,89 @@ def _sum_product(factors, scope) -> np.ndarray:
 
 def lw_sample(net: GroundNetwork, evidence, n_samples: int,
               rng) -> tuple[np.ndarray, np.ndarray]:
-    """Likelihood-weighted samples of every variable: (n_samples, n_vars) states and weights.
+    """Likelihood weighting's ``n_samples`` draws as ``(configurations, n_vars)`` states
+    and weights.
 
-    The states are a transposed view of the variable-major sampler array
-    (see :func:`_forward_sample`).
+    One ancestral pass in topological order over columns, each a
+    configuration and the count of samples that share it; it starts from
+    one column of all ``n_samples``.  A clamped variable is set in every
+    column.  A free one splits every column by ``rng.binomial(count, p)``
+    into the column with it false and the one with it true, in that
+    order, and drops the columns of count zero.  The counts are then
+    multinomial, so the weighted sums LW takes have the same law as over
+    single samples (Davis 1993), at a cost set by the number of
+    configurations.  Before a free variable at which the columns average
+    fewer than ``_MIN_MEAN_COUNT`` samples, ``np.repeat`` expands them to
+    single samples, and :func:`_forward_sample` draws the rest, one
+    uniform per sample.
+
+    So the rows are distinct configurations, or single samples once
+    expanded, at most ``n_samples`` of them.  Each row's weight is its
+    count times its likelihood weight, the product of the evidence's CPF
+    entries at the row in topological order.  The states are a
+    transposed view of the variable-major pass array.
     """
-    states, weights = _forward_sample(net, _resolve_evidence(net, evidence), n_samples, rng)
+    ev = _resolve_evidence(net, evidence)
+    order = net.topo_order()
+    states = np.zeros((len(net.names), 1), dtype=bool)
+    counts = np.array([n_samples])
+    for position, v in enumerate(order):
+        if v in ev:
+            states[v] = ev[v]
+        elif len(counts) * _MIN_MEAN_COUNT > n_samples:
+            states = _forward_sample(net, ev, np.repeat(states, counts, axis=1),
+                                     order[position:], rng)
+            counts = 1  # each column is now one sample
+            break
+        else:
+            p_true = _p_true(net, v, states)
+            split = np.empty((len(counts), 2), dtype=counts.dtype)  # (false, true) per column
+            split[:, 1] = rng.binomial(counts, p_true)
+            np.subtract(counts, split[:, 1], out=split[:, 0])
+            split = split.ravel()
+            (kept,) = split.nonzero()
+            states = states[:, kept >> 1]
+            states[v] = kept & 1
+            counts = split[kept]
+    weights = np.ones(states.shape[1])
+    for v in order:
+        if v in ev:
+            p_true = _p_true(net, v, states)
+            weights *= p_true if ev[v] else 1.0 - p_true
+    weights *= counts
     return states.T, weights
 
 
-def _forward_sample(net, ev, n_samples, rng):
-    """Ancestral pass in topological order; clamped variables weight, free ones draw.
+def _forward_sample(net, ev, states, order, rng) -> np.ndarray:
+    """Clamp or draw, one uniform per column, each variable of the topological ``order``.
 
-    States are variable-major, ``(n_vars, n_samples)``: row ``v`` holds
-    variable ``v``, and each sample looks its CPF row up by the packed
-    configuration of the parents' contiguous rows (:func:`_pack`).
+    States are variable-major, ``(n_vars, n_columns)``: row ``v`` holds
+    variable ``v``, and each column looks its CPF row up by the packed
+    configuration of the parents' contiguous rows (:func:`_p_true`).
+    Returns ``states``, filled in place.
     """
-    states = np.zeros((len(net.names), n_samples), dtype=bool)
-    weights = np.ones(n_samples)
-    for v in net.topo_order():
-        ps = net.parents[v]
-        p_true = net.cpfs[v].take(_pack(states, ps)) if ps else net.cpfs[v][0]
+    for v in order:
         if v in ev:
             states[v] = ev[v]
-            weights *= p_true if ev[v] else 1.0 - p_true
         else:
-            states[v] = rng.random(n_samples) < p_true
-    return states, weights
+            states[v] = rng.random(states.shape[1]) < _p_true(net, v, states)
+    return states
+
+
+def _p_true(net, v, states):
+    """P(variable ``v`` = true) per column of ``states``, by its parents' packed rows.
+
+    A root's is its one CPF entry, a scalar.
+    """
+    ps = net.parents[v]
+    return net.cpfs[v].take(_pack(states, ps)) if ps else net.cpfs[v][0]
 
 
 def infer_lw(net: GroundNetwork, query: str, evidence=None, n_samples: int = 50_000,
              seed: int = 0) -> float:
-    """Likelihood-weighted estimate of P(query | evidence).
+    """Likelihood-weighted estimate of P(query | evidence) from ``n_samples`` draws.
 
+    The draws are counted per configuration (:func:`lw_sample`).
     Deterministic for a given seed.  If every sampled weight is zero the
     evidence is contradictory; a :class:`ZeroWeightWarning` is emitted
     and 0.5 returned.
@@ -772,10 +849,11 @@ def lw_estimates(net: GroundNetwork, queries, evidence=None, n_samples: int = 50
                  seed: int = 0) -> dict[str, float]:
     """Estimates for many queries from one shared weighted sample set.
 
-    The whole network of :func:`_reduced` is forward-sampled by
-    :func:`lw_sample`.  A drawn query's estimate is the weight of the
-    samples where it is true over the total weight; a leaf query's is its
-    CPF row at each sample's parent states, averaged with the weights as
+    The whole network of :func:`_reduced` is drawn by :func:`lw_sample`,
+    whose rows are configurations weighted by their sample count times
+    their likelihood weight.  A drawn query's estimate is the weight of the
+    rows where it is true over the total weight; a leaf query's is its CPF
+    row at each row's parent states, averaged with the weights as
     ``(weights * row).sum() / total``, so a certain row gives exactly 1.0.
     Which variables are drawn, and so each estimate, depends on the other
     queries of the call; the estimated posterior does not.
@@ -877,7 +955,8 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     rng = np.random.default_rng(seed)
     # ancestral initialization: forward-sample each chain so the sweep
     # starts near the target distribution instead of uniform noise
-    states, _ = _forward_sample(net, ev, n_chains, rng)
+    states = _forward_sample(net, ev, np.zeros((len(net.names), n_chains), dtype=bool),
+                             net.topo_order(), rng)
 
     keys = np.empty((len(net.names), n_chains), dtype=np.intp)
     for v, ps in enumerate(net.parents):

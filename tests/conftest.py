@@ -1,9 +1,10 @@
 """Shared fixtures: the bundled miniature datasets, loaded once per session.
 
 Also the reference oracles that tests compare against: a 2^n joint
-table, and the sample-major forward pass and per-site Gibbs sweep that
-the library's samplers must reproduce value for value, both on the
-reduced network of :func:`reduced_oracle`; and, for
+table, and LW's count pass over a list of configuration bins and the
+per-site Gibbs sweep from a sample-major forward pass, which the
+library's samplers must reproduce value for value, both on the reduced
+network of :func:`reduced_oracle`; and, for
 generation, the cubic seed-tree growth, the per-cell leaky noisy-OR
 tables, the sample-major evidence simulation and the per-row CPF
 learning that the library must reproduce byte for byte.
@@ -19,6 +20,7 @@ from hypothesis import settings
 
 from situnet import data_path
 from situnet.bln import (
+    _MIN_MEAN_COUNT,
     LEAK,
     AbstractVar,
     EvidenceSet,
@@ -134,23 +136,66 @@ def joint_table_oracle(net, query, evidence):
 
 
 def forward_sample_oracle(net, ev, n_samples, rng):
-    """Sample-major ancestral pass: (n_samples, n_vars) states and weights."""
+    """Sample-major ancestral pass: (n_samples, n_vars) states, clamped or drawn."""
     states = np.zeros((n_samples, len(net.names)), dtype=bool)
-    weights = np.ones(n_samples)
-    for v in net.topo_order():
+    return _sample_major_pass(net, ev, net.topo_order(), states, np.ones(n_samples), rng)[0]
+
+
+def _sample_major_pass(net, ev, order, states, weights, rng):
+    """Clamp and weight, or draw one uniform per sample, each variable of ``order``."""
+    for v in order:
         ps = net.parents[v]
         if ps:
             bits = 1 << np.arange(len(ps) - 1, -1, -1)
             config = states[:, ps].astype(int) @ bits
             p_true = net.cpfs[v][config]
         else:
-            p_true = np.full(n_samples, net.cpfs[v][0])
+            p_true = np.full(len(states), net.cpfs[v][0])
         if v in ev:
             states[:, v] = ev[v]
             weights *= p_true if ev[v] else 1.0 - p_true
         else:
-            states[:, v] = rng.random(n_samples) < p_true
+            states[:, v] = rng.random(len(states)) < p_true
     return states, weights
+
+
+def lw_sample_oracle(net, ev, n_samples, rng):
+    """LW's count pass over a Python list of (configuration, count, weight) bins.
+
+    Bins are split one by one in list order, each by its own
+    ``rng.binomial(count, p)`` call, into the bin with the variable false
+    and the one with it true; bins of count zero are dropped.  Before a
+    free variable where the bins average fewer than ``_MIN_MEAN_COUNT``
+    samples, each bin becomes ``count`` single samples, and the rest of the
+    pass is sample-major.  Returns sample-major states, one row per bin
+    (or sample), and each row's count times its evidence weight.
+    """
+    order = net.topo_order()
+    bins = [([False] * len(net.names), n_samples, 1.0)]
+    for position, v in enumerate(order):
+        if v not in ev and len(bins) * _MIN_MEAN_COUNT > n_samples:
+            counts = [count for _, count, _ in bins]
+            states = np.repeat(np.array([config for config, _, _ in bins]), counts, axis=0)
+            weights = np.repeat([weight for _, _, weight in bins], counts)
+            return _sample_major_pass(net, ev, order[position:], states, weights, rng)
+        split = []
+        for config, count, weight in bins:
+            row = sum(config[p] << k for k, p in enumerate(reversed(net.parents[v])))
+            p_true = net.cpfs[v][row]
+            if v in ev:
+                config = config.copy()
+                config[v] = ev[v]
+                split.append((config, count, weight * (p_true if ev[v] else 1.0 - p_true)))
+                continue
+            true = int(rng.binomial(count, p_true))
+            for state, part in ((False, count - true), (True, true)):
+                if part:
+                    config = config.copy()
+                    config[v] = state
+                    split.append((config, part, weight))
+        bins = split
+    return (np.array([config for config, _, _ in bins], dtype=bool),
+            np.array([count * weight for _, count, weight in bins]))
 
 
 def _clamped(net, evidence):
@@ -210,14 +255,14 @@ def _config(states, ps):
 
 
 def lw_estimates_oracle(net, queries, evidence, n_samples, seed):
-    """Likelihood weighting over :func:`forward_sample_oracle` on :func:`reduced_oracle`.
+    """Likelihood weighting over :func:`lw_sample_oracle` on :func:`reduced_oracle`.
 
-    A leaf query's estimate is its CPF row at each sample's parents,
+    A leaf query's estimate is its CPF row at each row's parents,
     weighted: ``(weights * rows).sum() / total``.
     """
     sub, leaves = reduced_oracle(net, queries, evidence)
     ev = _clamped(sub, evidence)
-    states, weights = forward_sample_oracle(sub, ev, n_samples, np.random.default_rng(seed))
+    states, weights = lw_sample_oracle(sub, ev, n_samples, np.random.default_rng(seed))
     total = weights.sum()
     out = {}
     for q in queries:
@@ -247,7 +292,7 @@ def gibbs_estimates_oracle(net, queries, evidence, burn_in, n_samples, seed, n_c
     if all(set(net.parents[v]) <= ev.keys() for v in ev):
         burn_in = 0
     rng = np.random.default_rng(seed)
-    states, _ = forward_sample_oracle(net, ev, n_chains, rng)
+    states = forward_sample_oracle(net, ev, n_chains, rng)
     children = net.children()
     free_order = [v for v in net.topo_order() if v not in ev]
     child_info = {

@@ -41,11 +41,11 @@ from situnet.relatedness import ConstantRelatedness, TableRelatedness
 
 from conftest import (
     ancestral_closure,
-    forward_sample_oracle,
     gibbs_estimates_oracle,
     joint_table_oracle,
     learn_cpfs_oracle,
     lw_estimates_oracle,
+    lw_sample_oracle,
     noisy_or_cpfs_oracle,
     reduced_oracle,
     simulate_evidence_oracle,
@@ -859,7 +859,10 @@ class TestSamplerOracle:
         monkeypatch.setattr(bln, "lw_sample", spy)
         bln.lw_estimates(net, net.names, evidence, n_samples=777, seed=1)
         sampled, _ = reduced_oracle(net, net.names, evidence)
-        assert shapes == [((777, len(sampled)), (777,))]
+        rows, _ = lw_sample_oracle(sampled, {sampled.index[name]: value
+                                             for name, value in evidence.items()},
+                                   777, np.random.default_rng(1))
+        assert shapes == [((len(rows), len(sampled)), (len(rows),))]
 
 
 class TestGibbsSweep:
@@ -924,9 +927,9 @@ class TestBurnIn:
 
 
 class TestPrunedLw:
-    """LW equals the oracle's full sample-major pass over the reduced network:
-    the closure of the queries and the evidence, less the leaf queries and the
-    single-child roots summed into their child."""
+    """LW equals the oracle's count pass over the reduced network: the closure
+    of the queries and the evidence, less the leaf queries and the single-child
+    roots summed into their child."""
 
     def cases(self, seed):
         rng = np.random.default_rng(seed)
@@ -968,7 +971,7 @@ class TestPrunedLw:
     def test_sample_draws_every_variable(self):
         for net, evidence, _ in self.cases(43):
             oracle_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-            expected_states, expected_weights = forward_sample_oracle(
+            expected_states, expected_weights = lw_sample_oracle(
                 net, {net.index[name]: value for name, value in evidence.items()}, 900,
                 oracle_rng)
             states, weights = bln.lw_sample(net, evidence, 900, rng)
@@ -987,6 +990,36 @@ class TestPrunedLw:
         seed = data.draw(st.integers(0, 1000))
         assert bln.lw_estimates(net, queries, evidence, n_samples=257, seed=seed) == \
             lw_estimates_oracle(net, queries, evidence, 257, seed)
+
+
+class TestCountPass:
+    """LW's rows are distinct configurations whose weights are count times evidence weight."""
+
+    @settings(max_examples=60)
+    @given(net_seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_rows_are_weighted_configuration_counts(self, net_seed, data):
+        net = random_net(np.random.default_rng(net_seed))
+        evidence = data.draw(st.dictionaries(st.sampled_from(net.names), st.booleans(),
+                                             max_size=3), label="evidence")
+        ev = {net.index[name]: value for name, value in evidence.items()}
+        # so many samples per configuration that the pass never expands them
+        n_samples = data.draw(st.integers(2 ** (len(net) - len(ev) + 4), 2 ** 20),
+                              label="n_samples")
+        seed = data.draw(st.integers(0, 1000), label="seed")
+        states, weights = bln.lw_sample(net, evidence, n_samples, np.random.default_rng(seed))
+        assert states.shape == (len(weights), len(net))
+        assert len({row.tobytes() for row in states}) == len(states)
+        for v, value in ev.items():
+            assert (states[:, v] == value).all()
+        likelihood = np.ones(len(states))
+        for v in net.topo_order():
+            if v in ev:
+                ps = net.parents[v]
+                p_true = net.cpfs[v][states[:, ps].astype(int) @ (1 << np.arange(len(ps))[::-1])]
+                likelihood *= p_true if ev[v] else 1.0 - p_true
+        counts = np.rint(weights / likelihood).astype(np.int64)
+        assert counts.min() >= 1 and counts.sum() == n_samples
+        assert np.array_equal(weights, counts * likelihood)
 
 
 class TestReducedNetwork:

@@ -34,7 +34,9 @@ byte-identical outputs.  It covers:
   which LW answers from the network reduced for that family alone; and an LW, a Gibbs and an exact ``AtLocation(obj1,*)``
   request on the ``mix-house-45`` model, whose ``closet`` has 13 parents
   (exit code and output, so a missing model or a refusal counts too);
-  and a Gibbs ``AtLocation(obj1,*)`` request on laundry with the evidence
+  an LW ``IsA(obj1,*)`` request on that model, the largest LW request,
+  whose 20 000 samples fall into about 8 800 configurations, so LW's
+  count pass expands them to single samples part-way; and a Gibbs ``AtLocation(obj1,*)`` request on laundry with the evidence
   ``IsA(obj1,basket)``, the one bundled seed whose variable has a parent,
   ``hamper``.  ``hamper`` has a second child in that request's closure,
   so the samplers keep drawing it and the chains still run their burn-in
@@ -216,6 +218,11 @@ def digests(work: Path):
                 "--evidence", f"IsA(obj1,{word})=true", "--query", "AtLocation(obj1,*)"]
         printed = run_cli(cli.main, argv).replace(str(work).encode(), b"WORK")
         yield f"infer/{WIDE_MIX}/{label}/{word}/AtLocation(obj1,*)", sha(printed)
+    argv = ["infer", "--config", str(work / "infer_recipe_lw.cfg"),
+            "--model", str(work / "generate" / WIDE_MIX / "model.tsv"),
+            "--evidence", f"IsA(obj1,{word})=true", "--query", "IsA(obj1,*)"]
+    printed = run_cli(cli.main, argv).replace(str(work).encode(), b"WORK")
+    yield f"infer/{WIDE_MIX}/lw/{word}/IsA(obj1,*)", sha(printed)
 
     argv = ["infer", "--config", str(work / "infer_laundry_gibbs.cfg"),
             "--model", str(models["laundry"]), "--evidence", "IsA(obj1,basket)=true",
