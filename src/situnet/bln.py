@@ -40,7 +40,12 @@ batch, until they average too few samples each and the rest of the pass
 draws one uniform per sample (:func:`lw_sample`).
 
 A Gibbs sweep visits the free variables one site at a time in
-topological order, each draw a vector step over all chains.  The chains
+topological order, each draw a vector step over all chains.  A chain
+holds one integer key per variable, its parent configuration and state,
+so a site reads each factor of its Markov blanket, its own CPF and each
+child's, for both of its states with one lookup, and a draw flips the
+site's bit in its own key and its children's by XOR.  Kept sweeps store
+only the states read afterwards (:func:`gibbs_estimates`).  The chains
 start from a forward sample with the evidence clamped.  When every
 evidence variable's parents are evidence too, as for root evidence, that
 sample is an exact posterior draw, so ``burn_in`` warm-up sweeps are run
@@ -469,7 +474,6 @@ class GroundNetwork:
         self._topo: list[int] | None = None
         self._rank: list[int] | None = None
         self._children: list[list[int]] | None = None
-        self._deterministic: list[bool] | None = None
 
     def __len__(self):
         return len(self.names)
@@ -498,13 +502,6 @@ class GroundNetwork:
                     out[p].append(v)
             self._children = out
         return self._children
-
-    def deterministic(self) -> list[bool]:
-        """Per variable, whether any of its CPF rows is exactly 0 or 1."""
-        if self._deterministic is None:
-            self._deterministic = [bool(np.any(cpf == 0.0) or np.any(cpf == 1.0))
-                                   for cpf in self.cpfs]
-        return self._deterministic
 
     def components(self) -> list[list[int]]:
         """Weakly connected components, each sorted by variable index."""
@@ -913,7 +910,7 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     queries of the call, but the chains, and each estimate, do: a query
     asked alone can get another estimate than in a larger batch.  Only a
     deterministic CPF row of a variable the chains draw, as summed,
-    raises :class:`ErgodicityError`.
+    raises :class:`ErgodicityError`, naming the lowest such variable.
 
     Every chain starts from an ancestral forward sample with the evidence
     clamped and runs ``burn_in`` warm-up sweeps over the free variables in
@@ -925,91 +922,126 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     summed into its child), the evidence's CPF entries are constants, so the
     forward sample is an exact draw from P(free | evidence) (Henrion 1988)
     and the chains run no warm-up sweep at all.  Evidence with a free
-    parent runs all ``burn_in`` sweeps.
+    parent runs all ``burn_in`` sweeps.  ``n_samples`` and ``n_chains``
+    must be at least 1 and ``burn_in`` at least 0.
 
     Sampler state is one integer key per variable and chain,
     ``2 * parent_config + state``, with the parent configuration ordered
-    as in the CPF (:func:`_pack`).  Each variable's CPF is stored
-    interleaved as ``(1 - cpf[i], cpf[i])`` at ``(2i, 2i + 1)``, so
-    ``table[key]`` is the probability of the variable's current state
-    given its parents.  A parent sits at one bit of its child's key;
-    ``key & ~bit`` and ``key | bit`` look up the child with that parent
-    false and true.  A draw for ``v`` reads and rewrites only the keys of
-    ``v`` and of its children.  Each sweep draws one ``(free sites,
-    n_chains)`` block of uniforms, row ``i`` for the ``i``-th site; on
-    PCG64 it equals drawing ``n_chains`` uniforms per site.
+    as in the CPF (:func:`_pack`), so a parent sits at one bit of its
+    child's key.  The forward sample writes each key from the
+    configuration it looked the CPF row up by.  A CPF is read interleaved,
+    ``(1 - cpf[i], cpf[i])`` at ``(2i, 2i + 1)``: the entry at a key is
+    the probability of the variable's state given its parents.  Each free
+    site gets one ``(2, len)`` table per factor, its own CPF and each
+    child's, whose row ``s`` is the interleaved CPF at every key with the
+    site's bit set to ``s``.  One ``take`` then gives a factor for both
+    states, and the factors are multiplied in the order own CPF, then
+    children.  A table holds twice the interleaved CPF's entries, 2 MB
+    for a child of :data:`MAX_PARENTS` parents, and each link has its
+    own for the length of the call.  A draw flips the site where it
+    differs from the current state: ``flip = (key & 1) ^ draw`` XORs the
+    site's key and, times the site's bit, each child's key; no other key
+    changes.  A site whose two weights are both zero, or underflow to
+    zero, is drawn at 0.5.  The forward sample and each sweep draw one
+    ``(free sites, n_chains)`` block of uniforms, row ``i`` for the
+    ``i``-th site; on PCG64 it equals drawing ``n_chains`` uniforms per
+    site.
+
+    Kept sweeps store only the states read afterwards, those of the drawn
+    queries and of the leaf queries' parents: one bool buffer of
+    ``ceil(n_samples / n_chains) * n_chains`` entries per such variable.
+    A drawn query's estimate is its count of true states there; a leaf's
+    CPF row is looked up once over the buffer and summed per sweep, in
+    sweep order.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if n_chains < 1:
+        raise ValueError("n_chains must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     evidence = evidence or {}
     net, leaves = _reduced(net, _query_ids(net, queries), _resolve_evidence(net, evidence))
     ev = _resolve_evidence(net, evidence)
-    for v, deterministic in enumerate(net.deterministic()):
-        if deterministic and v not in ev:
+    tables = [np.array((1.0 - cpf, cpf)).T.ravel() for cpf in net.cpfs]
+    for v, table in enumerate(tables):
+        if v not in ev and not table.all():  # an entry is 0 where a row is 0 or 1
             raise ErgodicityError(
                 f"variable {net.names[v]} has a deterministic CPF row and is not "
                 "clamped by evidence; use infer_lw instead")
     if all(p in ev for v in ev for p in net.parents[v]):
         burn_in = 0  # the ancestral start is already an exact posterior draw
 
+    keys = np.empty((len(net.names), n_chains), dtype=np.intp)
+    children = net.children()
+    # per free variable in topological order: its key row and own table, and
+    # per child the child's key row, link table and key bit for the variable
+    sites = []
+    for v in net.topo_order():
+        if v not in ev:
+            links = []
+            for c in children[v]:
+                bit = 2 << (len(net.parents[c]) - 1 - net.parents[c].index(v))
+                links.append((keys[c], _split_table(tables[c], bit), bit))
+            sites.append((keys[v], _split_table(tables[v], 1), links))
+
     rng = np.random.default_rng(seed)
     # ancestral initialization: forward-sample each chain so the sweep
     # starts near the target distribution instead of uniform noise
-    states = _forward_sample(net, ev, np.zeros((len(net.names), n_chains), dtype=bool),
-                             net.topo_order(), rng)
-
-    keys = np.empty((len(net.names), n_chains), dtype=np.intp)
-    for v, ps in enumerate(net.parents):
-        keys[v] = _pack(states, [*ps, v])
-    tables = [np.column_stack((1.0 - cpf, cpf)).ravel() for cpf in net.cpfs]
-
-    children = net.children()
-    # per free variable: its table, and each child's table and key bit for it
-    sites = [
-        (v, tables[v],
-         [(c, tables[c], 2 << (len(net.parents[c]) - 1 - net.parents[c].index(v)))
-          for c in children[v]])
-        for v in net.topo_order() if v not in ev
-    ]
+    states = np.zeros((len(net.names), n_chains), dtype=bool)
+    uniforms = iter(rng.random((len(sites), n_chains)))
+    for v in net.topo_order():
+        ps = net.parents[v]
+        config = _pack(states, ps) if ps else 0
+        if v in ev:
+            states[v] = ev[v]
+        else:
+            np.less(next(uniforms), net.cpfs[v].take(config), out=states[v])
+        keys[v] = states[v]
+        if ps:  # key = 2 * config + state, without overflowing the narrow config
+            keys[v] += config
+            keys[v] += config
 
     per_chain = -(-n_samples // n_chains)  # ceil
-    drawn = [q for q in queries if q in net.index]
-    asked = np.array([net.index[q] for q in drawn], dtype=np.intp)
-    collected = np.zeros(len(asked), dtype=np.int64)
-    expected = dict.fromkeys(leaves, 0.0)  # per leaf query, its summed CPF rows
-    count = 0
-    half = np.full(n_chains, 0.5)  # P(true) where both states have weight zero
+    drawn = [q for q in queries if q in net.index and q not in evidence]
+    read = sorted({net.index[q] for q in drawn}.union(*(ps for ps, _ in leaves.values())))
+    at = {v: i for i, v in enumerate(read)}  # each read variable's row of the kept buffer
+    kept = np.empty((len(read), per_chain, n_chains), dtype=bool)
 
     for sweep in range(burn_in + per_chain):
         uniforms = rng.random((len(sites), n_chains))
-        for (v, table, kids), uniform in zip(sites, uniforms):
-            high = keys[v] | 1
-            low = high ^ 1
-            w1, w0 = table.take(high), table.take(low)
-            moves = []
-            for c, c_table, bit in kids:
-                c_high = keys[c] | bit
-                c_low = c_high ^ bit  # key & ~bit
-                w1 *= c_table.take(c_high)
-                w0 *= c_table.take(c_low)
-                moves.append((c, c_high, c_low))
-            total = w1 + w0
-            p = np.divide(w1, total, out=half.copy(), where=total > 0)
-            draw = uniform < p
-            keys[v] = low | draw
-            for c, c_high, c_low in moves:
-                keys[c] = np.where(draw, c_high, c_low)
+        for (key, own, links), uniform in zip(sites, uniforms):
+            weights = own.take(key, axis=1)  # row s: weight of state s
+            for c_key, table, _ in links:
+                weights *= table.take(c_key, axis=1)
+            total = weights[0] + weights[1]
+            if np.count_nonzero(total) == n_chains:  # no chain has both weights zero
+                p = weights[1] / total
+            else:
+                p = np.divide(weights[1], total, out=np.full(n_chains, 0.5), where=total > 0)
+            flip = (key & 1) ^ (uniform < p)
+            key ^= flip
+            for c_key, _, bit in links:
+                c_key ^= flip * bit
         if sweep >= burn_in:
-            collected += (keys[asked] & 1).sum(axis=1)
-            if leaves:
-                state = (keys & 1).astype(bool)
-                for q, (ps, cpf) in leaves.items():
-                    expected[q] += cpf.take(_pack(state, ps)).sum()
-            count += n_chains
+            kept[:, sweep - burn_in] = keys[read] & 1
 
-    hits = dict(zip(drawn, collected.tolist()))
+    count = per_chain * n_chains
+    flat = kept.reshape(len(read), count)
+    hits = {q: int(np.count_nonzero(flat[at[net.index[q]]])) for q in drawn}
+    expected = {}
+    for q, (ps, cpf) in leaves.items():
+        rows = cpf.take(_pack(flat, [at[p] for p in ps])).reshape(per_chain, n_chains)
+        expected[q] = 0.0
+        for sweep_sum in rows.sum(axis=1).tolist():  # in sweep order
+            expected[q] += sweep_sum
     return _answers(queries, evidence,
-                    lambda q: float(expected[q] / count) if q in leaves else hits[q] / count)
+                    lambda q: expected[q] / count if q in leaves else hits[q] / count)
+
+
+def _split_table(table, bit) -> np.ndarray:
+    """``(2, len(table))``: row ``s`` is ``table`` at each key with ``bit`` set to ``s``."""
+    return np.repeat(table.reshape(-1, 2, bit).swapaxes(0, 1), 2, axis=1).reshape(2, -1)
 
 
 def estimates(net: GroundNetwork, queries, evidence=None, method: str = "lw",

@@ -667,6 +667,30 @@ class TestInferGibbs:
         with pytest.raises(ErgodicityError, match=r"^variable IsA\(o1,b\) has a deterministic"):
             infer_gibbs(net, "UsedFor(o1,u)", {}, burn_in=2, n_samples=10)
 
+    def test_error_names_the_lowest_deterministic_variable(self):
+        # IsA(o,late) and IsA(o,early) are both drawn and deterministic; the
+        # sweep visits early first, but late has the lower index
+        net = GroundNetwork(
+            names=["IsA(o,r)", "IsA(o,late)", "IsA(o,early)", "IsA(o,d)"],
+            parents=[[], [2], [0], [1]],
+            cpfs=[np.array([0.5]), np.array([0.3, 1.0]), np.array([0.0, 0.6]),
+                  np.array([0.2, 0.7])])
+        with pytest.raises(ErgodicityError,
+                           match=r"^variable IsA\(o,late\) has a deterministic CPF row "
+                                 r"and is not clamped by evidence; use infer_lw instead$"):
+            bln.gibbs_estimates(net, ["IsA(o,r)", "IsA(o,d)"], {}, burn_in=2, n_samples=10)
+
+    @pytest.mark.parametrize("n_chains", [0, -2])
+    def test_fewer_than_one_chain_rejected(self, n_chains):
+        net = GroundNetwork(names=["IsA(o,a)"], parents=[[]], cpfs=[np.array([0.7])])
+        with pytest.raises(ValueError, match="n_chains must be >= 1"):
+            infer_gibbs(net, "IsA(o,a)", burn_in=2, n_samples=20, n_chains=n_chains)
+
+    def test_negative_burn_in_rejected(self):
+        net = GroundNetwork(names=["IsA(o,a)"], parents=[[]], cpfs=[np.array([0.7])])
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            infer_gibbs(net, "IsA(o,a)", burn_in=-3, n_samples=20, n_chains=4)
+
     def test_deterministic_row_outside_the_closure_allowed(self):
         decl, fragments = simple_declaration(), simple_fragments()
         fragments[2] = Fragment(var("UsedFor(x,u)"), [var("IsA(x,a)"), var("IsA(x,b)")],
@@ -889,6 +913,22 @@ class TestGibbsSweep:
         assert bln.gibbs_estimates(net, net.names, evidence, burn_in, n_samples, seed,
                                    n_chains) == \
             gibbs_estimates_oracle(net, net.names, evidence, burn_in, n_samples, seed, n_chains)
+
+    def test_widest_child_equals_oracle(self):
+        # a clamped child of MAX_PARENTS free roots: its keys and each root's link
+        # table span 2^17 entries; every root is queried, so none is summed into it
+        rng = np.random.default_rng(37)
+        width = bln.MAX_PARENTS
+        names = [f"IsA(o,r{i})" for i in range(width)] + ["IsA(o,wide)"]
+        net = GroundNetwork(
+            names=names, parents=[[] for _ in range(width)] + [list(range(width))],
+            cpfs=[rng.uniform(0.05, 0.95, size=1) for _ in range(width)]
+            + [rng.uniform(0.05, 0.95, size=2 ** width)])
+        evidence = {"IsA(o,wide)": True}
+        for burn_in, n_samples, n_chains in [(2, 20, 8), (0, 9, 3)]:
+            assert bln.gibbs_estimates(net, names, evidence, burn_in, n_samples, 11,
+                                       n_chains) == \
+                gibbs_estimates_oracle(net, names, evidence, burn_in, n_samples, 11, n_chains)
 
 
 class TestBurnIn:
