@@ -72,7 +72,6 @@ from situnet.bln import (
     EvidenceSet,
     Fragment,
     GroundNetwork,
-    LogicConstraint,
     ground,
     infer_exact,
     infer_gibbs,

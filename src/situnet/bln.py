@@ -12,10 +12,6 @@ A graph's model gets closed-form CPFs, one leaky noisy-OR per node
 (:func:`noisy_or_cpfs`); :func:`simulate_evidence` samples worlds from the
 same noisy-OR and :func:`learn_cpfs` estimates tables from worlds.
 
-Deterministic first-order constraints are supported through auxiliary
-boolean variables whose CPF is the constraint's truth table; clamping an
-auxiliary variable to true enforces its formula during inference.
-
 Exact inference runs variable elimination; likelihood weighting and Gibbs
 sampling approximate.  Every sampling routine takes an explicit seed and
 owns its generator, so results are reproducible and calls may run
@@ -55,7 +51,7 @@ only for evidence with a free parent: ``burn_in`` is a cap.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,7 +136,9 @@ class Fragment:
 
     ``cpf[i]`` is P(child = true | configuration i).  A frozen fragment
     keeps its table through :func:`learn_cpfs`, which pins a hand-edited
-    row (say, a rule fixed at probability one) against re-estimation.
+    row (say, a rule fixed at probability one) against re-estimation.  A
+    parent listed twice raises ``ValueError``: both copies would be one
+    variable at two bits of the configuration.
     """
 
     child: AbstractVar
@@ -155,6 +153,9 @@ class Fragment:
                 f"fragment {self.child}: cpf must have {2 ** len(self.parents)} rows")
         if not np.all((self.cpf >= 0) & (self.cpf <= 1)):  # NaN fails both
             raise ValueError(f"fragment {self.child}: probabilities outside [0, 1]")
+        if len(set(self.parents)) < len(self.parents):
+            repeated = next(p for i, p in enumerate(self.parents) if p in self.parents[:i])
+            raise ValueError(f"fragment {self.child}: parent {repeated} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -171,75 +172,6 @@ class Declaration:
             for t in param_types:
                 if t not in self.types:
                     raise ValueError(f"signature {pred} uses undeclared type {t!r}")
-
-
-# -- first-order boolean formulas -------------------------------------------
-
-
-class Formula:
-    """Base class; subclasses form a small boolean AST over abstract vars."""
-
-    def atoms(self) -> list[AbstractVar]:
-        raise NotImplementedError
-
-    def evaluate(self, values: dict[AbstractVar, bool]) -> bool:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
-    var: AbstractVar
-
-    def atoms(self):
-        return [self.var]
-
-    def evaluate(self, values):
-        return values[self.var]
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
-
-    def atoms(self):
-        return self.operand.atoms()
-
-    def evaluate(self, values):
-        return not self.operand.evaluate(values)
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-    def atoms(self):
-        return self.left.atoms() + self.right.atoms()
-
-    def evaluate(self, values):
-        return self.left.evaluate(values) and self.right.evaluate(values)
-
-
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def atoms(self):
-        return self.left.atoms() + self.right.atoms()
-
-    def evaluate(self, values):
-        return (not self.left.evaluate(values)) or self.right.evaluate(values)
-
-
-@dataclass(frozen=True)
-class LogicConstraint:
-    """A deterministic rule; meta-variables are universally quantified."""
-
-    formula: Formula
-
-    def atoms(self) -> list[AbstractVar]:
-        return list(dict.fromkeys(self.formula.atoms()))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +399,6 @@ class GroundNetwork:
     names: list[str]
     parents: list[list[int]]
     cpfs: list[np.ndarray]
-    aux: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.index = {name: i for i, name in enumerate(self.names)}
@@ -542,24 +473,19 @@ class GroundNetwork:
             for p in parents[v]:
                 if p not in remap:
                     raise ValueError("subset is not closed under parents")
-        kept = {self.names[v] for v in ids}
         return GroundNetwork(
             names=[self.names[v] for v in ids],
             parents=[[remap[p] for p in parents[v]] for v in ids],
             cpfs=[cpfs[v] for v in ids],
-            aux=[a for a in self.aux if a in kept],
         )
 
 
-def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwork:
-    """Instantiate the per-object subnetworks plus constraint auxiliaries.
+def ground(decl: Declaration, fragments, objects) -> GroundNetwork:
+    """Instantiate the per-object subnetworks.
 
     Every fragment is replicated once per object with the meta-variable
-    substituted; each ground constraint contributes one boolean auxiliary
-    variable whose parents are the constraint's atoms and whose CPF is 1
-    exactly on satisfying configurations.  Two ground variables of one
-    name (two fragments with one child, or an object listed twice) raise
-    ``ValueError`` naming it.
+    substituted.  Two ground variables of one name (two fragments with
+    one child, or an object listed twice) raise ``ValueError`` naming it.
     """
     if not objects:
         raise ValueError("at least one object is required")
@@ -574,25 +500,6 @@ def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwo
             parent_names.append([p.ground(binding) for p in frag.parents])
             cpfs.append(np.array(frag.cpf, dtype=float))
 
-    aux: list[str] = []
-    for c_idx, constraint in enumerate(constraints):
-        atoms = constraint.atoms()
-        for obj in objects:
-            binding = {META_VARIABLE: obj}
-            grounded = [a.ground(binding) for a in atoms]
-            table = np.zeros(2 ** len(atoms))
-            for config in range(2 ** len(atoms)):
-                values = {
-                    atom: bool((config >> (len(atoms) - 1 - i)) & 1)
-                    for i, atom in enumerate(atoms)
-                }
-                table[config] = 1.0 if constraint.formula.evaluate(values) else 0.0
-            name = f"constraint{c_idx}({obj})"
-            names.append(name)
-            parent_names.append(grounded)
-            cpfs.append(table)
-            aux.append(name)
-
     index = {name: i for i, name in enumerate(names)}
     if len(index) < len(names):
         duplicate = next(name for i, name in enumerate(names) if index[name] != i)
@@ -604,7 +511,7 @@ def ground(decl: Declaration, fragments, objects, constraints=()) -> GroundNetwo
         except KeyError as missing:
             raise ValueError(f"variable {var} has undeclared parent {missing}") from None
 
-    net = GroundNetwork(names=names, parents=parents, cpfs=cpfs, aux=aux)
+    net = GroundNetwork(names=names, parents=parents, cpfs=cpfs)
     net.topo_order()  # raises GroundingCycleError on cyclic fragment structure
     return net
 
@@ -699,10 +606,8 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
     evidence.  The free variables other than the query are then summed
     out one by one, each time the one whose elimination makes the
     smallest factor (ties to the lower index), by one ``np.einsum`` over
-    the factors that hold it.  Deterministic rows and constraint
-    auxiliaries are factors with zero entries; auxiliary variables for
-    constraints that should hold must be clamped true in the evidence by
-    the caller.  Evidence of probability zero raises ``ValueError``.
+    the factors that hold it.  A deterministic CPF row is a factor with a
+    zero entry.  Evidence of probability zero raises ``ValueError``.
     """
     evidence = evidence or {}
     (q,) = _query_ids(net, [query])

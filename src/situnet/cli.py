@@ -232,7 +232,7 @@ def _generate(config: PipelineConfig, inputs: _Inputs) -> PipelineProducts:
                    config.ic_threshold, inputs.blocklist)
     graph = _stage("relations", netgen.attach_relations, graph, inputs.store, lexicon,
                    provider, assignment, inputs.stopwords)
-    dropped = getattr(graph, "dropped_edges", 0)
+    dropped = graph.dropped_edges
     graph = _stage("locations", netgen.attach_locations_two_hop, graph, inputs.store,
                    config.environment)
     _stage("validate", netgen.validate_graph, graph)

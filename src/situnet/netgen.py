@@ -60,6 +60,7 @@ class ConceptGraph:
     nodes: dict[str, ConceptNode] = field(default_factory=dict)
     edges: list[RelationEdge] = field(default_factory=list)
     environment: str = ""
+    dropped_edges: int = field(default=0, compare=False)  # sense-gate drops of attach_relations
 
     def copy(self) -> "ConceptGraph":
         return ConceptGraph(dict(self.nodes), list(self.edges), self.environment)
@@ -323,7 +324,7 @@ def attach_relations(graph: ConceptGraph, store: EdgeStore, lexicon: LexiconInde
     node's term is disambiguated against the edge's end word; the edge is
     added only when the chosen sense matches the node's sense (for seeds,
     that sense is the one fixed by the seed assignment).  Edges that fail
-    disambiguation are dropped and counted in ``dropped``.
+    disambiguation are dropped and counted in the result's ``dropped_edges``.
     """
     out = graph.copy()
     dropped = 0

@@ -244,7 +244,7 @@ def reduced_oracle(net, queries, evidence):
     kept = sorted(keep - {net.index[q] for q in leaves})
     at = {net.names[v]: i for i, v in enumerate(kept)}
     sub = GroundNetwork(names=list(at), parents=[[at[n] for n in parents[v]] for v in kept],
-                        cpfs=[cpfs[v] for v in kept], aux=[a for a in net.aux if a in at])
+                        cpfs=[cpfs[v] for v in kept])
     return sub, {q: ([at[n] for n in parents[net.index[q]]], cpfs[net.index[q]])
                  for q in leaves}
 

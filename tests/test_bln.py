@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from situnet import bln
 from situnet.bln import (
     AbstractVar,
-    And,
-    Atom,
     Declaration,
     DenseModelError,
     ErgodicityError,
@@ -19,9 +17,6 @@ from situnet.bln import (
     Fragment,
     GroundNetwork,
     GroundingCycleError,
-    Implies,
-    LogicConstraint,
-    Not,
     ZeroWeightWarning,
     ground,
     infer_exact,
@@ -385,6 +380,16 @@ def simple_declaration():
                   "u": frozenset({"affordance"})})
 
 
+def impossible_evidence_net():
+    """:func:`simple_fragments` grounded for ``o1`` with ``UsedFor(x,u)`` never
+    true, and evidence that clamps it true."""
+    fragments = simple_fragments()
+    fragments[2] = Fragment(var("UsedFor(x,u)"), [var("IsA(x,a)"), var("IsA(x,b)")],
+                            np.zeros(4))
+    net = ground(simple_declaration(), fragments, ["o1"])
+    return net, {"UsedFor(o1,u)": True}
+
+
 class TestGenerationOracle:
     """Evidence simulation and CPF learning reproduce the reference byte for byte."""
 
@@ -437,16 +442,6 @@ class TestGround:
         net = ground(decl, fragments, ["obj1", "obj2"])
         assert len(net) == 20
         assert len(net.components()) == 2
-
-    def test_constraint_builds_deterministic_aux(self):
-        decl, fragments = simple_declaration(), simple_fragments()
-        rule = LogicConstraint(Implies(Atom(var("IsA(x,a)")), Atom(var("IsA(x,b)"))))
-        net = ground(decl, fragments, ["o1"], [rule])
-        assert len(net.aux) == 1
-        aux = net.index[net.aux[0]]
-        assert len(net.parents[aux]) == 2
-        # rows: (a,b) = FF, FT, TF, TT -> implication truth table
-        assert net.cpfs[aux].tolist() == [1.0, 1.0, 0.0, 1.0]
 
     def test_matches_per_object_union_oracle(self):
         decl, fragments = simple_declaration(), simple_fragments()
@@ -551,7 +546,7 @@ class TestInferExact:
         assert [infer_exact(net, name) for name in net.names] == priors.tolist()
 
     def test_deterministic_factors_match_joint_table_oracle(self):
-        # sampler_net: a child of ten parents, and an ``a and b`` auxiliary clamped true
+        # sampler_net: a child of ten parents, and a deterministic ``a and b`` child clamped true
         rng = np.random.default_rng(25)
         for _ in range(3):
             net, evidence = sampler_net(rng)
@@ -560,10 +555,7 @@ class TestInferExact:
                            joint_table_oracle(net, query, evidence)) < 1e-12, query
 
     def test_contradictory_evidence_raises(self):
-        decl, fragments = simple_declaration(), simple_fragments()
-        rule = LogicConstraint(And(Atom(var("IsA(x,a)")), Not(Atom(var("IsA(x,a)")))))
-        net = ground(decl, fragments, ["o1"], [rule])
-        evidence = {net.aux[0]: True}
+        net, evidence = impossible_evidence_net()
         with pytest.raises(ValueError, match="^evidence has probability zero$"):
             infer_exact(net, "IsA(o1,b)", evidence)
         with pytest.raises(ValueError, match="^evidence has probability zero$"):
@@ -601,27 +593,11 @@ class TestInferLw:
         assert estimate == 1.0
 
     def test_contradictory_evidence_flags_zero_weight(self):
-        decl, fragments = simple_declaration(), simple_fragments()
-        rule = LogicConstraint(And(Atom(var("IsA(x,a)")),
-                                   Not(Atom(var("IsA(x,a)")))))
-        net = ground(decl, fragments, ["o1"], [rule])
-        aux = net.aux[0]
+        net, evidence = impossible_evidence_net()
         with pytest.warns(ZeroWeightWarning):
-            result = infer_lw(net, "IsA(o1,b)", {aux: True},
+            result = infer_lw(net, "IsA(o1,b)", evidence,
                               n_samples=500, seed=2)
         assert result == 0.5
-
-    def test_constraint_respected_when_satisfiable(self):
-        decl, fragments = simple_declaration(), simple_fragments()
-        rule = LogicConstraint(Implies(Atom(var("IsA(x,a)")),
-                                       Atom(var("IsA(x,b)"))))
-        net = ground(decl, fragments, ["o1"], [rule])
-        aux = net.aux[0]
-        constrained = infer_lw(net, "IsA(o1,b)", {aux: True},
-                               n_samples=50_000, seed=3)
-        # clamping the implication must raise P(b) over the prior network
-        free = infer_lw(net, "IsA(o1,b)", {}, n_samples=50_000, seed=3)
-        assert constrained > free
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(14)
@@ -799,14 +775,18 @@ class TestEstimates:
             bln.estimates(net, net.names[:1], {}, "annealing")
 
 
+AND_CHILD = "And(o)"  # sampler_net's deterministic child
+
+
 def sampler_net(rng):
     """``random_net`` plus the structures the samplers index specially.
 
     Appends a child of ten parents, two children of one shared parent
-    pair and a deterministic ``a and b`` constraint auxiliary over two
-    free variables.  Evidence clamps the auxiliary true, so Gibbs meets
-    chains where both states of ``a`` have zero weight, and clamps one of
-    the appended non-root children.
+    pair and :data:`AND_CHILD`, whose deterministic rows make it true
+    exactly when both of its two free parents are.  Evidence clamps
+    :data:`AND_CHILD` true, so Gibbs meets chains where both states of a
+    parent have zero weight, and clamps one of the appended non-root
+    children.
     """
     base = random_net(rng, max_vars=8)
     names, parents, cpfs = list(base.names), list(base.parents), list(base.cpfs)
@@ -824,11 +804,10 @@ def sampler_net(rng):
     shared = rng.choice(pool, size=2, replace=False)
     add(shared, rng.uniform(0.05, 0.95, size=4))
     sibling = add(shared, rng.uniform(0.05, 0.95, size=4))
-    aux = add(rng.choice(pool, size=2, replace=False), np.array([0.0, 0.0, 0.0, 1.0]),
-              "constraint0(o)")
-    net = GroundNetwork(names=names, parents=parents, cpfs=cpfs, aux=[aux])
+    add(rng.choice(pool, size=2, replace=False), np.array([0.0, 0.0, 0.0, 1.0]), AND_CHILD)
+    net = GroundNetwork(names=names, parents=parents, cpfs=cpfs)
     clamped = wide if rng.random() < 0.5 else sibling
-    return net, {aux: True, clamped: bool(rng.random() < 0.5)}
+    return net, {AND_CHILD: True, clamped: bool(rng.random() < 0.5)}
 
 
 class TestSamplerOracle:
@@ -897,7 +876,7 @@ class TestGibbsSweep:
     def test_random_evidence_equals_oracle(self, net_seed, data):
         rng = np.random.default_rng(net_seed)
         if data.draw(st.booleans(), label="sampler_net"):
-            # clamps a constraint auxiliary true and one non-root child
+            # clamps its deterministic AND child true and one non-root child
             net, evidence = sampler_net(rng)
         else:
             net, evidence = random_net(rng), {}
@@ -944,10 +923,10 @@ class TestBurnIn:
                                                    replace=False)}
             # a child whose parents are all clamped may be clamped too
             children = {v for v, ps in enumerate(net.parents)
-                        if ps and set(ps) <= clamped and net.names[v] not in net.aux}
+                        if ps and set(ps) <= clamped and net.names[v] != AND_CHILD}
             clamped_child |= bool(children)
             evidence = {net.names[v]: bool(rng.random() < 0.5) for v in clamped | children}
-            queries = [name for name in net.names if name not in net.aux]
+            queries = [name for name in net.names if name != AND_CHILD]
             run = dict(n_samples=300, seed=int(rng.integers(1000)), n_chains=32)
             cold = bln.gibbs_estimates(net, queries, evidence, burn_in=0, **run)
             assert bln.gibbs_estimates(net, queries, evidence, burn_in=7, **run) == cold
@@ -957,7 +936,7 @@ class TestBurnIn:
         rng = np.random.default_rng(36)
         differs = False
         for _ in range(4):
-            # sampler_net clamps a constraint auxiliary over two free variables
+            # sampler_net clamps its deterministic AND child of two free variables
             net, evidence = sampler_net(rng)
             seed = int(rng.integers(1000))
             warm = bln.gibbs_estimates(net, net.names, evidence, 7, 300, seed, 32)
@@ -993,15 +972,15 @@ class TestPrunedLw:
                     lw_estimates_oracle(net, queries, evidence, 600, seed), (word, family)
 
     def test_query_subsets_equal_full_pass(self):
-        # sampler_net clamps a constraint auxiliary and a non-root child
+        # sampler_net clamps its deterministic AND child and a non-root child
         for net, evidence, queries in self.cases(41):
             assert bln.lw_estimates(net, queries, evidence, n_samples=1001, seed=5) == \
                 lw_estimates_oracle(net, queries, evidence, 1001, 5)
 
     def test_zero_total_weight_equals_full_pass(self):
         net, evidence = sampler_net(np.random.default_rng(42))
-        aux = net.index["constraint0(o)"]
-        evidence = {**evidence, net.names[net.parents[aux][0]]: False}
+        both = net.index[AND_CHILD]
+        evidence = {**evidence, net.names[net.parents[both][0]]: False}
         queries = net.names[:3]
         with pytest.warns(ZeroWeightWarning):
             ours = bln.lw_estimates(net, queries, evidence, n_samples=500, seed=2)
@@ -1191,6 +1170,8 @@ class TestModelSerialization:
         ("FRAGMENT\tIsA(x,a\t-\t0.5\t-", "bad variable syntax"),
         ("FRAGMENT\tIsA(x,a)\t-\tnan\t-", "outside \\[0, 1\\]"),
         ("FRAGMENT\tIsA(x,b)\t-\t0.5\t-", "fragment IsA\\(x,b\\) declared twice"),
+        ("FRAGMENT\tIsA(x,c)\tIsA(x,b),IsA(x,b)\t0.1 0.5 0.6 0.9\t-",
+         "fragment IsA\\(x,c\\): parent IsA\\(x,b\\) is listed twice"),
     ])
     def test_malformed_fragment_names_its_line(self, tmp_path, fragment, reason):
         path = tmp_path / "model.tsv"

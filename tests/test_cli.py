@@ -95,6 +95,19 @@ def mini_model(tmp_path_factory):
     return out / "model.tsv"
 
 
+@pytest.fixture
+def certain_model(mini_model, tmp_path):
+    """The mini model with both rows of ``AtLocation(x,cupboard)``, whose one
+    parent is ``IsA(x,pan)``, edited to 1.0 by hand."""
+    text = mini_model.read_text(encoding="utf-8")
+    edited = re.sub(r"^(FRAGMENT\tAtLocation\(x,cupboard\)\tIsA\(x,pan\)\t)[^\t]*",
+                    r"\g<1>1.0 1.0", text, flags=re.M)
+    assert edited != text
+    path = tmp_path / "model.tsv"
+    path.write_text(edited, encoding="utf-8")
+    return path
+
+
 class TestInfer:
     def test_sock_location_ranking(self, laundry_model, capsys):
         code, out, err = run_cli(
@@ -168,6 +181,25 @@ class TestInfer:
         assert code == 0
         prob = float(out.strip().split("\t")[0])
         assert prob > 0.5
+
+    @pytest.mark.parametrize("method", ["exact", "lw"])
+    def test_hand_edited_certain_row_answers_one(self, certain_model, capsys, method):
+        code, out, err = run_cli(
+            ["infer", "--model", str(certain_model), "--evidence", "IsA(obj1,pan)=true",
+             "--query", "AtLocation(obj1,cupboard)", "--method", method,
+             "--samples", "2000"], capsys)
+        assert code == 0, err
+        assert out == "1.000000\tAtLocation(obj1,cupboard)\n"
+
+    def test_hand_edited_certain_row_stops_gibbs(self, certain_model, capsys):
+        # queried with its child AtLocation(obj1,kitchen), the cupboard is drawn
+        code, out, err = run_cli(
+            ["infer", "--model", str(certain_model), "--evidence", "IsA(obj1,stove)=true",
+             "--query", "AtLocation(obj1,*)", "--method", "gibbs", "--samples", "2000"],
+            capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ErgodicityError: variable AtLocation(obj1,cupboard) "
+                              "has a deterministic CPF row")
 
     @pytest.mark.parametrize("method", ["lw", "gibbs", "exact"])
     def test_two_patterns_print_the_lines_of_separate_runs(self, mini_model, capsys,
