@@ -50,6 +50,7 @@ only for evidence with a free parent: ``burn_in`` is a cap.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -118,7 +119,7 @@ class AbstractVar:
         return f"{self.predicate}({','.join(self.args)})"
 
     def ground(self, binding: dict[str, str]) -> str:
-        args = ",".join(binding.get(a, a) for a in self.args)
+        args = ",".join([binding.get(a, a) for a in self.args])
         return f"{self.predicate}({args})"
 
     @classmethod
@@ -126,7 +127,7 @@ class AbstractVar:
         name, _, rest = text.strip().partition("(")
         if not rest.endswith(")"):
             raise ValueError(f"bad variable syntax: {text!r}")
-        args = tuple(a.strip() for a in rest[:-1].split(","))
+        args = tuple(map(str.strip, rest[:-1].split(",")))
         return cls(name, args)
 
 
@@ -134,11 +135,13 @@ class AbstractVar:
 class Fragment:
     """Conditional dependence template with a full-table CPF.
 
-    ``cpf[i]`` is P(child = true | configuration i).  A frozen fragment
-    keeps its table through :func:`learn_cpfs`, which pins a hand-edited
-    row (say, a rule fixed at probability one) against re-estimation.  A
-    parent listed twice raises ``ValueError``: both copies would be one
-    variable at two bits of the configuration.
+    ``cpf[i]`` is P(child = true | configuration i).  The table is a
+    read-only copy of the one given, so every variable :func:`ground`
+    makes of the fragment shares it.  A frozen fragment keeps its table
+    through :func:`learn_cpfs`, which pins a hand-edited row (say, a rule
+    fixed at probability one) against re-estimation.  A parent listed
+    twice raises ``ValueError``: both copies would be one variable at two
+    bits of the configuration.
     """
 
     child: AbstractVar
@@ -147,11 +150,13 @@ class Fragment:
     frozen: bool = False
 
     def __post_init__(self):
-        self.cpf = np.asarray(self.cpf, dtype=float)
+        self.cpf = np.array(self.cpf, dtype=float)
+        self.cpf.flags.writeable = False
         if self.cpf.shape != (2 ** len(self.parents),):
             raise ValueError(
                 f"fragment {self.child}: cpf must have {2 ** len(self.parents)} rows")
-        if not np.all((self.cpf >= 0) & (self.cpf <= 1)):  # NaN fails both
+        # min and max pass a NaN on, and a NaN fails the comparison
+        if not (0.0 <= self.cpf.min() and self.cpf.max() <= 1.0):
             raise ValueError(f"fragment {self.child}: probabilities outside [0, 1]")
         if len(set(self.parents)) < len(self.parents):
             repeated = next(p for i, p in enumerate(self.parents) if p in self.parents[:i])
@@ -197,12 +202,11 @@ def model_from_graph(graph: ConceptGraph) -> tuple[Declaration, list[Fragment]]:
 
     fragments = []
     for node_id in sorted(graph.nodes):
-        parent_vars = sorted({str(var_of[e.src]) for e in incoming[node_id]})
-        if len(parent_vars) > MAX_PARENTS:
+        parents = sorted({var_of[e.src] for e in incoming[node_id]}, key=str)
+        if len(parents) > MAX_PARENTS:
             raise DenseModelError(
-                f"node {node_id!r} has {len(parent_vars)} parents (max {MAX_PARENTS}); "
+                f"node {node_id!r} has {len(parents)} parents (max {MAX_PARENTS}); "
                 "split the node or prune its relations")
-        parents = [AbstractVar.parse(p) for p in parent_vars]
         fragments.append(Fragment(
             child=var_of[node_id], parents=parents,
             cpf=np.full(2 ** len(parents), 0.5)))
@@ -484,34 +488,52 @@ def ground(decl: Declaration, fragments, objects) -> GroundNetwork:
     """Instantiate the per-object subnetworks.
 
     Every fragment is replicated once per object with the meta-variable
-    substituted.  Two ground variables of one name (two fragments with
-    one child, or an object listed twice) raise ``ValueError`` naming it.
+    substituted, and its copies share the fragment's read-only CPF table.
+    Each copy's name is formatted once.  A parent that is some fragment's
+    child is found by that fragment's position; any other parent is
+    grounded and looked up by name, so it can be another object's
+    variable.  Two ground variables of one name (two fragments with one
+    child, or an object listed twice) raise ``ValueError`` naming it.  So
+    do an undeclared parent and two parents of one fragment that ground
+    to one variable, such as ``IsA(x,a)`` and ``IsA(o,a)`` for object
+    ``o``; that error names the ground variable and the parent.
     """
     if not objects:
         raise ValueError("at least one object is required")
 
-    names: list[str] = []
-    parent_names: list[list[str]] = []
-    cpfs: list[np.ndarray] = []
-    for obj in objects:
-        binding = {META_VARIABLE: obj}
-        for frag in fragments:
-            names.append(frag.child.ground(binding))
-            parent_names.append([p.ground(binding) for p in frag.parents])
-            cpfs.append(np.array(frag.cpf, dtype=float))
-
+    bindings = [{META_VARIABLE: obj} for obj in objects]
+    names = [frag.child.ground(binding) for binding in bindings for frag in fragments]
     index = {name: i for i, name in enumerate(names)}
     if len(index) < len(names):
         duplicate = next(name for i, name in enumerate(names) if index[name] != i)
         raise ValueError(f"ground variable {duplicate} is defined twice")
+    # the names are distinct, so the children are too: per parent, the position of
+    # the fragment it is the child of, which is its offset in every object's names
+    position = {frag.child: j for j, frag in enumerate(fragments)}
+    slots = [[position.get(p) for p in frag.parents] for frag in fragments]
     parents = []
-    for var, ps in zip(names, parent_names):
-        try:
-            parents.append([index[p] for p in ps])
-        except KeyError as missing:
-            raise ValueError(f"variable {var} has undeclared parent {missing}") from None
+    for k, binding in enumerate(bindings):
+        base = k * len(fragments)
+        for j, (frag, slot) in enumerate(zip(fragments, slots)):
+            ps = []
+            for p, s in zip(frag.parents, slot):
+                if s is not None:
+                    ps.append(base + s)
+                    continue
+                name = p.ground(binding)
+                if name not in index:
+                    raise ValueError(
+                        f"variable {names[base + j]} has undeclared parent {name!r}")
+                ps.append(index[name])
+            # parents found by position are distinct, as the fragment's parents are
+            if None in slot and len(set(ps)) < len(ps):
+                repeated = next(p for i, p in enumerate(ps) if p in ps[:i])
+                raise ValueError(f"ground variable {names[base + j]}: "
+                                 f"parent {names[repeated]} is listed twice")
+            parents.append(ps)
 
-    net = GroundNetwork(names=names, parents=parents, cpfs=cpfs)
+    net = GroundNetwork(names=names, parents=parents,
+                        cpfs=[frag.cpf for frag in fragments] * len(objects))
     net.topo_order()  # raises GroundingCycleError on cyclic fragment structure
     return net
 
@@ -996,14 +1018,25 @@ def write_model(decl: Declaration, fragments, path) -> None:
 def read_model(path) -> tuple[Declaration, list[Fragment]]:
     """Read the :func:`write_model` layout.
 
-    A malformed record, or a fragment whose child is declared twice,
-    raises ``ValueError`` naming its line.
+    Each distinct variable text is parsed once per file, so a variable
+    that parents many fragments is one shared :class:`AbstractVar`.  A
+    parent list is split by :func:`_split_vars` and a CPF row by one
+    ``np.array`` call, which converts each number as ``float`` does.  A
+    malformed record, or a fragment whose child is declared twice, raises
+    ``ValueError`` naming its line.
     """
     types: set[str] = set()
     signatures: dict[str, tuple[str, ...]] = {}
     entities: dict[str, frozenset[str]] = {}
     fragments: list[Fragment] = []
     declared: set[AbstractVar] = set()
+    parsed: dict[str, AbstractVar] = {}  # variable text -> its variable
+
+    def variable(text):
+        if text not in parsed:
+            parsed[text] = AbstractVar.parse(text)
+        return parsed[text]
+
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
@@ -1019,12 +1052,12 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
                 entities[cols[1]] = frozenset(cols[2].split(","))
             elif tag == "FRAGMENT" and len(cols) == 5:
                 try:
-                    child = AbstractVar.parse(cols[1])
+                    child = variable(cols[1])
                     if child in declared:
                         raise ValueError(f"fragment {child} declared twice")
                     declared.add(child)
-                    parents = [AbstractVar.parse(p) for p in _split_vars(cols[2])]
-                    cpf = np.array([float(x) for x in cols[3].split()])
+                    parents = [variable(p) for p in _split_vars(cols[2])]
+                    cpf = np.array(cols[3].split(), dtype=float)
                     fragments.append(Fragment(child=child, parents=parents, cpf=cpf,
                                               frozen=cols[4] == "frozen"))
                 except ValueError as error:
@@ -1035,10 +1068,22 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
     return decl, fragments
 
 
+# a variable whose arguments hold no parenthesis, as write_model writes them
+_VARIABLE = re.compile(r"[^(),]*\([^()]*\)")
+
+
 def _split_vars(text: str) -> list[str]:
-    """Split ``P(a,b),Q(c,d)`` on the commas between variables only."""
+    """Split ``P(a,b),Q(c,d)`` on the commas between variables only.
+
+    A list of :data:`_VARIABLE` matches joined by single commas is split
+    by one ``findall``; any other text by a loop over its characters that
+    tracks the parenthesis depth.
+    """
     if text == "-":
         return []
+    parts = _VARIABLE.findall(text)
+    if ",".join(parts) == text:
+        return parts
     parts = []
     depth = 0
     current = []

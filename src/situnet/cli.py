@@ -232,7 +232,6 @@ def _generate(config: PipelineConfig, inputs: _Inputs) -> PipelineProducts:
                    config.ic_threshold, inputs.blocklist)
     graph = _stage("relations", netgen.attach_relations, graph, inputs.store, lexicon,
                    provider, assignment, inputs.stopwords)
-    dropped = graph.dropped_edges
     graph = _stage("locations", netgen.attach_locations_two_hop, graph, inputs.store,
                    config.environment)
     _stage("validate", netgen.validate_graph, graph)
@@ -241,7 +240,7 @@ def _generate(config: PipelineConfig, inputs: _Inputs) -> PipelineProducts:
                        config.alpha, config.root_prior)
     return PipelineProducts(assignment=assignment, graph=graph,
                             declaration=declaration, fragments=fragments,
-                            dropped_edges=dropped)
+                            dropped_edges=graph.dropped_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -388,50 +387,75 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_arguments(p):
+    p.add_argument("--seeds", help="seed word file (one word per line)")
+    p.add_argument("--environment", help="current environment term")
+    p.add_argument("--min-children", dest="min_children", type=int)
+    p.add_argument("--ic-threshold", dest="ic_threshold", type=float)
+    p.add_argument("--alpha", type=float,
+                   help="weight of relation strength vs relatedness")
+    p.add_argument("--root-prior", dest="root_prior", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--method", choices=bln.METHODS)
+    p.add_argument("--seed", type=int, help="master random seed")
+
+
+def _generate_arguments(p):
+    p.add_argument("--config", required=True)
+    p.add_argument("--out-dir", default="out")
+    _common_arguments(p)
+    p.set_defaults(func=cmd_generate)
+
+
+def _infer_arguments(p):
+    p.add_argument("--config")
+    p.add_argument("--model", required=True)
+    p.add_argument("--evidence", action="append", default=[],
+                   help="assignments like 'IsA(obj1,sock)=true'; repeatable")
+    p.add_argument("--query", action="append", required=True,
+                   help="variable or pattern like 'AtLocation(obj1,*)'; repeatable")
+    _common_arguments(p)
+    p.set_defaults(func=cmd_infer)
+
+
+def _evaluate_arguments(p):
+    p.add_argument("--config", required=True)
+    p.add_argument("--out-dir")
+    _common_arguments(p)
+    p.set_defaults(func=cmd_evaluate)
+
+
+# subcommand -> (its line in the top-level help, the function adding its arguments)
+COMMANDS = {
+    "generate": ("build graph, model, and assignment files", _generate_arguments),
+    "infer": ("answer queries against a model file", _infer_arguments),
+    "evaluate": ("score scenarios against gold labels", _evaluate_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``situnet`` parser, with every subcommand of :data:`COMMANDS` registered.
+
+    Given a ``command``, only that subcommand gets its arguments: the
+    others keep their name and help line, so the top-level help and its
+    errors read the same, at a fraction of the cost of adding every
+    argument of every subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="situnet",
         description="Generate and query situated commonsense knowledge networks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seeds", help="seed word file (one word per line)")
-        p.add_argument("--environment", help="current environment term")
-        p.add_argument("--min-children", dest="min_children", type=int)
-        p.add_argument("--ic-threshold", dest="ic_threshold", type=float)
-        p.add_argument("--alpha", type=float,
-                       help="weight of relation strength vs relatedness")
-        p.add_argument("--root-prior", dest="root_prior", type=float)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--method", choices=bln.METHODS)
-        p.add_argument("--seed", type=int, help="master random seed")
-
-    gen = sub.add_parser("generate", help="build graph, model, and assignment files")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--out-dir", default="out")
-    add_common(gen)
-    gen.set_defaults(func=cmd_generate)
-
-    inf = sub.add_parser("infer", help="answer queries against a model file")
-    inf.add_argument("--config")
-    inf.add_argument("--model", required=True)
-    inf.add_argument("--evidence", action="append", default=[],
-                     help="assignments like 'IsA(obj1,sock)=true'; repeatable")
-    inf.add_argument("--query", action="append", required=True,
-                     help="variable or pattern like 'AtLocation(obj1,*)'; repeatable")
-    add_common(inf)
-    inf.set_defaults(func=cmd_infer)
-
-    ev = sub.add_parser("evaluate", help="score scenarios against gold labels")
-    ev.add_argument("--config", required=True)
-    ev.add_argument("--out-dir")
-    add_common(ev)
-    ev.set_defaults(func=cmd_evaluate)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(subparser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names; its parser holds only that command's arguments."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

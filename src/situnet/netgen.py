@@ -60,10 +60,12 @@ class ConceptGraph:
     nodes: dict[str, ConceptNode] = field(default_factory=dict)
     edges: list[RelationEdge] = field(default_factory=list)
     environment: str = ""
-    dropped_edges: int = field(default=0, compare=False)  # sense-gate drops of attach_relations
+    # sense-gate drops of attach_relations; copy() carries the count to later graphs
+    dropped_edges: int = field(default=0, compare=False)
 
     def copy(self) -> "ConceptGraph":
-        return ConceptGraph(dict(self.nodes), list(self.edges), self.environment)
+        return ConceptGraph(dict(self.nodes), list(self.edges), self.environment,
+                            self.dropped_edges)
 
     def node_ids(self, kind: str | None = None) -> list[str]:
         if kind is None:

@@ -7,7 +7,8 @@ library's samplers must reproduce value for value, both on the reduced
 network of :func:`reduced_oracle`; and, for
 generation, the cubic seed-tree growth, the per-cell leaky noisy-OR
 tables, the sample-major evidence simulation and the per-row CPF
-learning that the library must reproduce byte for byte.
+learning that the library must reproduce byte for byte; and the
+character loop that ``read_model``'s parent-list split must agree with.
 ``every_variable_gold`` labels every variable of the one-object network,
 so ``run_scenario`` estimates them all.
 """
@@ -467,3 +468,25 @@ def learn_cpfs_oracle(fragments, evidence, pseudocount=1.0):
             rows[i] = 0.5 if denominator == 0 else (int(trues[i]) + pseudocount) / denominator
         out.append(replace(frag, cpf=rows))
     return out
+
+
+def split_vars_oracle(text):
+    """Split a parent list on the commas outside parentheses, one character at a time."""
+    if text == "-":
+        return []
+    parts = []
+    depth = 0
+    current = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if current:
+        parts.append("".join(current))
+    return parts

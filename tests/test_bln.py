@@ -44,6 +44,7 @@ from conftest import (
     noisy_or_cpfs_oracle,
     reduced_oracle,
     simulate_evidence_oracle,
+    split_vars_oracle,
 )
 
 
@@ -109,6 +110,12 @@ class TestModelFromGraph:
             for frag in fragments:
                 assert {str(p) for p in frag.parents} == \
                     expected.get(str(frag.child), set())
+
+    def test_parents_sorted_by_text(self, scenario_products):
+        for _, products in scenario_products.values():
+            for frag in model_from_graph(products.graph)[1]:
+                texts = [str(p) for p in frag.parents]
+                assert texts == sorted(texts)
 
     def test_cpfs_start_uninformed(self):
         _, fragments = model_from_graph(DIAMOND)
@@ -476,6 +483,37 @@ class TestGround:
     def test_objects_required(self):
         with pytest.raises(ValueError):
             ground(simple_declaration(), simple_fragments(), [])
+
+    def test_copies_share_the_read_only_table(self):
+        fragments = simple_fragments()
+        net = ground(simple_declaration(), fragments, ["o1", "o2"])
+        for v, cpf in enumerate(net.cpfs):  # one block of the fragments per object
+            assert cpf is fragments[v % len(fragments)].cpf
+        with pytest.raises(ValueError, match="read-only"):
+            net.cpfs[0][0] = 0.5
+
+    def test_parent_repeated_after_grounding_rejected(self):
+        fragments = [Fragment(var("IsA(x,a)"), [], np.array([0.3])),
+                     Fragment(var("IsA(x,c)"), [var("IsA(x,a)"), var("IsA(o,a)")],
+                              np.array([0.1, 0.5, 0.6, 0.9]))]
+        with pytest.raises(ValueError,
+                           match=r"^ground variable IsA\(o,c\): parent IsA\(o,a\) is listed twice$"):
+            ground(simple_declaration(), fragments, ["o"])
+        with pytest.raises(ValueError, match=r"IsA\(o,c\): parent IsA\(o,a\) is listed twice"):
+            ground(simple_declaration(), fragments, ["p", "o"])
+        # for another object, o's variable is a second, distinct parent
+        net = ground(simple_declaration(),
+                     [*fragments, Fragment(var("IsA(o,a)"), [], np.array([0.6]))], ["p"])
+        c = net.index["IsA(p,c)"]
+        assert [net.names[p] for p in net.parents[c]] == ["IsA(p,a)", "IsA(o,a)"]
+        assert infer_exact(net, "IsA(p,c)") == pytest.approx(
+            0.7 * 0.4 * 0.1 + 0.7 * 0.6 * 0.5 + 0.3 * 0.4 * 0.6 + 0.3 * 0.6 * 0.9)
+
+    def test_undeclared_parent_named(self):
+        fragments = [Fragment(var("IsA(x,c)"), [var("IsA(x,z)")], np.array([0.1, 0.9]))]
+        with pytest.raises(ValueError,
+                           match=r"^variable IsA\(o1,c\) has undeclared parent 'IsA\(o1,z\)'$"):
+            ground(simple_declaration(), fragments, ["o1"])
 
     def test_duplicate_ground_variable_rejected(self):
         decl, fragments = simple_declaration(), simple_fragments()
@@ -1163,6 +1201,50 @@ class TestModelSerialization:
             assert back.parents == ours.parents
             assert back.frozen == ours.frozen
             assert back.cpf.tobytes() == ours.cpf.tobytes()
+
+    @pytest.mark.parametrize("name", ["mini", "recipe", "laundry", "cleaning"])
+    def test_write_read_write_is_byte_identical(self, tmp_path, scenario_products, name):
+        _, products = scenario_products[name]
+        write_model(products.declaration, products.fragments, tmp_path / "a.tsv")
+        write_model(*read_model(tmp_path / "a.tsv"), tmp_path / "b.tsv")
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_split_vars_equals_character_loop(self, data):
+        names = st.text("abxo_ 1", max_size=4)
+        variable = st.builds(lambda p, args: f"{p}({','.join(args)})", names,
+                             st.lists(names, max_size=3))
+        well_formed = st.lists(variable, min_size=1, max_size=5).map(",".join)
+        malformed = st.text("ab,() x-", max_size=16)
+        text = data.draw(st.one_of(well_formed, malformed, st.just("-")), label="text")
+        parts = bln._split_vars(text)
+        assert parts == split_vars_oracle(text)
+
+        def parsed(parts):
+            try:
+                return [AbstractVar.parse(p) for p in parts]
+            except ValueError as error:
+                return str(error)
+
+        assert parsed(parts) == parsed(split_vars_oracle(text))
+
+    @pytest.mark.parametrize("k", [0, 2, 5, 6])  # tables of 1 to 64 rows
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_table_outside_unit_interval_refused(self, k, bad):
+        parents = [var(f"IsA(x,p{i})") for i in range(k)]
+        for at in (0, 2 ** k - 1):
+            table = np.full(2 ** k, 0.5)
+            table[at] = bad
+            with pytest.raises(ValueError, match=r"^fragment IsA\(x,c\): probabilities "
+                                                 r"outside \[0, 1\]$"):
+                Fragment(var("IsA(x,c)"), parents, table)
+
+    def test_table_is_a_read_only_copy(self):
+        table = np.array([0.2, 0.9])
+        frag = Fragment(var("IsA(x,b)"), [var("IsA(x,a)")], table)
+        table[0] = 0.5
+        assert frag.cpf.tolist() == [0.2, 0.9] and not frag.cpf.flags.writeable
 
     @pytest.mark.parametrize("fragment, reason", [
         ("FRAGMENT\tIsA(x,a)\t-\tabc\t-", "could not convert"),

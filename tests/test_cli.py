@@ -229,6 +229,47 @@ class TestInfer:
         assert out.splitlines() == ranked
 
 
+def exit_of(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """``main`` builds only the invoked subcommand's arguments."""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["generate", "--help"], ["infer", "--help"],
+                                      ["evaluate", "--help"]])
+    def test_help_equals_full_parser(self, argv, capsys):
+        expected = exit_of(cli.build_parser().parse_args, argv, capsys)
+        assert expected[0] == 0 and expected[1]
+        assert exit_of(main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--model", "m.tsv"], ["infer"],
+                                      ["infer", "--model", "m.tsv", "--out-dir", "x"]])
+    def test_usage_error_equals_full_parser(self, argv, capsys):
+        expected = exit_of(cli.build_parser().parse_args, argv, capsys)
+        assert expected[0] == 2 and expected[2]
+        assert exit_of(main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--config", "a.cfg", "--alpha", "0.9"],
+        ["infer", "--model", "m.tsv", "--query", "IsA(o,*)", "--evidence", "IsA(o,a)=true",
+         "--method", "lw", "--seed", "3"],
+        ["evaluate", "--config", "a.cfg", "--out-dir", "out", "--samples", "10"],
+    ])
+    def test_partial_parser_reads_the_same_arguments(self, argv):
+        full = cli.build_parser().parse_args(argv)
+        assert cli.build_parser(argv[0]).parse_args(argv) == full
+
+    def test_other_subcommands_get_no_arguments(self, capsys):
+        code, _, err = exit_of(cli.build_parser("infer").parse_args,
+                               ["generate", "--config", "a.cfg"], capsys)
+        assert code == 2 and "unrecognized arguments: --config a.cfg" in err
+
+
 class TestLoadConfig:
     def write(self, tmp_path, lines):
         path = tmp_path / "eval.cfg"

@@ -40,7 +40,9 @@ byte-identical outputs.  It covers:
   ``IsA(obj1,basket)``, the one bundled seed whose variable has a parent,
   ``hamper``.  ``hamper`` has a second child in that request's closure,
   so the samplers keep drawing it and the chains still run their burn-in
-  sweeps (for ``basket``'s gold triples it is summed into ``basket``).
+  sweeps (for ``basket``'s gold triples it is summed into ``basket``);
+- ``situnet --help`` and ``situnet <command> --help`` for each command:
+  exit code and output, at a fixed width of 80 columns.
 
 Usage, from the repository root:
 
@@ -61,10 +63,12 @@ import hashlib
 import inspect
 import io
 import math
+import os
 import random
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 SCENARIOS = ("mini", "recipe", "laundry", "cleaning")
 METHODS = {"lw": {"method": "lw"},
@@ -95,6 +99,7 @@ MIXES = ([(f"mix-{environment}-{size}", environment, size)
 MIX_SEED_FILES = ("recipe", "laundry", "cleaning")
 WIDE_MIX = "mix-house-45"
 ARTIFACTS = ("graph.tsv", "model.tsv", "assignment.tsv")
+HELP_COMMANDS = ("generate", "infer", "evaluate")
 
 
 def sha(data: bytes) -> str:
@@ -121,7 +126,10 @@ def run_cli(main, argv) -> bytes:
     """Exit code, stdout and stderr of one in-process ``situnet`` command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse ends --help and usage errors
+            code = stop.code
     return f"{code}\n{out.getvalue()}\n{err.getvalue()}".encode()
 
 
@@ -228,6 +236,11 @@ def digests(work: Path):
             "--model", str(models["laundry"]), "--evidence", "IsA(obj1,basket)=true",
             "--query", "AtLocation(obj1,*)"]
     yield "infer/laundry/gibbs/basket/AtLocation(obj1,*)", sha(run_cli(cli.main, argv))
+
+    with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse wraps help to the terminal
+        yield "help", sha(run_cli(cli.main, ["--help"]))
+        for command in HELP_COMMANDS:
+            yield f"help/{command}", sha(run_cli(cli.main, [command, "--help"]))
 
 
 def main(argv=None) -> int:
