@@ -407,7 +407,6 @@ class GroundNetwork:
     def __post_init__(self):
         self.index = {name: i for i, name in enumerate(self.names)}
         self._topo: list[int] | None = None
-        self._rank: list[int] | None = None
         self._children: list[list[int]] | None = None
 
     def __len__(self):
@@ -420,14 +419,6 @@ class GroundNetwork:
             except CycleError as error:
                 raise GroundingCycleError([self.names[v] for v in error.cycle]) from None
         return self._topo
-
-    def topo_rank(self) -> list[int]:
-        """Per variable, its position in :meth:`topo_order`."""
-        if self._rank is None:
-            self._rank = [0] * len(self.names)
-            for position, v in enumerate(self.topo_order()):
-                self._rank[v] = position
-        return self._rank
 
     def children(self) -> list[list[int]]:
         if self._children is None:
@@ -605,8 +596,9 @@ def _reduced(net, ids, ev) -> tuple[GroundNetwork, dict[str, tuple[list[int], np
     parents = {v: net.parents[v] for v in closure}
     cpfs = {v: net.cpfs[v] for v in closure}
     dropped = set(leaves)
-    for r in sorted(closure, key=net.topo_rank().__getitem__):
-        if not parents[r] and r not in ev and r not in asked and len(children[r]) == 1:
+    for r in net.topo_order():
+        if r in parents and not parents[r] and r not in ev and r not in asked \
+                and len(children[r]) == 1:
             (c,) = children[r]
             i = parents[c].index(r)
             p = cpfs[r][0]

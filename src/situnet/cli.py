@@ -1,10 +1,13 @@
 """Batch command-line driver: ``generate``, ``infer``, ``evaluate``.
 
 Configuration is a flat ``key=value`` text file, one key per field of
-:class:`PipelineConfig`.  Nine keys also have a command-line flag,
-which wins over the file: ``--seeds``, ``--environment``,
-``--min-children``, ``--ic-threshold``, ``--alpha``, ``--root-prior``,
-``--samples``, ``--method`` and ``--seed``.  Every other key
+:class:`PipelineConfig`; one file serves all three commands.  Nine keys
+also have a command-line flag, which wins over the file, and each
+command takes only the flags it reads: ``generate`` the generation
+flags ``--seeds``, ``--environment``, ``--min-children``,
+``--ic-threshold``, ``--alpha`` and ``--root-prior``; ``infer`` the
+sampler flags ``--samples``, ``--method`` and ``--seed``; ``evaluate``
+all nine.  Every other key
 (``burn_in``, ``scenarios`` and the data paths such as ``lexicon``,
 ``edges`` and ``gold``) is set in the file only.  ``evaluate`` runs each
 scenario listed in ``scenarios`` with its ``<scenario>.<key>`` lines
@@ -185,7 +188,6 @@ class PipelineProducts:
     graph: object
     declaration: object
     fragments: list
-    dropped_edges: int
 
 
 @dataclass
@@ -239,8 +241,7 @@ def _generate(config: PipelineConfig, inputs: _Inputs) -> PipelineProducts:
     fragments = _stage("cpfs", bln.noisy_or_cpfs, fragments, graph, provider,
                        config.alpha, config.root_prior)
     return PipelineProducts(assignment=assignment, graph=graph,
-                            declaration=declaration, fragments=fragments,
-                            dropped_edges=graph.dropped_edges)
+                            declaration=declaration, fragments=fragments)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,7 @@ def cmd_generate(args) -> int:
     print(f"nodes: {len(graph.nodes)}")
     print(f"edges: {len(graph.edges)}")
     print(f"fragments: {len(products.fragments)}")
-    print(f"relations dropped by sense gate: {products.dropped_edges}")
+    print(f"relations dropped by sense gate: {graph.dropped_edges}")
     print(f"wrote graph.tsv, model.tsv, assignment.tsv to {out_dir}")
     return 0
 
@@ -311,6 +312,8 @@ def _parse_evidence(items):
         value = value.strip().lower()
         if value not in ("true", "false", "1", "0"):
             raise ConfigError(f"evidence {item!r} needs =true or =false")
+        if name in evidence:
+            raise ConfigError(f"evidence names {name!r} twice")
         evidence[name] = value in ("true", "1")
         obj = _object_of(name)
         if obj and obj not in objects:
@@ -387,7 +390,7 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common_arguments(p):
+def _generation_arguments(p):
     p.add_argument("--seeds", help="seed word file (one word per line)")
     p.add_argument("--environment", help="current environment term")
     p.add_argument("--min-children", dest="min_children", type=int)
@@ -395,6 +398,9 @@ def _common_arguments(p):
     p.add_argument("--alpha", type=float,
                    help="weight of relation strength vs relatedness")
     p.add_argument("--root-prior", dest="root_prior", type=float)
+
+
+def _sampler_arguments(p):
     p.add_argument("--samples", type=int)
     p.add_argument("--method", choices=bln.METHODS)
     p.add_argument("--seed", type=int, help="master random seed")
@@ -403,7 +409,7 @@ def _common_arguments(p):
 def _generate_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default="out")
-    _common_arguments(p)
+    _generation_arguments(p)
     p.set_defaults(func=cmd_generate)
 
 
@@ -414,14 +420,15 @@ def _infer_arguments(p):
                    help="assignments like 'IsA(obj1,sock)=true'; repeatable")
     p.add_argument("--query", action="append", required=True,
                    help="variable or pattern like 'AtLocation(obj1,*)'; repeatable")
-    _common_arguments(p)
+    _sampler_arguments(p)
     p.set_defaults(func=cmd_infer)
 
 
 def _evaluate_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
-    _common_arguments(p)
+    _generation_arguments(p)
+    _sampler_arguments(p)
     p.set_defaults(func=cmd_evaluate)
 
 
@@ -439,14 +446,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     Given a ``command``, only that subcommand gets its arguments: the
     others keep their name and help line, so the top-level help and its
     errors read the same, at a fraction of the cost of adding every
-    argument of every subcommand.
+    argument of every subcommand.  A subcommand's options are matched
+    whole, so ``generate --seed`` is refused rather than read as ``--seeds``.
     """
     parser = argparse.ArgumentParser(
         prog="situnet",
         description="Generate and query situated commonsense knowledge networks.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments) in COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_line)
+        subparser = sub.add_parser(name, help=help_line, allow_abbrev=False)
         if command in (None, name):
             add_arguments(subparser)
     return parser

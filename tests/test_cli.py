@@ -1,6 +1,7 @@
 """End-to-end command-line driver tests."""
 
 import re
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -57,11 +58,15 @@ class TestGenerate:
                 (tmp_path / "b" / name).read_bytes(), name
 
     def test_changed_seed_changes_no_artifact(self, tmp_path, capsys):
-        config = bundled("configs", "mini.cfg")
-        run_cli(["generate", "--config", config, "--seed", "7",
-                 "--out-dir", str(tmp_path / "a")], capsys)
-        run_cli(["generate", "--config", config, "--seed", "8",
-                 "--out-dir", str(tmp_path / "b")], capsys)
+        config = load_config(bundled("configs", "mini.cfg"))[0]
+        for seed, out in ((7, "a"), (8, "b")):
+            path = tmp_path / f"{out}.cfg"  # mini.cfg, its paths absolute, with this seed
+            path.write_text("".join(f"{key}={value}\n" for key, value in
+                                    asdict(replace(config, seed=seed)).items()),
+                            encoding="utf-8")
+            code, _, err = run_cli(["generate", "--config", str(path),
+                                    "--out-dir", str(tmp_path / out)], capsys)
+            assert code == 0, err
         for name in ("graph.tsv", "model.tsv", "assignment.tsv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
@@ -164,6 +169,15 @@ class TestInfer:
         for name in exact:
             assert abs(exact[name] - lw[name]) < 0.02, name
 
+    @pytest.mark.parametrize("evidence", [["IsA(obj1,stove)=true;IsA(obj1,stove)=false"],
+                                          ["IsA(obj1,stove)=true", " IsA(obj1,stove) = 1"]])
+    def test_variable_named_twice_in_evidence_refused(self, mini_model, capsys, evidence):
+        code, out, err = run_cli(
+            ["infer", "--model", str(mini_model), "--query", "UsedFor(obj1,heat)",
+             *(arg for item in evidence for arg in ("--evidence", item))], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: evidence names 'IsA(obj1,stove)' twice\n"
+
     def test_unknown_variable_lists_near_matches(self, mini_model, capsys):
         code, _, err = run_cli(
             ["infer", "--model", str(mini_model),
@@ -248,7 +262,9 @@ class TestParser:
         assert exit_of(main, argv, capsys) == expected
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["--model", "m.tsv"], ["infer"],
-                                      ["infer", "--model", "m.tsv", "--out-dir", "x"]])
+                                      ["infer", "--model", "m.tsv", "--out-dir", "x"],
+                                      ["infer", "--model", "m.tsv", "--query", "q",
+                                       "--alpha", "0.5"]])
     def test_usage_error_equals_full_parser(self, argv, capsys):
         expected = exit_of(cli.build_parser().parse_args, argv, capsys)
         assert expected[0] == 2 and expected[2]
@@ -263,6 +279,20 @@ class TestParser:
     def test_partial_parser_reads_the_same_arguments(self, argv):
         full = cli.build_parser().parse_args(argv)
         assert cli.build_parser(argv[0]).parse_args(argv) == full
+
+    @pytest.mark.parametrize("argv", [
+        *(["generate", "--config", "a.cfg", flag, value]
+          for flag, value in (("--samples", "10"), ("--method", "lw"), ("--seed", "3"))),
+        *(["infer", "--model", "m.tsv", "--query", "q", flag, value]
+          for flag, value in (("--seeds", "s.txt"), ("--environment", "house"),
+                              ("--min-children", "99"), ("--ic-threshold", "1.0"),
+                              ("--alpha", "0.1"), ("--root-prior", "0.9"))),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_command_does_not_read_is_refused(self, argv, capsys):
+        # options match whole: generate's --seed is not taken for --seeds
+        code, out, err = exit_of(main, argv, capsys)
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
 
     def test_other_subcommands_get_no_arguments(self, capsys):
         code, _, err = exit_of(cli.build_parser("infer").parse_args,

@@ -334,13 +334,13 @@ class TestAttachRelations:
     def test_wrong_sense_edges_dropped_and_counted(self, scenario_products):
         _, products = scenario_products["recipe"]
         graph = products.graph
-        assert products.dropped_edges == 2  # pan->worship, pan->hairy
+        assert graph.dropped_edges == 2  # pan->worship, pan->hairy
         assert not any(n.term == "worship" for n in graph.nodes.values())
         assert not any(n.term == "hairy" for n in graph.nodes.values())
 
     def test_final_graph_carries_the_dropped_count(self, scenario_products):
         _, products = scenario_products["mini"]
-        assert products.graph.dropped_edges == products.dropped_edges == 2
+        assert products.graph.dropped_edges == 2
 
     def test_added_set_matches_filter_chain_oracle(self, scenario_products, lexicon,
                                                    store, stopwords, provider):
