@@ -847,8 +847,8 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     Sampler state is one integer key per variable and chain,
     ``2 * parent_config + state``, with the parent configuration ordered
     as in the CPF (:func:`_pack`), so a parent sits at one bit of its
-    child's key.  The forward sample writes each key from the
-    configuration it looked the CPF row up by.  A CPF is read interleaved,
+    child's key.  The forward sample's keys pack each variable's parents
+    and then the variable itself.  A CPF is read interleaved,
     ``(1 - cpf[i], cpf[i])`` at ``(2i, 2i + 1)``: the entry at a key is
     the probability of the variable's state given its parents.  Each free
     site gets one ``(2, len)`` table per factor, its own CPF and each
@@ -861,10 +861,10 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     differs from the current state: ``flip = (key & 1) ^ draw`` XORs the
     site's key and, times the site's bit, each child's key; no other key
     changes.  A site whose two weights are both zero, or underflow to
-    zero, is drawn at 0.5.  The forward sample and each sweep draw one
-    ``(free sites, n_chains)`` block of uniforms, row ``i`` for the
-    ``i``-th site; on PCG64 it equals drawing ``n_chains`` uniforms per
-    site.
+    zero, is drawn at 0.5.  The forward sample (:func:`_forward_sample`)
+    draws ``n_chains`` uniforms per free site in topological order, and
+    each sweep one ``(free sites, n_chains)`` block, row ``i`` for the
+    ``i``-th site; on PCG64 the two are equal.
 
     Kept sweeps store only the states read afterwards, those of the drawn
     queries and of the leaf queries' parents: one bool buffer of
@@ -907,19 +907,9 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     rng = np.random.default_rng(seed)
     # ancestral initialization: forward-sample each chain so the sweep
     # starts near the target distribution instead of uniform noise
-    states = np.zeros((len(net.names), n_chains), dtype=bool)
-    uniforms = iter(rng.random((len(sites), n_chains)))
-    for v in net.topo_order():
-        ps = net.parents[v]
-        config = _pack(states, ps) if ps else 0
-        if v in ev:
-            states[v] = ev[v]
-        else:
-            np.less(next(uniforms), net.cpfs[v].take(config), out=states[v])
-        keys[v] = states[v]
-        if ps:  # key = 2 * config + state, without overflowing the narrow config
-            keys[v] += config
-            keys[v] += config
+    states = _forward_sample(net, ev, np.empty(keys.shape, dtype=bool), net.topo_order(), rng)
+    for v, ps in enumerate(net.parents):
+        keys[v] = _pack(states, [*ps, v])  # 2 * parent configuration + state
 
     per_chain = -(-n_samples // n_chains)  # ceil
     drawn = [q for q in queries if q in net.index and q not in evidence]

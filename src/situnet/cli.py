@@ -1,18 +1,19 @@
 """Batch command-line driver: ``generate``, ``infer``, ``evaluate``.
 
 Configuration is a flat ``key=value`` text file, one key per field of
-:class:`PipelineConfig`; one file serves all three commands.  Nine keys
-also have a command-line flag, which wins over the file, and each
-command takes only the flags it reads: ``generate`` the generation
-flags ``--seeds``, ``--environment``, ``--min-children``,
-``--ic-threshold``, ``--alpha`` and ``--root-prior``; ``infer`` the
-sampler flags ``--samples``, ``--method`` and ``--seed``; ``evaluate``
-all nine.  Every other key
-(``burn_in``, ``scenarios`` and the data paths such as ``lexicon``,
-``edges`` and ``gold``) is set in the file only.  ``evaluate`` runs each
-scenario listed in ``scenarios`` with its ``<scenario>.<key>`` lines
-applied; a flag wins over those too.  An unknown key or a key set twice
-is refused at ``path:line``.  Paths in a config file resolve relative to
+:class:`PipelineConfig`; one file serves all three commands.  The
+tunable keys fall in two groups, :data:`GENERATION_KEYS` (``seeds``,
+``environment``, ``min_children``, ``ic_threshold``, ``alpha``,
+``root_prior``) and :data:`SAMPLER_KEYS` (``samples``, ``method``,
+``seed``, ``burn_in``).  ``generate`` reads the generation group,
+``infer`` the sampler group and ``evaluate`` both.  A command takes a
+flag such as ``--min-children``, which wins over the file, and checks
+the value, only of the keys it reads; ``burn_in``, ``scenarios`` and the
+data paths such as ``lexicon``, ``edges`` and ``gold`` are set in the
+file only.  ``evaluate`` runs each scenario listed in ``scenarios`` with
+its ``<scenario>.<key>`` lines applied, and a flag over those, and
+checks each scenario's values.  An unknown key or a key set twice is
+refused at ``path:line``.  Paths in a config file resolve relative to
 the file's own directory, so the bundled scenario configs work from any
 working directory.
 
@@ -30,6 +31,7 @@ import argparse
 import difflib
 import sys
 from dataclasses import dataclass, replace
+from math import isnan
 from pathlib import Path
 from typing import get_type_hints
 
@@ -82,20 +84,17 @@ class PipelineConfig:
     seed: int = 7
     scenarios: str = ""
 
-    def validate(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 <= self.root_prior <= 1.0:
-            raise ConfigError(f"root_prior must be in [0, 1], got {self.root_prior}")
-        if self.min_children < 1:
-            raise ConfigError("min_children must be >= 1")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
-        if self.method not in bln.METHODS:
-            raise ConfigError(f"method must be one of {', '.join(bln.METHODS)}, "
-                              f"got {self.method!r}")
+    def validate(self, keys):
+        """Check the values of ``keys``, a group such as :data:`SAMPLER_KEYS`.
+
+        The first value that fails its check raises :class:`ConfigError`
+        with that key's refusal.  A negative ``ic_threshold`` is accepted:
+        no information content is below it, so only the blocklist prunes
+        in compression's rule 1.
+        """
+        for key, (_, valid, refusal) in keys.items():
+            if valid and not valid(value := getattr(self, key)):
+                raise ConfigError(refusal.format(value))
         return self
 
 
@@ -105,6 +104,28 @@ _PATH_KEYS = ("lexicon", "edges", "corpus", "stopwords", "esa_corpus",
 # keys a scenario of ``evaluate`` can override as ``<scenario>.<key>``
 SCOPED_KEYS = ("seeds", "gold", "environment", "alpha", "root_prior",
                "min_children", "ic_threshold", "samples")
+
+
+# Each tunable key once, in the group of the commands that read it, as
+# key -> (the keywords of its flag ``--key`` with ``-`` for ``_``, or None
+# for a file-only key; the check its value must pass, and the refusal if not).
+GENERATION_KEYS = {
+    "seeds": ({"help": "seed word file (one word per line)"}, None, ""),
+    "environment": ({"help": "current environment term"}, None, ""),
+    "min_children": ({}, lambda n: n >= 1, "min_children must be >= 1"),
+    "ic_threshold": ({}, lambda x: not isnan(x), "ic_threshold must be a number, got {}"),
+    "alpha": ({"help": "weight of relation strength vs relatedness"},
+              lambda x: 0.0 <= x <= 1.0, "alpha must be in [0, 1], got {}"),
+    "root_prior": ({}, lambda x: 0.0 <= x <= 1.0, "root_prior must be in [0, 1], got {}"),
+}
+SAMPLER_KEYS = {
+    "samples": ({}, lambda n: n >= 1, "samples must be >= 1"),
+    "method": ({"choices": bln.METHODS}, lambda m: m in bln.METHODS,
+               f"method must be one of {', '.join(bln.METHODS)}, got {{!r}}"),
+    "seed": ({"help": "master random seed"}, lambda n: n >= 0, "seed must be >= 0"),
+    "burn_in": (None, lambda n: n >= 0, "burn_in must be >= 0"),
+}
+_EVALUATE_KEYS = {**GENERATION_KEYS, **SAMPLER_KEYS}
 
 
 def load_config(path) -> tuple[PipelineConfig, dict[str, dict[str, object]]]:
@@ -217,7 +238,7 @@ def _load_inputs(config: PipelineConfig) -> _Inputs:
 
 def run_generation(config: PipelineConfig) -> PipelineProducts:
     """The full generation pipeline, in memory."""
-    config.validate()
+    config.validate(GENERATION_KEYS)
     return _generate(config, _load_inputs(config))
 
 
@@ -270,16 +291,11 @@ def cmd_generate(args) -> int:
 
 def cmd_infer(args) -> int:
     config = load_config(args.config)[0] if args.config else PipelineConfig()
-    config = replace(config, **_flags(args)).validate()
+    config = replace(config, **_flags(args)).validate(SAMPLER_KEYS)
     declaration, fragments = bln.read_model(args.model)
 
-    evidence_items = []
-    for chunk in args.evidence or []:
-        for part in chunk.split(";"):
-            part = part.strip()
-            if part:
-                evidence_items.append(part)
-    evidence, objects = _parse_evidence(evidence_items)
+    evidence, objects = _parse_evidence(part for chunk in args.evidence
+                                        for part in map(str.strip, chunk.split(";")) if part)
     query_objects = [_object_of(q) for q in args.query]
     for obj in query_objects:
         if obj and obj not in objects:
@@ -350,13 +366,15 @@ def _unknown_variable(name, net):
 def cmd_evaluate(args) -> int:
     config, overrides = load_config(args.config)
     flags = _flags(args)
-    config = replace(config, **flags).validate()
+    config = replace(config, **flags)
 
     # a scenario's own keys win over the file's, and a flag over both
     runs = [(name, replace(config, **{**overrides.get(name, {}), **flags}))
             for name in map(str.strip, config.scenarios.split(",")) if name]
     if not runs:
         runs.append((Path(config.seeds).stem or "scenario", config))
+    for _, sub in runs:
+        sub.validate(_EVALUATE_KEYS)
 
     # no data path can be scoped, so every scenario shares one load of the data
     inputs = _load_inputs(config)
@@ -365,7 +383,7 @@ def cmd_evaluate(args) -> int:
         if not sub.gold:
             raise ConfigError(f"scenario {name!r} has no gold file configured")
         gold = evaluation.load_gold(sub.gold)
-        products = _generate(sub.validate(), inputs)
+        products = _generate(sub, inputs)
         results = _stage("scenario", evaluation.run_scenario, products.declaration,
                          products.fragments, list(products.assignment.choices), gold,
                          sub.method, sub.samples, sub.burn_in,
@@ -390,26 +408,17 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _generation_arguments(p):
-    p.add_argument("--seeds", help="seed word file (one word per line)")
-    p.add_argument("--environment", help="current environment term")
-    p.add_argument("--min-children", dest="min_children", type=int)
-    p.add_argument("--ic-threshold", dest="ic_threshold", type=float)
-    p.add_argument("--alpha", type=float,
-                   help="weight of relation strength vs relatedness")
-    p.add_argument("--root-prior", dest="root_prior", type=float)
-
-
-def _sampler_arguments(p):
-    p.add_argument("--samples", type=int)
-    p.add_argument("--method", choices=bln.METHODS)
-    p.add_argument("--seed", type=int, help="master random seed")
+def _key_arguments(p, keys):
+    """A flag for each key of ``keys`` that has one, in the group's order."""
+    for key, (flag, _, _) in keys.items():
+        if flag is not None:
+            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_TYPES[key], **flag)
 
 
 def _generate_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default="out")
-    _generation_arguments(p)
+    _key_arguments(p, GENERATION_KEYS)
     p.set_defaults(func=cmd_generate)
 
 
@@ -420,15 +429,14 @@ def _infer_arguments(p):
                    help="assignments like 'IsA(obj1,sock)=true'; repeatable")
     p.add_argument("--query", action="append", required=True,
                    help="variable or pattern like 'AtLocation(obj1,*)'; repeatable")
-    _sampler_arguments(p)
+    _key_arguments(p, SAMPLER_KEYS)
     p.set_defaults(func=cmd_infer)
 
 
 def _evaluate_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
-    _generation_arguments(p)
-    _sampler_arguments(p)
+    _key_arguments(p, _EVALUATE_KEYS)
     p.set_defaults(func=cmd_evaluate)
 
 

@@ -437,3 +437,76 @@ class TestEvaluate:
         from situnet.evaluation import RELATION_COLUMNS
         expected = [f"{report.per_relation[r]:.1f}" for r in RELATION_COLUMNS]
         assert cli_row[1:5] == expected
+
+
+# each checked key, a value its check refuses, and the refusal
+BAD_VALUES = [
+    ("min_children", "0", "min_children must be >= 1"),
+    ("ic_threshold", "nan", "ic_threshold must be a number, got nan"),
+    ("alpha", "2", "alpha must be in [0, 1], got 2.0"),
+    ("root_prior", "-0.5", "root_prior must be in [0, 1], got -0.5"),
+    ("samples", "0", "samples must be >= 1"),
+    ("method", "bogus", "method must be one of exact, lw, gibbs, got 'bogus'"),
+    ("seed", "-5", "seed must be >= 0"),
+    ("burn_in", "-1", "burn_in must be >= 0"),
+]
+GENERATION = {"min_children", "ic_threshold", "alpha", "root_prior"}
+SAMPLER = {"samples", "method", "seed", "burn_in"}
+READS = {"generate": GENERATION, "infer": SAMPLER, "evaluate": GENERATION | SAMPLER}
+
+
+class TestValidate:
+    """A command refuses a bad value of a key it reads, and ignores a key it does not."""
+
+    def config(self, path, **overrides):
+        """mini.cfg with its paths absolute and ``overrides`` written over its keys."""
+        values = {**asdict(load_config(bundled("configs", "mini.cfg"))[0]), **overrides}
+        path.write_text("".join(f"{key}={value}\n" for key, value in values.items()),
+                        encoding="utf-8")
+        return path
+
+    def run(self, command, config, out_dir, model, capsys, *flags):
+        """Exit code, stdout, stderr and written files of ``command`` on ``config``."""
+        argv = {"generate": ["--out-dir", str(out_dir)],
+                "infer": ["--model", str(model), "--evidence", "IsA(obj1,garlic)=true",
+                          "--query", "UsedFor(obj1,*)"],
+                "evaluate": ["--out-dir", str(out_dir)]}[command]
+        code, out, err = run_cli([command, "--config", str(config), *argv, *flags], capsys)
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+        return code, out.replace(str(out_dir), "OUT"), err, files
+
+    @pytest.mark.parametrize("command", ["generate", "infer", "evaluate"])
+    @pytest.mark.parametrize("key, value, refusal", BAD_VALUES,
+                             ids=[f"{key}={value}" for key, value, _ in BAD_VALUES])
+    def test_command_checks_only_the_keys_it_reads(self, tmp_path, mini_model, capsys,
+                                                   command, key, value, refusal):
+        bad = self.run(command, self.config(tmp_path / "bad.cfg", **{key: value}),
+                       tmp_path / "bad", mini_model, capsys)
+        if key in READS[command]:
+            assert bad == (1, "", f"error: {refusal}\n", {})
+        else:
+            good = self.run(command, self.config(tmp_path / "mini.cfg"), tmp_path / "good",
+                            mini_model, capsys)
+            assert good[0] == 0 and good[1], good
+            assert bad == good
+
+    @pytest.mark.parametrize("command, flags, refusal", [
+        ("generate", ["--ic-threshold", "nan"], "ic_threshold must be a number, got nan"),
+        ("infer", ["--method", "lw", "--seed", "-5"], "seed must be >= 0"),
+        ("evaluate", ["--seed", "-200"], "seed must be >= 0"),
+    ])
+    def test_flag_value_checked_like_the_file(self, tmp_path, mini_model, capsys,
+                                              command, flags, refusal):
+        assert self.run(command, bundled("configs", "mini.cfg"), tmp_path / "out", mini_model,
+                        capsys, *flags) == (1, "", f"error: {refusal}\n", {})
+
+    def test_negative_ic_threshold_prunes_by_blocklist_alone(self, tmp_path, capsys):
+        # no information content is negative, so -1 and 0 prune the same nodes
+        for threshold in ("-1", "0"):
+            config = self.config(tmp_path / f"{threshold}.cfg", ic_threshold=threshold)
+            code, _, err = run_cli(["generate", "--config", str(config),
+                                    "--out-dir", str(tmp_path / threshold)], capsys)
+            assert code == 0, err
+        for name in ("graph.tsv", "model.tsv", "assignment.tsv"):
+            assert (tmp_path / "-1" / name).read_bytes() == \
+                (tmp_path / "0" / name).read_bytes(), name

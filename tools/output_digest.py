@@ -42,7 +42,11 @@ byte-identical outputs.  It covers:
   so the samplers keep drawing it and the chains still run their burn-in
   sweeps (for ``basket``'s gold triples it is summed into ``basket``);
 - ``situnet --help`` and ``situnet <command> --help`` for each command:
-  exit code and output, at a fixed width of 80 columns.
+  exit code and output, at a fixed width of 80 columns;
+- each command on a copy of ``mini.cfg`` with one checked key set to a
+  value its check refuses (``config/<command>/<key>=<value>``): exit code,
+  stdout and stderr, so a command that refuses or answers differently
+  shows.  ``infer`` runs one exact request on the ``mini`` model.
 
 Usage, from the repository root:
 
@@ -100,6 +104,10 @@ MIX_SEED_FILES = ("recipe", "laundry", "cleaning")
 WIDE_MIX = "mix-house-45"
 ARTIFACTS = ("graph.tsv", "model.tsv", "assignment.tsv")
 HELP_COMMANDS = ("generate", "infer", "evaluate")
+# one value per checked config key that its check refuses
+BAD_VALUES = (("min_children", "0"), ("ic_threshold", "nan"), ("alpha", "2"),
+              ("root_prior", "-0.5"), ("samples", "0"), ("method", "bogus"),
+              ("seed", "-5"), ("burn_in", "-1"))
 
 
 def sha(data: bytes) -> str:
@@ -241,6 +249,18 @@ def digests(work: Path):
         yield "help", sha(run_cli(cli.main, ["--help"]))
         for command in HELP_COMMANDS:
             yield f"help/{command}", sha(run_cli(cli.main, [command, "--help"]))
+
+    for key, value in BAD_VALUES:
+        config = copy_config(configs / "mini.cfg", work / f"bad_{key}.cfg", {key: value})
+        for command in HELP_COMMANDS:
+            argv = [command, "--config", str(config)]
+            if command == "infer":
+                argv += ["--model", str(models["mini"]), "--evidence", "IsA(obj1,garlic)=true",
+                         "--query", "UsedFor(obj1,*)"]
+            else:
+                argv += ["--out-dir", str(work / "config" / command / key)]
+            printed = run_cli(cli.main, argv).replace(str(work).encode(), b"WORK")
+            yield f"config/{command}/{key}={value}", sha(printed)
 
 
 def main(argv=None) -> int:
