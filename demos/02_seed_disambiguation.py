@@ -37,7 +37,7 @@ print(f"recipe scenario ({len(recipe_seeds)} seeds) keeps pan as: {pan_gloss}\n"
 print("word sense profile of each 'pan' sense (first 10 words):")
 for sense in lexicon.senses("pan"):
     profile = build_wsp(sense, lexicon, stopwords)
-    print(f"  {sense.gloss[:40]:42s} {profile.words[:10]}")
+    print(f"  {sense.gloss[:40]:42s} {profile[:10]}")
 print()
 
 # -- relation-endpoint disambiguation with a relatedness provider -------------

@@ -45,11 +45,9 @@ from situnet.relatedness import (
 # Disambiguation
 from situnet.disambiguation import (
     SenseAssignment,
-    WordSenseProfile,
     build_wsp,
     disambiguate_edge,
     disambiguate_seeds,
-    pairwise_cost,
 )
 
 # Graph generation

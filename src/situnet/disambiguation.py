@@ -16,8 +16,9 @@ that is about 1 000 calls instead of 15 500.
 
 Relation endpoints are disambiguated independently: each candidate sense
 is scored by summing the relatedness between the context word and every
-word in the sense's word sense profile (synonyms, gloss words, direct
-hypernyms/hyponyms, meronyms/holonyms, hyponym gloss words).
+word in the sense's word sense profile (:func:`build_wsp`: synonyms,
+gloss words, direct hypernyms/hyponyms, meronyms/holonyms, hyponym gloss
+words).
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lexicon import (
-    WSP_SOURCE_KINDS,
     LexiconIndex,
     Synset,
     UndefinedSimilarityError,
     normalize_lemma,
+    tokenize,
 )
 
 
@@ -62,40 +63,12 @@ class SenseAssignment:
         choice = self.choices.get(normalize_lemma(word))
         return choice[0] if choice else None
 
-    def words(self):
-        return list(self.choices)
-
-
-@dataclass
-class WordSenseProfile:
-    """Deduplicated context words of one sense, drawn from five sources."""
-
-    sense: str
-    words: list[str]
-
 
 def _cost(lexicon: LexiconIndex, a: Synset, b: Synset) -> float:
     try:
         return 1.0 - lexicon.wup_similarity(a, b)
     except UndefinedSimilarityError:
         return 1.0
-
-
-def pairwise_cost(lexicon: LexiconIndex, senses_i, senses_j):
-    """Minimum 1 - wup over all sense pairs, with the minimizing (k, l).
-
-    Pairs in disjoint hierarchies contribute cost 1.0.  Ties resolve to
-    the lexicographically lowest (k, l), i.e. the most frequent senses.
-    """
-    if not senses_i or not senses_j:
-        raise ValueError("sense lists must be non-empty")
-    best = None
-    for k, sense_k in enumerate(senses_i):
-        for l, sense_l in enumerate(senses_j):
-            cost = _cost(lexicon, sense_k, sense_l)
-            if best is None or cost < best[0]:
-                best = (cost, (k, l))
-    return best
 
 
 def disambiguate_seeds(seeds, lexicon: LexiconIndex) -> SenseAssignment:
@@ -156,14 +129,24 @@ def _grow_tree(words, sense_lists, start_word, start_sense, lexicon):
     return SenseAssignment(choices=ordered, total_cost=total, start_word=start_word)
 
 
-def build_wsp(sense, lexicon: LexiconIndex, stopwords=frozenset()) -> WordSenseProfile:
-    """Union the five neighbor sources into one profile, keeping order."""
+def build_wsp(sense, lexicon: LexiconIndex, stopwords=frozenset()) -> list[str]:
+    """The word sense profile of a sense, as a list of context words.
+
+    In order: its lemmas, its gloss words, the lemmas of its direct
+    hypernyms and hyponyms, then of its meronyms and holonyms, and its
+    hyponyms' gloss words.  Each word is kept at its first occurrence;
+    stopwords are dropped.
+    """
     syn = sense if isinstance(sense, Synset) else lexicon.get(sense)
-    words = []
-    for kind in WSP_SOURCE_KINDS:
-        words.extend(lexicon.wsp_neighbors(syn, kind, stopwords))
-    deduped = [w for w in dict.fromkeys(words) if w and w not in stopwords]
-    return WordSenseProfile(sense=syn.id, words=deduped)
+    synsets = lexicon.synsets
+    words = list(syn.lemmas) + tokenize(syn.gloss, stopwords)
+    for sid in syn.hypernyms + syn.hyponyms + syn.meronyms + syn.holonyms:
+        if sid in synsets:
+            words.extend(synsets[sid].lemmas)
+    for sid in syn.hyponyms:
+        if sid in synsets:
+            words.extend(tokenize(synsets[sid].gloss, stopwords))
+    return [w for w in dict.fromkeys(words) if w and w not in stopwords]
 
 
 def disambiguate_edge(c: str, d: str, lexicon: LexiconIndex, provider,
@@ -180,8 +163,7 @@ def disambiguate_edge(c: str, d: str, lexicon: LexiconIndex, provider,
     best_sense = None
     best_score = None
     for sense in senses:
-        profile = build_wsp(sense, lexicon, stopwords)
-        score = sum(provider.score(c, w) for w in profile.words)
+        score = sum(provider.score(c, w) for w in build_wsp(sense, lexicon, stopwords))
         if best_score is None or score > best_score:
             best_score = score
             best_sense = sense

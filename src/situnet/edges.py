@@ -8,14 +8,17 @@ Two line layouts are accepted, auto-detected per line by column count:
 * a simplified fixture layout, ``relation<TAB>start<TAB>end<TAB>weight``.
 
 Only the four relation types used by the network survive ingestion; all
-other labels are dropped silently.  Malformed lines are skipped and
-counted, never fatal.
+other labels are dropped silently, as are URI-layout lines whose terms are
+not English (``/c/en/``).  Malformed lines are skipped and counted, never
+fatal; a weight that does not read as a finite number >= 0 (``null``, a
+list, ``NaN``, ``Infinity``, ``-1``) makes its line malformed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,8 +51,6 @@ class ConceptEdge:
     relation: RelationType
     end: str
     weight: float = 1.0
-    start_sense: str | None = None
-    end_sense: str | None = None
 
 
 class EdgeStore:
@@ -81,14 +82,15 @@ class EdgeStore:
         return any(e.end == end for e in self.starting_at(start, relation))
 
 
-def ingest_edges(source, language_filter: str = "en") -> EdgeStore:
+def ingest_edges(source) -> EdgeStore:
     """Build an :class:`EdgeStore` from a delimited text stream.
 
-    Keeps edges whose relation is one of the four known types and whose
-    terms match ``language_filter`` (URI layouts only; the fixture layout
-    carries no language tag).  Terms are normalized to lowercase
-    underscore form with URI prefixes stripped.  Duplicate assertions of
-    the same (start, relation, end) are merged keeping the largest weight.
+    ``source`` is an iterable of lines or a whole string.  Keeps edges
+    whose relation is one of the four known types and, in the URI layout,
+    whose terms are English (the fixture layout carries no language tag).
+    Terms are normalized to lowercase underscore form with URI prefixes
+    stripped.  Duplicate assertions of the same (start, relation, end) are
+    merged keeping the largest weight.
     """
     merged: dict[tuple[str, RelationType, str], ConceptEdge] = {}
     skipped = 0
@@ -97,7 +99,7 @@ def ingest_edges(source, language_filter: str = "en") -> EdgeStore:
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
-        parsed = _parse_line(line, language_filter)
+        parsed = _parse_line(line)
         if parsed is _SKIP:
             skipped += 1
             continue
@@ -117,15 +119,15 @@ def ingest_edges(source, language_filter: str = "en") -> EdgeStore:
 _SKIP = object()  # sentinel: line malformed or violates an edge invariant
 
 
-def _parse_line(line, language_filter):
+def _parse_line(line):
     cols = line.split("\t")
     if len(cols) == 5:
         _, rel_uri, start_uri, end_uri, metadata = cols
         relation = _parse_relation(rel_uri)
         if relation is None:
             return None
-        start = _parse_concept_uri(start_uri, language_filter)
-        end = _parse_concept_uri(end_uri, language_filter)
+        start = _parse_concept_uri(start_uri)
+        end = _parse_concept_uri(end_uri)
         if start is _SKIP or end is _SKIP:
             return _SKIP
         if start is None or end is None:
@@ -133,7 +135,7 @@ def _parse_line(line, language_filter):
         try:
             meta = json.loads(metadata) if metadata.strip() else {}
             weight = float(meta.get("weight", 1.0))
-        except (ValueError, AttributeError):
+        except (ValueError, TypeError, AttributeError, OverflowError):
             return _SKIP
     elif len(cols) == 4:
         rel, start, end, weight_text = cols
@@ -148,7 +150,7 @@ def _parse_line(line, language_filter):
             return _SKIP
     else:
         return _SKIP
-    if weight < 0 or not start or not end:
+    if not math.isfinite(weight) or weight < 0 or not start or not end:
         return _SKIP
     if relation is RelationType.AtLocation and start == end:
         return _SKIP
@@ -162,17 +164,17 @@ def _parse_relation(text):
     return _RELATION_LOOKUP.get(name.strip("/").lower())
 
 
-def _parse_concept_uri(uri, language_filter):
+def _parse_concept_uri(uri):
     parts = uri.strip().strip("/").split("/")
     # layout: c/<lang>/<term>[/<pos>[/<sense>]]
     if len(parts) < 3 or parts[0] != "c":
         return _SKIP
-    if parts[1] != language_filter:
+    if parts[1] != "en":
         return None
     return normalize_lemma(parts[2])
 
 
-def filter_multiword(store: EdgeStore, lexicon=None) -> EdgeStore:
+def filter_multiword(store: EdgeStore, lexicon) -> EdgeStore:
     """Drop edges whose end term is a free multiword phrase.
 
     An end term counts as multiword when an underscore separates two
@@ -188,14 +190,8 @@ def filter_multiword(store: EdgeStore, lexicon=None) -> EdgeStore:
 
 def _is_free_phrase(term, lexicon):
     tokens = term.split("_")
-    if len(tokens) < 2:
-        return False
     multi = any(a.isalpha() and b.isalpha() for a, b in zip(tokens, tokens[1:]))
-    if not multi:
-        return False
-    if lexicon is not None and lexicon.has_lemma(term):
-        return False
-    return True
+    return multi and not lexicon.has_lemma(term)
 
 
 def normalized_weight(edge: ConceptEdge, store: EdgeStore) -> float:
@@ -206,6 +202,6 @@ def normalized_weight(edge: ConceptEdge, store: EdgeStore) -> float:
     return edge.weight / scale
 
 
-def load_edges(path, language_filter: str = "en") -> EdgeStore:
+def load_edges(path) -> EdgeStore:
     with open(path, encoding="utf-8") as handle:
-        return ingest_edges(handle, language_filter)
+        return ingest_edges(handle)

@@ -1,9 +1,11 @@
 """WordNet-style lexical database: parsing, sense lookup, taxonomy metrics.
 
-The lexicon is read from the standard ``index.<pos>`` / ``data.<pos>`` file
+The lexicon is read from the standard ``index.noun`` / ``data.noun`` file
 pair layout.  Only the pointer symbols relevant to taxonomy navigation are
 consumed (``@`` hypernym, ``~`` hyponym, ``%p``/``%m``/``%s`` meronym,
 ``#p``/``#m``/``#s`` holonym); everything else is ignored.
+:func:`parse_lexicon` takes the text of the pair; the ``load_*`` functions
+take a path and open it.
 
 A parsed :class:`LexiconIndex` is immutable after construction and safe for
 concurrent reads.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .dag import CycleError, reachable, topological_order
 
@@ -116,9 +119,6 @@ class LexiconIndex:
     def __len__(self):
         return len(self.synsets)
 
-    def __contains__(self, synset_id):
-        return synset_id in self.synsets
-
     def get(self, synset_id: str) -> Synset:
         return self.synsets[synset_id]
 
@@ -158,49 +158,6 @@ class LexiconIndex:
             raise UndefinedSimilarityError(f"no common ancestor for {sid_a} and {sid_b}")
         lcs_depth = max(self._depths[s] for s in common)
         return 2.0 * lcs_depth / (self._depths[sid_a] + self._depths[sid_b])
-
-    def wsp_neighbors(self, sense, source_kind: str, stopwords=frozenset()) -> list[str]:
-        """Context words of a sense from one of the five profile sources.
-
-        ``source_kind`` is one of ``synonyms``, ``gloss_words``,
-        ``direct_hypernyms_hyponyms``, ``meronyms_holonyms``,
-        ``hyponym_gloss_words``.  Gloss text is tokenized with
-        :func:`tokenize`; link-based kinds return all lemmas of the linked
-        synsets.  Duplicates are removed keeping first occurrence.
-        """
-        syn = sense if isinstance(sense, Synset) else self.synsets[sense]
-        if source_kind == "synonyms":
-            words = list(syn.lemmas)
-        elif source_kind == "gloss_words":
-            words = tokenize(syn.gloss, stopwords)
-        elif source_kind == "direct_hypernyms_hyponyms":
-            words = self._linked_lemmas(syn.hypernyms + syn.hyponyms)
-        elif source_kind == "meronyms_holonyms":
-            words = self._linked_lemmas(syn.meronyms + syn.holonyms)
-        elif source_kind == "hyponym_gloss_words":
-            words = []
-            for hypo in syn.hyponyms:
-                if hypo in self.synsets:
-                    words.extend(tokenize(self.synsets[hypo].gloss, stopwords))
-        else:
-            raise ValueError(f"unknown WSP source kind: {source_kind!r}")
-        return list(dict.fromkeys(words))
-
-    def _linked_lemmas(self, synset_ids) -> list[str]:
-        words = []
-        for sid in synset_ids:
-            if sid in self.synsets:
-                words.extend(self.synsets[sid].lemmas)
-        return words
-
-
-WSP_SOURCE_KINDS = (
-    "synonyms",
-    "gloss_words",
-    "direct_hypernyms_hyponyms",
-    "meronyms_holonyms",
-    "hyponym_gloss_words",
-)
 
 
 @dataclass
@@ -407,52 +364,38 @@ def _format_data_line(syn: Synset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def load_lexicon(directory, pos: str = "noun") -> LexiconIndex:
-    """Load ``index.<pos>`` and ``data.<pos>`` from a directory path."""
-    from pathlib import Path
-
+def load_lexicon(directory) -> LexiconIndex:
+    """Load ``index.noun`` and ``data.noun`` from a directory path."""
     base = Path(directory)
-    with open(base / f"index.{pos}", encoding="utf-8") as idx:
-        with open(base / f"data.{pos}", encoding="utf-8") as dat:
-            return parse_lexicon(idx, dat)
+    with open(base / "index.noun", encoding="utf-8") as idx, \
+            open(base / "data.noun", encoding="utf-8") as dat:
+        return parse_lexicon(idx, dat)
 
 
-def load_frequencies(source) -> CorpusFrequencies:
-    """Read ``word<TAB>count`` lines into :class:`CorpusFrequencies`.
+def load_frequencies(path) -> CorpusFrequencies:
+    """Read a file of ``word<TAB>count`` lines into :class:`CorpusFrequencies`.
 
     A malformed line or a count below 1 raises :class:`LexiconParseError`.
     """
     counts: dict[str, int] = {}
-    for line_no, raw in enumerate(_lines(_read_if_path(source)), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            word, count = line.split("\t")
-            count = int(count)
-        except ValueError:
-            raise LexiconParseError(f"bad frequency line {line!r}", line_no) from None
-        if count < 1:
-            raise LexiconParseError(f"count below 1 in {line!r}", line_no)
-        counts[normalize_lemma(word)] = counts.get(normalize_lemma(word), 0) + count
+    with open(path, encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                word, count = line.split("\t")
+                count = int(count)
+            except ValueError:
+                raise LexiconParseError(f"bad frequency line {line!r}", line_no) from None
+            if count < 1:
+                raise LexiconParseError(f"count below 1 in {line!r}", line_no)
+            counts[normalize_lemma(word)] = counts.get(normalize_lemma(word), 0) + count
     return CorpusFrequencies.from_counts(counts)
 
 
-def load_stopwords(source) -> frozenset[str]:
-    """Read a one-word-per-line stopword file."""
-    words = set()
-    for raw in _lines(_read_if_path(source)):
-        word = raw.strip().lower()
-        if word and not word.startswith("#"):
-            words.add(word)
-    return frozenset(words)
-
-
-def _read_if_path(source):
-    from pathlib import Path
-
-    if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    if isinstance(source, str) and "\n" not in source and Path(source).exists():
-        return Path(source).read_text(encoding="utf-8")
-    return source
+def load_stopwords(path) -> frozenset[str]:
+    """Read a one-word-per-line stopword file, skipping ``#`` comment lines."""
+    with open(path, encoding="utf-8") as handle:
+        words = {raw.strip().lower() for raw in handle}
+    return frozenset(w for w in words if w and not w.startswith("#"))

@@ -1,10 +1,10 @@
 """Explicit-semantic-analysis word relatedness over a document corpus.
 
-Each indexed word is represented as a sparse vector of per-document
-weights (raw counts or tf-idf); relatedness is the cosine similarity of
-two such vectors.  Any object with a ``score(word_a, word_b) -> float in
-[0, 1]`` method can stand in as a relatedness provider, which is how the
-table-driven test providers plug into the same pipeline slots.
+Each indexed word is represented as a sparse vector of its raw counts
+per document; relatedness is the cosine similarity of two such vectors.
+Any object with a ``score(word_a, word_b) -> float in [0, 1]`` method can
+stand in as a relatedness provider, which is how the table-driven test
+providers plug into the same pipeline slots.
 """
 
 from __future__ import annotations
@@ -26,29 +26,20 @@ class EsaIndex:
 
     concepts: list[str]
     vectors: dict[str, list[tuple[int, float]]]
-    weighting: str = "raw_count"
 
     def vector(self, word: str) -> list[tuple[int, float]]:
         return self.vectors.get(word, [])
-
-    def __contains__(self, word):
-        return word in self.vectors
 
     def words(self):
         return self.vectors.keys()
 
 
-def build_esa_index(documents, weighting: str = "raw_count",
-                    stopwords=frozenset(), min_doc_freq: int = 1) -> EsaIndex:
+def build_esa_index(documents, stopwords=frozenset()) -> EsaIndex:
     """Index a sequence of (title, text) documents.
 
-    Texts are tokenized with the shared lexicon tokenization rule.  In
-    ``raw_count`` mode an entry is the count of the word in the document;
-    in ``tfidf`` mode it is count * ln(N / document_frequency).  Words
-    appearing in fewer than ``min_doc_freq`` documents are dropped.
+    Texts are tokenized with the shared lexicon tokenization rule.  An
+    entry is the count of the word in the document, as a float.
     """
-    if weighting not in ("raw_count", "tfidf"):
-        raise ValueError(f"unknown weighting {weighting!r}")
     documents = list(documents)
     if not documents:
         raise ValueError("at least one document is required")
@@ -60,17 +51,9 @@ def build_esa_index(documents, weighting: str = "raw_count",
             counts.setdefault(token, {}).setdefault(doc_idx, 0)
             counts[token][doc_idx] += 1
 
-    n_docs = len(documents)
-    vectors: dict[str, list[tuple[int, float]]] = {}
-    for word, per_doc in counts.items():
-        if len(per_doc) < min_doc_freq:
-            continue
-        idf = math.log(n_docs / len(per_doc)) if weighting == "tfidf" else 1.0
-        vec = [(idx, count * idf) for idx, count in sorted(per_doc.items())]
-        vec = [(idx, w) for idx, w in vec if w > 0]
-        if vec:
-            vectors[word] = vec
-    return EsaIndex(concepts=concepts, vectors=vectors, weighting=weighting)
+    vectors = {word: [(idx, float(count)) for idx, count in sorted(per_doc.items())]
+               for word, per_doc in counts.items()}
+    return EsaIndex(concepts=concepts, vectors=vectors)
 
 
 def _sparse_cosine(a, b) -> float:
@@ -155,13 +138,18 @@ class ConstantRelatedness:
 
 
 def load_documents(path) -> list[tuple[str, str]]:
-    """Read a ``title<TAB>text`` corpus file, one document per line."""
+    """Read a ``title<TAB>text`` corpus file, one document per line.
+
+    A line without a tab raises ``ValueError`` with its line number.
+    """
     docs = []
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
+        for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.startswith("#"):
                 continue
-            title, _, text = line.partition("\t")
+            title, tab, text = line.partition("\t")
+            if not tab:
+                raise ValueError(f"bad document record on line {line_no}: {raw!r}")
             docs.append((title, text))
     return docs

@@ -5,7 +5,8 @@ table, and LW's count pass over a list of configuration bins and the
 per-site Gibbs sweep from a sample-major forward pass, which the
 library's samplers must reproduce value for value, both on the reduced
 network of :func:`reduced_oracle`; and, for
-generation, the cubic seed-tree growth, the per-cell leaky noisy-OR
+generation, the cubic seed-tree growth, the word sense profile's five
+sources taken one at a time, the per-cell leaky noisy-OR
 tables, the sample-major evidence simulation and the per-row CPF
 learning that the library must reproduce byte for byte; and the
 character loop that ``read_model``'s parent-list split must agree with.
@@ -40,6 +41,7 @@ from situnet.lexicon import (
     load_lexicon,
     load_stopwords,
     normalize_lemma,
+    tokenize,
 )
 from situnet.relatedness import EsaRelatedness, build_esa_index, load_documents
 
@@ -84,7 +86,7 @@ def documents():
 
 @pytest.fixture(scope="session")
 def esa_index(documents, stopwords):
-    return build_esa_index(documents, "raw_count", stopwords, 1)
+    return build_esa_index(documents, stopwords)
 
 
 @pytest.fixture(scope="session")
@@ -394,6 +396,33 @@ def grow_tree_oracle(words, sense_lists, start_word, start_sense, lexicon):
         total += cost
     return SenseAssignment(choices={w: fixed[w] for w in words}, total_cost=total,
                            start_word=start_word)
+
+
+WSP_SOURCE_KINDS = ("synonyms", "gloss_words", "direct_hypernyms_hyponyms",
+                    "meronyms_holonyms", "hyponym_gloss_words")
+
+
+def wsp_source_oracle(lexicon, sid, kind, stopwords):
+    """The context words of one profile source of a sense, first occurrences kept."""
+    syn = lexicon.get(sid)
+
+    def linked_lemmas(sids):
+        return [lemma for s in sids if s in lexicon.synsets for lemma in lexicon.get(s).lemmas]
+
+    if kind == "synonyms":
+        words = list(syn.lemmas)
+    elif kind == "gloss_words":
+        words = tokenize(syn.gloss, stopwords)
+    elif kind == "direct_hypernyms_hyponyms":
+        words = linked_lemmas(syn.hypernyms + syn.hyponyms)
+    elif kind == "meronyms_holonyms":
+        words = linked_lemmas(syn.meronyms + syn.holonyms)
+    elif kind == "hyponym_gloss_words":
+        words = [w for s in syn.hyponyms if s in lexicon.synsets
+                 for w in tokenize(lexicon.get(s).gloss, stopwords)]
+    else:
+        raise ValueError(f"unknown profile source {kind!r}")
+    return list(dict.fromkeys(words))
 
 
 def noisy_or_cpfs_oracle(fragments, graph, provider, alpha, root_prior):

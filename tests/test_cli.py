@@ -71,6 +71,30 @@ class TestGenerate:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
 
+    def test_bad_weight_lines_change_no_artifact(self, tmp_path, capsys):
+        # each line below once failed generate: a TypeError in the edges stage,
+        # or a NaN strength in validate; now each is skipped like any malformed line
+        dump = tmp_path / "conceptnet.tsv"
+        bad = [f"/a/x\t/r/{rel}\t/c/en/pan\t/c/en/{end}\t{{\"weight\": {weight}}}"
+               for rel, end, weight in (("UsedFor", "fry", "null"), ("UsedFor", "cook", "[1.0]"),
+                                        ("AtLocation", "kitchen", "Infinity"),
+                                        ("IsA", "cookware", "NaN"))]
+        bad += ["HasProperty\tpan\thot\tinf", "UsedFor\tstove\tcook\tnan"]
+        with open(bundled("conceptnet.tsv"), encoding="utf-8") as source:
+            dump.write_text(source.read() + "\n".join(bad) + "\n", encoding="utf-8")
+        config = load_config(bundled("configs", "recipe.cfg"))[0]
+        for edges, out in ((config.edges, "bundled"), (str(dump), "bad")):
+            path = tmp_path / f"{out}.cfg"  # recipe.cfg, its paths absolute, with this dump
+            path.write_text("".join(f"{key}={value}\n" for key, value in
+                                    asdict(replace(config, edges=edges)).items()),
+                            encoding="utf-8")
+            code, _, err = run_cli(["generate", "--config", str(path),
+                                    "--out-dir", str(tmp_path / out)], capsys)
+            assert code == 0, err
+        for name in ("graph.tsv", "model.tsv", "assignment.tsv"):
+            assert (tmp_path / "bundled" / name).read_bytes() == \
+                (tmp_path / "bad" / name).read_bytes(), name
+
     def test_stage_error_named_and_no_partial_outputs(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         code, _, err = run_cli(

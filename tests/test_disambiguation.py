@@ -13,47 +13,22 @@ from situnet.disambiguation import (
     build_wsp,
     disambiguate_edge,
     disambiguate_seeds,
-    pairwise_cost,
 )
 from situnet.lexicon import parse_lexicon
 from situnet.relatedness import TableRelatedness
 
-from conftest import bundled, disambiguate_seeds_oracle, edge_cost
+from conftest import (
+    WSP_SOURCE_KINDS,
+    bundled,
+    disambiguate_seeds_oracle,
+    edge_cost,
+    wsp_source_oracle,
+)
 
 
 def load_seed_file(name):
     path = bundled("seeds", name)
     return [w.strip() for w in open(path, encoding="utf-8") if w.strip()]
-
-
-class TestPairwiseCost:
-    def test_identical_single_sense_lists(self, lexicon):
-        senses = lexicon.senses("garlic")
-        cost, argmin = pairwise_cost(lexicon, senses, senses)
-        assert cost == 0.0
-        assert argmin == (0, 0)
-
-    def test_disjoint_hierarchies_cost_one(self):
-        data = ("00000001 03 n 01 left 0 000 | one root\n"
-                "00000002 03 n 01 right 0 000 | another root\n")
-        index = parse_lexicon("", data)
-        cost, argmin = pairwise_cost(index, index.senses("left"), index.senses("right"))
-        assert cost == 1.0
-        assert argmin == (0, 0)
-
-    def test_matches_bruteforce_double_loop(self, lexicon):
-        words = ["pan", "iron", "sponge", "brush", "washer", "stove", "towel"]
-        for wa, wb in itertools.combinations(words, 2):
-            sa, sb = lexicon.senses(wa), lexicon.senses(wb)
-            cost, (k, l) = pairwise_cost(lexicon, sa, sb)
-            best = min(
-                (edge_cost(lexicon, x, y), (i, j))
-                for i, x in enumerate(sa) for j, y in enumerate(sb))
-            assert (cost, (k, l)) == best
-
-    def test_empty_lists_rejected(self, lexicon):
-        with pytest.raises(ValueError):
-            pairwise_cost(lexicon, [], lexicon.senses("pan"))
 
 
 def oracle_greedy_tree(lexicon, words, start_sense_rank):
@@ -210,34 +185,31 @@ class TestBuildWsp:
     def test_all_stopword_gloss_and_no_links(self):
         data = "00000001 03 n 01 thing 0 000 | a b\n"
         index = parse_lexicon("", data)
-        profile = build_wsp("00000001-n", index, stopwords={"a", "b", "thing"})
-        assert profile.words == []
+        assert build_wsp("00000001-n", index, stopwords={"a", "b", "thing"}) == []
 
     def test_pan_cooking_profile_contents(self, lexicon, stopwords):
         pan = lexicon.senses("pan")[0]
         profile = build_wsp(pan, lexicon, stopwords)
-        assert "cooking_utensil" in profile.words  # hypernym lemma
-        assert "metal" in profile.words            # gloss word
-        assert "handle" in profile.words           # meronym lemma
-        assert "frying_pan" in profile.words       # hyponym lemma
+        assert "cooking_utensil" in profile  # hypernym lemma
+        assert "metal" in profile            # gloss word
+        assert "handle" in profile           # meronym lemma
+        assert "frying_pan" in profile       # hyponym lemma
 
     def test_no_stopwords_or_empties(self, lexicon, stopwords):
         for word in ("pan", "iron", "sponge", "washer"):
             for sense in lexicon.senses(word):
                 profile = build_wsp(sense, lexicon, stopwords)
-                assert all(w and w not in stopwords for w in profile.words)
-                assert len(profile.words) == len(set(profile.words))
+                assert all(w and w not in stopwords for w in profile)
+                assert len(profile) == len(set(profile))
 
     def test_equals_source_union_oracle(self, lexicon, stopwords):
-        kinds = ("synonyms", "gloss_words", "direct_hypernyms_hyponyms",
-                 "meronyms_holonyms", "hyponym_gloss_words")
         for sid in lexicon.synsets:
             expected = []
-            for kind in kinds:
-                for w in lexicon.wsp_neighbors(sid, kind, stopwords):
+            for kind in WSP_SOURCE_KINDS:
+                for w in wsp_source_oracle(lexicon, sid, kind, stopwords):
                     if w not in expected and w not in stopwords:
                         expected.append(w)
-            assert build_wsp(sid, lexicon, stopwords).words == expected
+            assert build_wsp(sid, lexicon, stopwords) == expected
 
 
 class TestDisambiguateEdge:
@@ -268,9 +240,8 @@ class TestDisambiguateEdge:
                                               provider, stopwords)
             scores = {}
             for sense in lexicon.senses(term):
-                profile = build_wsp(sense, lexicon, stopwords)
                 scores[sense.id] = sum(provider.score(context, w)
-                                       for w in profile.words)
+                                       for w in build_wsp(sense, lexicon, stopwords))
             best = max(scores.values())
             expected = next(s.id for s in lexicon.senses(term)
                             if scores[s.id] == best)
@@ -279,9 +250,8 @@ class TestDisambiguateEdge:
 
     def test_returned_score_is_profile_sum(self, lexicon, stopwords, provider):
         chosen, score = disambiguate_edge("fry", "pan", lexicon, provider, stopwords)
-        profile = build_wsp(chosen, lexicon, stopwords)
         assert score == pytest.approx(sum(provider.score("fry", w)
-                                          for w in profile.words))
+                                          for w in build_wsp(chosen, lexicon, stopwords)))
 
     def test_scaling_provider_keeps_argmax(self, lexicon, stopwords, provider):
         class Scaled:

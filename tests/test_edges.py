@@ -1,8 +1,11 @@
 """Relation dump ingestion, filtering, and weight normalization."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from situnet.edges import (
     ConceptEdge,
@@ -41,8 +44,9 @@ class TestIngest:
     def test_language_filter(self):
         lines = "\n".join([uri_line("UsedFor", "pan", "fry", 1.0),
                            uri_line("UsedFor", "poele", "frire", 1.0, lang="fr")])
-        assert len(ingest_edges(lines, "en")) == 1
-        assert len(ingest_edges(lines, "fr")) == 1
+        store = ingest_edges(lines)
+        assert [edge.start for edge in store.edges] == ["pan"]
+        assert store.skipped_lines == 0  # a non-English line is dropped, not malformed
 
     def test_simplified_four_column_layout(self):
         store = ingest_edges("AtLocation\tSock Drawer\tdresser\t1.5")
@@ -63,6 +67,22 @@ class TestIngest:
         store = ingest_edges(lines)
         assert len(store) == 1
         assert store.skipped_lines == 2
+
+    @pytest.mark.parametrize("weight", ["null", "[2.0]", "Infinity", "NaN",
+                                        pytest.param("1" + "0" * 400, id="huge-int")])
+    def test_bad_metadata_weight_skipped_and_counted(self, weight):
+        bad = uri_line("UsedFor", "a", "b").replace("{}", f'{{"weight": {weight}}}')
+        store = ingest_edges([bad, uri_line("UsedFor", "pan", "fry", 2.0)])
+        assert [edge.start for edge in store.edges] == ["pan"]
+        assert store.skipped_lines == 1
+        assert normalized_weight(store.edges[0], store) == 1.0
+
+    @pytest.mark.parametrize("weight", ["inf", "nan", "1e400"])
+    def test_bad_four_column_weight_skipped_and_counted(self, weight):
+        store = ingest_edges([f"UsedFor\ta\tb\t{weight}", "UsedFor\tpan\tfry\t2.0"])
+        assert [edge.start for edge in store.edges] == ["pan"]
+        assert store.skipped_lines == 1
+        assert normalized_weight(store.edges[0], store) == 1.0
 
     def test_self_located_concept_rejected(self):
         store = ingest_edges(uri_line("AtLocation", "box", "box", 1.0))
@@ -106,6 +126,60 @@ class TestIngest:
         assert first.edges == second.edges
 
 
+# Random dump lines: both layouts with drawn columns, metadata of any JSON type
+# (weights among them: NaN and Infinity as Python's json module writes them,
+# null, lists, huge integers), and free text of any column count.  Valid
+# values are drawn more often than junk, so that most lists keep some edges.
+def mostly(valid, junk):
+    return st.one_of(*[valid] * 7, junk)
+
+
+TERMS = mostly(st.sampled_from(["pan", "stove", "sock_drawer", "Kitchen Sink", "x"]),
+               st.text(max_size=8))
+RELATION_NAMES = mostly(st.sampled_from(["IsA", "AtLocation", "HasProperty", "UsedFor"]),
+                        st.sampled_from(["Antonym", ""]) | st.text(max_size=6))
+LANGUAGES = mostly(st.just("en"), st.sampled_from(["fr", ""]) | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=3),
+    max_leaves=6)
+METADATA = mostly(
+    mostly(st.fixed_dictionaries({"weight": mostly(st.floats(0, 10), JSON_VALUES)}),
+           JSON_VALUES).map(json.dumps),
+    st.text(max_size=8))
+WEIGHT_TEXTS = mostly(st.floats(0, 10).map(repr),
+                      st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "null", "-1",
+                                       "1e400", ""]) | st.floats().map(repr) | st.text(max_size=6))
+
+
+@st.composite
+def dump_lines(draw):
+    layout = draw(st.sampled_from(["uri", "uri", "fixture", "fixture", "free"]))
+    if layout == "uri":
+        lang = draw(LANGUAGES)
+        cols = ["/a/x", f"/r/{draw(RELATION_NAMES)}", f"/c/{lang}/{draw(TERMS)}",
+                f"/c/{lang}/{draw(TERMS)}", draw(METADATA)]
+    elif layout == "fixture":
+        cols = [draw(RELATION_NAMES), draw(TERMS), draw(TERMS), draw(WEIGHT_TEXTS)]
+    else:
+        cols = draw(st.lists(st.text(max_size=8), max_size=6))
+    return "\t".join(cols)
+
+
+@settings(max_examples=200)
+@given(st.lists(dump_lines(), max_size=12))
+def test_ingest_never_raises_and_keeps_finite_weights(lines):
+    store = ingest_edges("\n".join(lines))
+    for edge in store.edges:
+        assert math.isfinite(edge.weight) and edge.weight >= 0
+        if store.max_weight[edge.relation] > 0:
+            assert 0.0 <= normalized_weight(edge, store) <= 1.0
+        else:  # every edge of the relation weighs 0: the typed refusal, not a NaN
+            with pytest.raises(DegenerateScaleError):
+                normalized_weight(edge, store)
+
+
 class TestFilterMultiword:
     def test_free_phrase_removed(self, lexicon):
         store = ingest_edges(uri_line("UsedFor", "food", "satisfy_hunger", 1.0))
@@ -120,9 +194,10 @@ class TestFilterMultiword:
         store = ingest_edges(uri_line("AtLocation", "paper_towel", "kitchen", 1.0))
         assert len(filter_multiword(store, lexicon)) == 1
 
-    def test_numeric_token_not_a_phrase(self):
+    def test_numeric_token_not_a_phrase(self, lexicon):
         store = ingest_edges(uri_line("IsA", "x", "route_66", 1.0))
-        assert len(filter_multiword(store, None)) == 1
+        assert not lexicon.has_lemma("route_66")
+        assert len(filter_multiword(store, lexicon)) == 1
 
     def test_removed_set_matches_predicate_oracle(self, raw_store, lexicon):
         kept = filter_multiword(raw_store, lexicon)

@@ -6,12 +6,14 @@ import re
 import numpy as np
 import pytest
 
+from situnet.disambiguation import build_wsp
 from situnet.lexicon import (
     CorpusFrequencies,
     HierarchyCycleError,
     LexiconParseError,
     UndefinedSimilarityError,
     load_frequencies,
+    load_stopwords,
     parse_lexicon,
     tokenize,
     write_lexicon,
@@ -135,7 +137,7 @@ class TestParsing:
 def all_path_depth(lexicon, sid):
     """Oracle depth: longest root path by explicit path enumeration."""
     syn = lexicon.get(sid)
-    parents = [p for p in syn.hypernyms if p in lexicon]
+    parents = [p for p in syn.hypernyms if p in lexicon.synsets]
     if not parents:
         return 1
     return 1 + max(all_path_depth(lexicon, p) for p in parents)
@@ -167,7 +169,7 @@ def _descendants(lexicon, sid):
     while frontier:
         cur = frontier.pop()
         for child in lexicon.get(cur).hyponyms:
-            if child in lexicon and child not in out:
+            if child in lexicon.synsets and child not in out:
                 out.add(child)
                 frontier.append(child)
     return out
@@ -253,41 +255,53 @@ class TestInformationContent:
         assert all(c >= 1 for c in frequencies.counts.values())
 
     @pytest.mark.parametrize("count", ["0", "-5"])
-    def test_count_below_one_names_its_line(self, count):
+    def test_count_below_one_names_its_line(self, tmp_path, count):
+        path = tmp_path / "frequencies.tsv"
+        path.write_text(f"a\t3\nb\t{count}\n", encoding="utf-8")
         with pytest.raises(LexiconParseError, match="line 2: count below 1") as err:
-            load_frequencies(f"a\t3\nb\t{count}\n")
+            load_frequencies(path)
         assert err.value.line_number == 2
 
 
+class TestLoaders:
+    @pytest.mark.parametrize("loader, name", [(load_frequencies, "no_such_file.tsv"),
+                                              (load_stopwords, "no_such_file.txt")])
+    def test_missing_path_raises(self, tmp_path, loader, name):
+        # a loader opens the path it is given, never reads the string as file text
+        with pytest.raises(FileNotFoundError):
+            loader(str(tmp_path / name))
+
+
 class TestWspNeighbors:
+    """Each profile source, read through the profile :func:`build_wsp` builds."""
+
     def test_synonyms_are_all_lemmas(self, lexicon):
         pan = lexicon.senses("pan")[0]
-        assert lexicon.wsp_neighbors(pan, "synonyms") == ["pan", "cooking_pan"]
+        assert pan.lemmas == ["pan", "cooking_pan"]
+        assert build_wsp(pan, lexicon)[:2] == ["pan", "cooking_pan"]
 
     def test_gloss_words_tokenization(self):
         data = ("00000001 03 n 01 pan 0 000 "
                 "| cooking utensil consisting of wide metal vessel\n")
         index = parse_lexicon("", data)
-        words = index.wsp_neighbors("00000001-n", "gloss_words", {"of"})
-        assert words == ["cooking", "utensil", "consisting", "wide", "metal", "vessel"]
+        words = build_wsp("00000001-n", index, {"of"})
+        assert words == ["pan", "cooking", "utensil", "consisting", "wide", "metal", "vessel"]
 
     def test_empty_for_missing_links(self):
         index = make_index(TINY_INDEX, TINY_DATA)
         hammer = index.senses("hammer")[0]
-        assert index.wsp_neighbors(hammer, "meronyms_holonyms") == []
+        assert hammer.meronyms == hammer.holonyms == []
+        # lemma, gloss words and the hypernym's lemma: no part or whole adds a word
+        assert build_wsp(hammer, index) == ["hammer", "tool", "used", "to", "drive", "nails"]
 
     def test_link_kinds_return_linked_lemmas(self, lexicon):
         pan = lexicon.senses("pan")[0]
-        hyper_hypo = lexicon.wsp_neighbors(pan, "direct_hypernyms_hyponyms")
-        assert "cooking_utensil" in hyper_hypo
-        assert "frying_pan" in hyper_hypo
-        parts = lexicon.wsp_neighbors(pan, "meronyms_holonyms")
-        assert "handle" in parts
-
-    def test_unknown_kind_rejected(self, lexicon):
-        pan = lexicon.senses("pan")[0]
-        with pytest.raises(ValueError):
-            lexicon.wsp_neighbors(pan, "nope")
+        profile = build_wsp(pan, lexicon)
+        # no gloss holds an underscore compound or "handgrip": these are link lemmas
+        assert "cooking_utensil" in profile
+        assert "frying_pan" in profile
+        assert "handle" in profile
+        assert "handgrip" in profile
 
 
 class TestTokenize:

@@ -9,6 +9,7 @@ from situnet.relatedness import (
     EsaRelatedness,
     TableRelatedness,
     build_esa_index,
+    load_documents,
 )
 
 
@@ -17,11 +18,7 @@ class TestBuildIndex:
         index = build_esa_index([("A", "pan pan pot"), ("B", "pot")])
         assert index.vector("pan") == [(0, 2.0)]
         assert index.vector("pot") == [(0, 1.0), (1, 1.0)]
-
-    def test_min_doc_freq_drops_rare_words(self):
-        index = build_esa_index([("A", "pan pot"), ("B", "pot")], min_doc_freq=2)
-        assert "pan" not in index
-        assert "pot" in index
+        assert all(type(w) is float for vec in index.vectors.values() for _, w in vec)
 
     def test_counts_match_independent_recount(self, documents, stopwords, esa_index):
         """Every stored weight re-derived with a separate tokenizer pass."""
@@ -43,17 +40,19 @@ class TestBuildIndex:
             assert all(w > 0 for _, w in vec)
             assert all(i < len(esa_index.concepts) for i in indexes)
 
-    def test_tfidf_mode(self):
-        import math
-        docs = [("A", "pan pot"), ("B", "pot pot"), ("C", "lid")]
-        index = build_esa_index(docs, weighting="tfidf")
-        assert dict(index.vector("pan"))[0] == pytest.approx(math.log(3 / 1))
-        assert dict(index.vector("pot"))[1] == pytest.approx(2 * math.log(3 / 2))
-        assert "lid" in index
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_esa_index([])
+
+
+class TestLoadDocuments:
+    def test_line_without_tab_names_its_line(self, tmp_path):
+        # spaces typed in place of the tab would otherwise give an empty document
+        path = tmp_path / "corpus.tsv"
+        path.write_text("# corpus\nKitchen\tpan pot stove\nLaundry washer dryer\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="bad document record on line 3"):
+            load_documents(path)
 
 
 def dense_cosine(index, a, b):
@@ -104,8 +103,8 @@ class TestRelatedness:
             assert 0.0 <= provider.score(a, b) <= 1.0
 
     def test_duplicating_corpus_preserves_scores(self, documents, stopwords):
-        base = build_esa_index(documents, "raw_count", stopwords)
-        doubled = build_esa_index(documents + documents, "raw_count", stopwords)
+        base = build_esa_index(documents, stopwords)
+        doubled = build_esa_index(documents + documents, stopwords)
         rng = np.random.default_rng(9)
         words = sorted(base.words())
         for _ in range(100):

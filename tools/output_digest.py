@@ -46,7 +46,13 @@ byte-identical outputs.  It covers:
 - each command on a copy of ``mini.cfg`` with one checked key set to a
   value its check refuses (``config/<command>/<key>=<value>``): exit code,
   stdout and stderr, so a command that refuses or answers differently
-  shows.  ``infer`` runs one exact request on the ``mini`` model.
+  shows.  ``infer`` runs one exact request on the ``mini`` model;
+- ``wsp/bundled``: the word sense profile (``build_wsp``) of every synset
+  of the bundled lexicon, in id order, with the bundled stopwords;
+- ``esa/bundled``: the concepts and vectors of the ESA index built from
+  the bundled corpus, and ``EsaRelatedness.score`` over every ordered pair
+  of the words of all bundled seed files.  Generation reaches both only
+  through the sense gate of ``attach_relations``.
 
 Usage, from the repository root:
 
@@ -66,6 +72,7 @@ import contextlib
 import hashlib
 import inspect
 import io
+import itertools
 import math
 import os
 import random
@@ -261,6 +268,33 @@ def digests(work: Path):
                 argv += ["--out-dir", str(work / "config" / command / key)]
             printed = run_cli(cli.main, argv).replace(str(work).encode(), b"WORK")
             yield f"config/{command}/{key}={value}", sha(printed)
+
+    yield from input_layer_digests()
+
+
+def input_layer_digests():
+    """The word sense profiles and the ESA index of the bundled data."""
+    from situnet import cli, data_path
+    from situnet.disambiguation import build_wsp
+    from situnet.lexicon import load_lexicon, load_stopwords
+    from situnet.relatedness import EsaRelatedness, build_esa_index, load_documents
+
+    lexicon = load_lexicon(data_path("lexicon"))
+    stopwords = load_stopwords(str(data_path("stopwords.txt")))
+    profiles = [build_wsp(sid, lexicon, stopwords) for sid in sorted(lexicon.synsets)]
+    # older trees returned a profile object holding the list as ``.words``
+    profiles = [getattr(profile, "words", profile) for profile in profiles]
+    yield "wsp/bundled", sha(repr(profiles).encode())
+
+    index = build_esa_index(load_documents(str(data_path("esa_corpus.tsv"))),
+                            stopwords=stopwords)
+    seeds = Path(str(data_path("seeds")))
+    words = sorted({word for path in sorted(seeds.glob("*.txt"))
+                    for word in cli.load_seed_words(path)})
+    provider = EsaRelatedness(index)
+    scores = [provider.score(a, b) for a, b in itertools.product(words, repeat=2)]
+    yield "esa/bundled", sha(repr((index.concepts, list(index.vectors.items()), words,
+                                   scores)).encode())
 
 
 def main(argv=None) -> int:
