@@ -150,13 +150,13 @@ class Fragment:
     frozen: bool = False
 
     def __post_init__(self):
-        self.cpf = np.array(self.cpf, dtype=float)
-        self.cpf.flags.writeable = False
-        if self.cpf.shape != (2 ** len(self.parents),):
+        self.cpf = cpf = np.array(self.cpf, dtype=float)
+        cpf.setflags(write=False)
+        if cpf.shape != (2 ** len(self.parents),):
             raise ValueError(
                 f"fragment {self.child}: cpf must have {2 ** len(self.parents)} rows")
         # min and max pass a NaN on, and a NaN fails the comparison
-        if not (0.0 <= self.cpf.min() and self.cpf.max() <= 1.0):
+        if not (0.0 <= np.minimum.reduce(cpf) and np.maximum.reduce(cpf) <= 1.0):
             raise ValueError(f"fragment {self.child}: probabilities outside [0, 1]")
         if len(set(self.parents)) < len(self.parents):
             repeated = next(p for i, p in enumerate(self.parents) if p in self.parents[:i])
@@ -197,12 +197,15 @@ def model_from_graph(graph: ConceptGraph) -> tuple[Declaration, list[Fragment]]:
     parented by the concept variables pointing at them.  CPFs start
     uninformed (all rows 0.5) until :func:`noisy_or_cpfs`.
     """
-    var_of = {node_id: variable_for_node(graph.nodes[node_id]) for node_id in graph.nodes}
+    var_of = {node_id: variable_for_node(node) for node_id, node in graph.nodes.items()}
+    text_of = {node_id: str(var) for node_id, var in var_of.items()}
     incoming = graph.incoming()
 
     fragments = []
     for node_id in sorted(graph.nodes):
-        parents = sorted({var_of[e.src] for e in incoming[node_id]}, key=str)
+        # parents in the order of their variables' text; a node id names one variable
+        sources = sorted({e.src for e in incoming[node_id]}, key=text_of.__getitem__)
+        parents = [var_of[source] for source in sources]
         if len(parents) > MAX_PARENTS:
             raise DenseModelError(
                 f"node {node_id!r} has {len(parents)} parents (max {MAX_PARENTS}); "
@@ -237,11 +240,12 @@ def noisy_or_cpfs(fragments, graph: ConceptGraph, provider, alpha: float,
     out = []
     for frag in fragments:
         if not frag.parents:
-            out.append(replace(frag, cpf=[root_prior]))
+            cpf = [root_prior]
         else:
             sources = [p.args[1] for p in frag.parents]
-            out.append(replace(frag, cpf=_noisy_or_table(
-                graph, incoming[frag.child.args[1]], sources, provider, alpha, LEAK)))
+            cpf = _noisy_or_table(graph, incoming[frag.child.args[1]], sources, provider,
+                                  alpha, LEAK)
+        out.append(Fragment(frag.child, frag.parents, cpf, frag.frozen))
     return out
 
 
@@ -252,20 +256,21 @@ def _noisy_or_table(graph, edges, sources, provider, alpha, leak) -> np.ndarray:
     order, so a repeated edge counts twice; ``sources`` lists the distinct
     source node ids, the first at the most significant bit.  Each ``p =
     alpha * strength + (1 - alpha) * provider.score(src_term, dst_term)``
-    is clipped to ``[0, 1 - leak]``.  More than :data:`MAX_PARENTS`
-    sources raise :class:`DenseModelError`.
+    is clipped to ``[0, 1 - leak]``.  Each edge multiplies the rows of its
+    source's bit in place, through one strided view of the table.  More
+    than :data:`MAX_PARENTS` sources raise :class:`DenseModelError`.
     """
     if len(sources) > MAX_PARENTS:
         raise DenseModelError(
             f"node {edges[0].dst!r} has {len(sources)} sources (max {MAX_PARENTS})")
-    config = np.arange(2 ** len(sources))
-    miss = np.full(len(config), 1.0 - leak)
+    miss = np.full(2 ** len(sources), 1.0 - leak)
     for e in edges:
         src, dst = graph.nodes[e.src], graph.nodes[e.dst]
         p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
         bit = len(sources) - 1 - sources.index(e.src)
-        np.multiply(miss, 1.0 - min(1.0 - leak, max(0.0, p)), out=miss,
-                    where=((config >> bit) & 1).astype(bool))
+        # the rows with the source's bit set, as one strided view: blocks of
+        # 2^bit rows alternate between the bit clear and the bit set
+        miss.reshape(-1, 2, 1 << bit)[:, 1] *= 1.0 - min(1.0 - leak, max(0.0, p))
     return 1.0 - miss
 
 
@@ -991,8 +996,8 @@ def write_model(decl: Declaration, fragments, path) -> None:
             types = ",".join(sorted(decl.entities[entity]))
             out.write(f"ENTITY\t{entity}\t{types}\n")
         for frag in fragments:
-            parents = ",".join(str(p) for p in frag.parents) or "-"
-            rows = " ".join(repr(p) for p in frag.cpf.tolist())
+            parents = ",".join(map(str, frag.parents)) or "-"
+            rows = " ".join(map(repr, frag.cpf.tolist()))
             flag = "frozen" if frag.frozen else "-"
             out.write(f"FRAGMENT\t{frag.child}\t{parents}\t{rows}\t{flag}\n")
 

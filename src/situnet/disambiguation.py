@@ -24,6 +24,7 @@ words).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .lexicon import (
     LexiconIndex,
@@ -110,12 +111,12 @@ def _grow_tree(words, sense_lists, start_word, start_sense, lexicon):
     total = 0.0
 
     while nearest:
-        # (cost, word position, sense rank) minimized lexicographically;
+        # (cost, word position, sense rank) minimized lexicographically: each
+        # word's cheapest cost at its lowest rank, then the cheapest word;
         # dicts keep input order, so the position ranks words as the input does
-        cost, _, rank, word = min((cost, pos, rank, word)
-                                  for pos, (word, costs) in enumerate(nearest.items())
-                                  for rank, cost in enumerate(costs))
-        sense = sense_lists[word][rank]
+        cost, _, word = min((min(costs), pos, word)
+                            for pos, (word, costs) in enumerate(nearest.items()))
+        sense = sense_lists[word][nearest[word].index(cost)]
         fixed[word] = (sense.id, cost)
         del nearest[word]
         total += cost
@@ -150,20 +151,29 @@ def build_wsp(sense, lexicon: LexiconIndex, stopwords=frozenset()) -> list[str]:
 
 
 def disambiguate_edge(c: str, d: str, lexicon: LexiconIndex, provider,
-                      stopwords=frozenset()) -> tuple[str, float]:
+                      stopwords=frozenset(), profiles=None) -> tuple[str, float]:
     """Choose the sense of ambiguous term ``d`` given context word ``c``.
 
     Each sense of ``d`` is scored as the sum of provider relatedness
     between ``c`` and every profile word of that sense; the argmax wins,
     ties resolving to the lower sense rank.  Returns (synset id, score).
+
+    ``profiles`` maps synset id -> :func:`build_wsp` profile under
+    ``stopwords``; a profile missing from it is built and added, so a
+    caller that passes one dict for many edges builds each profile once.
     """
     senses = lexicon.senses(d, "n")
     if not senses:
         raise UnknownTermError(d)
+    if profiles is None:
+        profiles = {}
     best_sense = None
     best_score = None
     for sense in senses:
-        score = sum(provider.score(c, w) for w in build_wsp(sense, lexicon, stopwords))
+        profile = profiles.get(sense.id)
+        if profile is None:
+            profile = profiles[sense.id] = build_wsp(sense, lexicon, stopwords)
+        score = sum(map(provider.score, repeat(c), profile))
         if best_score is None or score > best_score:
             best_score = score
             best_sense = sense

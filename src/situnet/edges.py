@@ -11,7 +11,13 @@ Only the four relation types used by the network survive ingestion; all
 other labels are dropped silently, as are URI-layout lines whose terms are
 not English (``/c/en/``).  Malformed lines are skipped and counted, never
 fatal; a weight that does not read as a finite number >= 0 (``null``, a
-list, ``NaN``, ``Infinity``, ``-1``) makes its line malformed.
+list, ``NaN``, ``Infinity``, ``-1``) makes its line malformed.  A relation
+whose kept weights are all 0 has no strength to scale, so its edges are
+dropped and counted with the skipped lines, as if its lines were absent.
+
+A dump names few distinct relations, concepts and weights on many lines,
+so :func:`ingest_edges` parses each distinct column text once per stream
+and makes an edge only for the line that wins its merge.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ class RelationType(Enum):
     AtLocation = "AtLocation"
     HasProperty = "HasProperty"
     UsedFor = "UsedFor"
+
+    # members are singletons that compare by identity, so the identity hash
+    # agrees with equality, and store keys skip Enum's Python-level __hash__
+    __hash__ = object.__hash__
 
 
 ATTRIBUTE_RELATIONS = (RelationType.UsedFor, RelationType.HasProperty, RelationType.AtLocation)
@@ -66,10 +76,17 @@ class EdgeStore:
         self.by_start: dict[tuple[str, RelationType], list[ConceptEdge]] = {}
         self.max_weight: dict[RelationType, float] = {}
         self.skipped_lines = 0
+        by_start, max_weight = self.by_start, self.max_weight
         for edge in self.edges:
-            self.by_start.setdefault((edge.start, edge.relation), []).append(edge)
-            current = self.max_weight.get(edge.relation, 0.0)
-            self.max_weight[edge.relation] = max(current, edge.weight)
+            relation = edge.relation
+            bucket = by_start.get((edge.start, relation))
+            if bucket is None:
+                by_start[edge.start, relation] = [edge]
+            else:
+                bucket.append(edge)
+            top = max_weight.get(relation)
+            if top is None or edge.weight > top:
+                max_weight[relation] = max(0.0, edge.weight)
 
     def __len__(self):
         return len(self.edges)
@@ -90,28 +107,52 @@ def ingest_edges(source) -> EdgeStore:
     whose terms are English (the fixture layout carries no language tag).
     Terms are normalized to lowercase underscore form with URI prefixes
     stripped.  Duplicate assertions of the same (start, relation, end) are
-    merged keeping the largest weight.
+    merged keeping the largest weight, at the position of their first line.
+
+    Each distinct relation label, concept URI or term, and metadata or
+    weight text is parsed once per stream, and an edge is made only for
+    the line that wins its merge.  Every edge of a relation whose merged
+    weights are all 0 is dropped and counted with the skipped lines: such
+    a relation has no strength to scale.
     """
-    merged: dict[tuple[str, RelationType, str], ConceptEdge] = {}
+    merged: dict[tuple[str, RelationType, str], float] = {}
     skipped = 0
+    parse = _LineParser()
     lines = source.splitlines() if isinstance(source, str) else source
     for raw in lines:
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
-        parsed = _parse_line(line)
+        parsed = parse(line)
         if parsed is _SKIP:
             skipped += 1
             continue
         if parsed is None:
             continue
-        key = (parsed.start, parsed.relation, parsed.end)
+        key, weight = parsed
         existing = merged.get(key)
-        if existing is None or parsed.weight > existing.weight:
-            merged[key] = parsed
+        if existing is None or weight > existing:
+            merged[key] = weight
     if skipped:
         log.warning("ingest: skipped %d malformed or invalid lines", skipped)
-    store = EdgeStore(merged.values())
+    return _store([ConceptEdge(start, relation, end, weight)
+                   for (start, relation, end), weight in merged.items()], skipped)
+
+
+def _store(edges, skipped) -> EdgeStore:
+    """The store of ``edges`` less the edges of relations whose weights are all 0.
+
+    Those edges add to the ``skipped`` count, which becomes the store's
+    ``skipped_lines``.
+    """
+    store = EdgeStore(edges)
+    weightless = [relation for relation, top in store.max_weight.items() if top <= 0]
+    if weightless:
+        kept = [edge for edge in store.edges if edge.relation not in weightless]
+        log.warning("edges: dropped %d edges of %s, a relation whose weights are all 0",
+                    len(store) - len(kept), ", ".join(r.value for r in weightless))
+        skipped += len(store) - len(kept)
+        store = EdgeStore(kept)
     store.skipped_lines = skipped
     return store
 
@@ -119,42 +160,59 @@ def ingest_edges(source) -> EdgeStore:
 _SKIP = object()  # sentinel: line malformed or violates an edge invariant
 
 
-def _parse_line(line):
-    cols = line.split("\t")
-    if len(cols) == 5:
-        _, rel_uri, start_uri, end_uri, metadata = cols
-        relation = _parse_relation(rel_uri)
-        if relation is None:
-            return None
-        start = _parse_concept_uri(start_uri)
-        end = _parse_concept_uri(end_uri)
-        if start is _SKIP or end is _SKIP:
+class _Memo(dict):
+    """text -> ``parse(text)``, each distinct text parsed on its first lookup."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text):
+        value = self[text] = self.parse(text)
+        return value
+
+
+class _LineParser:
+    """Parses the lines of one stream, each distinct column text once.
+
+    A line parses to ``((start, relation, end), weight)``, to ``None``
+    when it is dropped silently, or to :data:`_SKIP` when it is malformed.
+    """
+
+    def __init__(self):
+        self.relations = _Memo(_parse_relation)
+        self.concepts = _Memo(_parse_concept_uri)
+        self.terms = _Memo(normalize_lemma)
+        self.metadata = _Memo(_metadata_weight)
+        self.weights = _Memo(_weight)
+
+    def __call__(self, line):
+        cols = line.split("\t")
+        if len(cols) == 5:
+            relation = self.relations[cols[1]]
+            if relation is None:
+                return None
+            start = self.concepts[cols[2]]
+            end = self.concepts[cols[3]]
+            if start is _SKIP or end is _SKIP:
+                return _SKIP
+            if start is None or end is None:
+                return None
+            weight = self.metadata[cols[4]]
+        elif len(cols) == 4:
+            relation = self.relations[cols[0]]
+            if relation is None:
+                return None
+            start = self.terms[cols[1]]
+            end = self.terms[cols[2]]
+            weight = self.weights[cols[3]]
+        else:
             return _SKIP
-        if start is None or end is None:
-            return None
-        try:
-            meta = json.loads(metadata) if metadata.strip() else {}
-            weight = float(meta.get("weight", 1.0))
-        except (ValueError, TypeError, AttributeError, OverflowError):
+        if weight is _SKIP or not start or not end:
             return _SKIP
-    elif len(cols) == 4:
-        rel, start, end, weight_text = cols
-        relation = _parse_relation(rel)
-        if relation is None:
-            return None
-        start = normalize_lemma(start)
-        end = normalize_lemma(end)
-        try:
-            weight = float(weight_text)
-        except ValueError:
+        if relation is RelationType.AtLocation and start == end:
             return _SKIP
-    else:
-        return _SKIP
-    if not math.isfinite(weight) or weight < 0 or not start or not end:
-        return _SKIP
-    if relation is RelationType.AtLocation and start == end:
-        return _SKIP
-    return ConceptEdge(start=start, relation=relation, end=end, weight=weight)
+        return (start, relation, end), weight
 
 
 def _parse_relation(text):
@@ -174,6 +232,26 @@ def _parse_concept_uri(uri):
     return normalize_lemma(parts[2])
 
 
+def _metadata_weight(metadata):
+    """The ``weight`` of a JSON metadata object, 1.0 when absent, else :data:`_SKIP`."""
+    try:
+        meta = json.loads(metadata) if metadata.strip() else {}
+        return _checked(float(meta.get("weight", 1.0)))
+    except (ValueError, TypeError, AttributeError, OverflowError):
+        return _SKIP
+
+
+def _weight(text):
+    try:
+        return _checked(float(text))
+    except ValueError:
+        return _SKIP
+
+
+def _checked(weight):
+    return weight if math.isfinite(weight) and weight >= 0 else _SKIP
+
+
 def filter_multiword(store: EdgeStore, lexicon) -> EdgeStore:
     """Drop edges whose end term is a free multiword phrase.
 
@@ -183,12 +261,12 @@ def filter_multiword(store: EdgeStore, lexicon) -> EdgeStore:
     never filtered.  Idempotent.
     """
     kept = [e for e in store.edges if not _is_free_phrase(e.end, lexicon)]
-    out = EdgeStore(kept)
-    out.skipped_lines = store.skipped_lines
-    return out
+    return _store(kept, store.skipped_lines)
 
 
 def _is_free_phrase(term, lexicon):
+    if "_" not in term:
+        return False
     tokens = term.split("_")
     multi = any(a.isalpha() and b.isalpha() for a, b in zip(tokens, tokens[1:]))
     return multi and not lexicon.has_lemma(term)

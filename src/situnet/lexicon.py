@@ -5,7 +5,10 @@ pair layout.  Only the pointer symbols relevant to taxonomy navigation are
 consumed (``@`` hypernym, ``~`` hyponym, ``%p``/``%m``/``%s`` meronym,
 ``#p``/``#m``/``#s`` holonym); everything else is ignored.
 :func:`parse_lexicon` takes the text of the pair; the ``load_*`` functions
-take a path and open it.
+take a path and open it.  :func:`load_lexicon` reads each file whole; a
+data line's pointer quadruples are read through strided slices of its
+fields.  Wu-Palmer similarity intersects ancestor sets held as bit masks
+ordered by depth, so the highest shared bit is the least common subsumer.
 
 A parsed :class:`LexiconIndex` is immutable after construction and safe for
 concurrent reads.
@@ -23,7 +26,8 @@ from .dag import CycleError, reachable, topological_order
 MERONYM_SYMBOLS = ("%p", "%m", "%s")
 HOLONYM_SYMBOLS = ("#p", "#m", "#s")
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# maximal alphanumeric runs of two characters or more
+_TOKEN_RE = re.compile(r"[a-z0-9]{2,}")
 
 
 class LexiconParseError(ValueError):
@@ -59,12 +63,7 @@ def tokenize(text: str, stopwords=frozenset()) -> list[str]:
     processing and document indexing so profiles and relatedness vectors
     agree on token identity.
     """
-    out = []
-    for tok in _TOKEN_RE.findall(text.lower()):
-        if len(tok) < 2 or tok in stopwords:
-            continue
-        out.append(tok)
-    return out
+    return [tok for tok in _TOKEN_RE.findall(text.lower()) if tok not in stopwords]
 
 
 @dataclass
@@ -113,6 +112,13 @@ class LexiconIndex:
             self._depths[sid] = 1 + max((self._depths[p] for p in self._hypernyms[sid]
                                          if p in synsets), default=0)
         self._ancestor_cache: dict[str, frozenset[str]] = {}
+        # Ancestor sets as bit masks for Wu-Palmer: bit i stands for the i-th
+        # synset by depth, so the highest bit two masks share is a deepest
+        # common ancestor.
+        by_depth = sorted(order, key=self._depths.__getitem__)
+        self._bit = {sid: i for i, sid in enumerate(by_depth)}
+        self._depth_at_bit = [self._depths[sid] for sid in by_depth]
+        self._mask_cache: dict[str, int] = {}
 
     # -- lookups ---------------------------------------------------------
 
@@ -141,6 +147,14 @@ class LexiconIndex:
             self._ancestor_cache[synset_id] = cached
         return cached
 
+    def _ancestor_mask(self, synset_id: str) -> int:
+        """:meth:`ancestors` as a bit mask; never 0, since it holds the synset."""
+        mask = 0
+        for sid in self.ancestors(synset_id):
+            mask |= 1 << self._bit[sid]
+        self._mask_cache[synset_id] = mask
+        return mask
+
     # -- taxonomy metrics --------------------------------------------------
 
     def wup_similarity(self, a, b) -> float:
@@ -153,10 +167,12 @@ class LexiconIndex:
         """
         sid_a = a.id if isinstance(a, Synset) else a
         sid_b = b.id if isinstance(b, Synset) else b
-        common = self.ancestors(sid_a) & self.ancestors(sid_b)
+        masks = self._mask_cache
+        common = (masks.get(sid_a) or self._ancestor_mask(sid_a)) & \
+            (masks.get(sid_b) or self._ancestor_mask(sid_b))
         if not common:
             raise UndefinedSimilarityError(f"no common ancestor for {sid_a} and {sid_b}")
-        lcs_depth = max(self._depths[s] for s in common)
+        lcs_depth = self._depth_at_bit[common.bit_length() - 1]
         return 2.0 * lcs_depth / (self._depths[sid_a] + self._depths[sid_b])
 
 
@@ -200,7 +216,8 @@ def parse_lexicon(index_source, data_source) -> LexiconIndex:
     for line_no, line in enumerate(_lines(data_source), start=1):
         if not line.strip() or line[0] == " ":
             continue
-        synsets.update(_parse_data_line(line, line_no))
+        syn = _parse_data_line(line, line_no)
+        synsets[syn.id] = syn
 
     _reconstruct_inverses(synsets)
 
@@ -223,8 +240,7 @@ def parse_lexicon(index_source, data_source) -> LexiconIndex:
     for sid in sorted(synsets):
         syn = synsets[sid]
         for lemma in syn.lemmas:
-            key = (lemma, syn.pos)
-            bucket = lemma_index.setdefault(key, [])
+            bucket = lemma_index.setdefault((lemma, syn.pos), [])
             if sid not in bucket:
                 bucket.append(sid)
 
@@ -256,7 +272,12 @@ def _parse_index_line(line, line_no):
     return lemma, pos, offsets
 
 
-def _parse_data_line(line, line_no):
+# pointer symbol -> slot of its link list: hypernyms, hyponyms, meronyms, holonyms
+_LINK_SLOTS = {"@": 0, "~": 1, **dict.fromkeys(MERONYM_SYMBOLS, 2),
+               **dict.fromkeys(HOLONYM_SYMBOLS, 3)}
+
+
+def _parse_data_line(line, line_no) -> Synset:
     body, _, gloss = line.partition("|")
     fields = body.split()
     if len(fields) < 6:
@@ -268,49 +289,45 @@ def _parse_data_line(line, line_no):
         w_cnt = int(fields[3], 16)
     except ValueError:
         raise LexiconParseError(f"bad word count {fields[3]!r}", line_no) from None
-    if w_cnt < 1 or len(fields) < 4 + 2 * w_cnt + 1:
+    p_pos = 4 + 2 * w_cnt
+    if w_cnt < 1 or len(fields) < p_pos + 1:
         raise LexiconParseError("word count does not match fields", line_no)
-    lemmas = [normalize_lemma(fields[4 + 2 * i]) for i in range(w_cnt)]
-    if any(not lem for lem in lemmas):
+    lemmas = [normalize_lemma(word) for word in fields[4:p_pos:2]]
+    if not all(lemmas):
         raise LexiconParseError("empty lemma", line_no)
 
-    p_pos = 4 + 2 * w_cnt
     try:
         p_cnt = int(fields[p_pos])
     except ValueError:
         raise LexiconParseError(f"bad pointer count {fields[p_pos]!r}", line_no) from None
-    if len(fields) < p_pos + 1 + 4 * p_cnt:
+    # (symbol, target offset, target pos, source/target) quadruples; a
+    # negative count reads as none
+    pointers = fields[p_pos + 1:p_pos + 1 + 4 * max(p_cnt, 0)]
+    if len(pointers) < 4 * p_cnt:
         raise LexiconParseError("pointer count does not match fields", line_no)
 
-    syn = Synset(id=f"{offset}-{pos}", pos=pos, lemmas=lemmas, gloss=gloss.strip())
-    for i in range(p_cnt):
-        sym, target, tpos = fields[p_pos + 1 + 4 * i: p_pos + 4 + 4 * i]
-        target_id = f"{target}-{tpos}"
-        if sym == "@":
-            _append_unique(syn.hypernyms, target_id)
-        elif sym == "~":
-            _append_unique(syn.hyponyms, target_id)
-        elif sym in MERONYM_SYMBOLS:
-            _append_unique(syn.meronyms, target_id)
-        elif sym in HOLONYM_SYMBOLS:
-            _append_unique(syn.holonyms, target_id)
-    return {syn.id: syn}
-
-
-def _append_unique(lst, item):
-    if item not in lst:
-        lst.append(item)
+    links = ([], [], [], [])
+    for sym, target, tpos in zip(pointers[::4], pointers[1::4], pointers[2::4]):
+        slot = _LINK_SLOTS.get(sym)
+        if slot is not None:
+            bucket = links[slot]
+            target_id = f"{target}-{tpos}"
+            if target_id not in bucket:
+                bucket.append(target_id)
+    return Synset(f"{offset}-{pos}", pos, lemmas, gloss.strip(), *links)
 
 
 def _reconstruct_inverses(synsets):
-    pairs = [("hypernyms", "hyponyms"), ("hyponyms", "hypernyms"),
-             ("meronyms", "holonyms"), ("holonyms", "meronyms")]
     for sid in sorted(synsets):
         syn = synsets[sid]
-        for forward, backward in pairs:
-            for target in getattr(syn, forward):
-                if target in synsets:
-                    _append_unique(getattr(synsets[target], backward), sid)
+        for targets, backward in ((syn.hypernyms, "hyponyms"), (syn.hyponyms, "hypernyms"),
+                                  (syn.meronyms, "holonyms"), (syn.holonyms, "meronyms")):
+            for target in targets:
+                other = synsets.get(target)
+                if other is not None:
+                    inverse = getattr(other, backward)
+                    if sid not in inverse:
+                        inverse.append(sid)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +386,8 @@ def load_lexicon(directory) -> LexiconIndex:
     base = Path(directory)
     with open(base / "index.noun", encoding="utf-8") as idx, \
             open(base / "data.noun", encoding="utf-8") as dat:
-        return parse_lexicon(idx, dat)
+        # split on "\n" alone, as iterating the file would, with one read each
+        return parse_lexicon(idx.read().split("\n"), dat.read().split("\n"))
 
 
 def load_frequencies(path) -> CorpusFrequencies:
@@ -390,7 +408,8 @@ def load_frequencies(path) -> CorpusFrequencies:
                 raise LexiconParseError(f"bad frequency line {line!r}", line_no) from None
             if count < 1:
                 raise LexiconParseError(f"count below 1 in {line!r}", line_no)
-            counts[normalize_lemma(word)] = counts.get(normalize_lemma(word), 0) + count
+            word = normalize_lemma(word)
+            counts[word] = counts.get(word, 0) + count
     return CorpusFrequencies.from_counts(counts)
 
 

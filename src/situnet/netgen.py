@@ -327,24 +327,28 @@ def attach_relations(graph: ConceptGraph, store: EdgeStore, lexicon: LexiconInde
     added only when the chosen sense matches the node's sense (for seeds,
     that sense is the one fixed by the seed assignment).  Edges that fail
     disambiguation are dropped and counted in the result's ``dropped_edges``.
+    Each sense's word sense profile is built once per call and shared by
+    every edge that the gate weighs against it.
     """
     out = graph.copy()
     dropped = 0
+    profiles: dict[str, list[str]] = {}  # synset id -> its word sense profile
     for node_id in graph.node_ids("concept"):
         node = graph.nodes[node_id]
+        gated = node.synset is not None and len(lexicon.senses(node.term, "n")) > 1
         for relation in ATTRIBUTE_RELATIONS:
+            kind = KIND_FOR_RELATION[relation]
             for edge in store.starting_at(node.term, relation):
-                if node.synset is not None and len(lexicon.senses(node.term, "n")) > 1:
+                if gated:
                     chosen, _ = disambiguate_edge(edge.end, node.term, lexicon,
-                                                  provider, stopwords)
+                                                  provider, stopwords, profiles)
                     if chosen != node.synset:
                         dropped += 1
                         continue
                 dst_term = normalize_lemma(edge.end)
-                dst_id = _attribute_node_id(out.nodes, dst_term, KIND_FOR_RELATION[relation])
+                dst_id = _attribute_node_id(out.nodes, dst_term, kind)
                 if dst_id not in out.nodes:
-                    out.nodes[dst_id] = ConceptNode(
-                        id=dst_id, kind=KIND_FOR_RELATION[relation], term=dst_term)
+                    out.nodes[dst_id] = ConceptNode(id=dst_id, kind=kind, term=dst_term)
                 out.edges.append(RelationEdge(node_id, relation, dst_id,
                                               normalized_weight(edge, store)))
     out.dropped_edges = dropped
@@ -367,8 +371,9 @@ def attach_locations_two_hop(graph: ConceptGraph, store: EdgeStore,
     out = graph.copy()
     incoming = out.incoming()
 
-    hop1 = [i for i in out.node_ids("location")]
-    for loc_id in hop1:
+    # (source, target) of every AtLocation edge, so a repeated hop-2 edge is found at once
+    located = {(e.src, e.dst) for e in out.edges if e.relation is RelationType.AtLocation}
+    for loc_id in out.node_ids("location"):
         loc = out.nodes[loc_id]
         strength_in = max((e.strength for e in incoming[loc_id]
                            if e.relation is RelationType.AtLocation), default=1.0)
@@ -379,8 +384,8 @@ def attach_locations_two_hop(graph: ConceptGraph, store: EdgeStore,
             dst_id = _attribute_node_id(out.nodes, dst_term, "location")
             if dst_id not in out.nodes:
                 out.nodes[dst_id] = ConceptNode(id=dst_id, kind="location", term=dst_term)
-            if not any(e.src == loc_id and e.dst == dst_id and
-                       e.relation is RelationType.AtLocation for e in out.edges):
+            if (loc_id, dst_id) not in located:
+                located.add((loc_id, dst_id))
                 out.edges.append(RelationEdge(
                     loc_id, RelationType.AtLocation, dst_id,
                     strength_in * normalized_weight(edge, store)))

@@ -2,6 +2,9 @@
 
 Each indexed word is represented as a sparse vector of its raw counts
 per document; relatedness is the cosine similarity of two such vectors.
+The index counts each document's tokens once, in document order, so each
+vector comes out sorted by document.  A term's vector depends on the term
+alone, so a provider builds it once and keeps it for the provider's life.
 Any object with a ``score(word_a, word_b) -> float in [0, 1]`` method can
 stand in as a relatedness provider, which is how the table-driven test
 providers plug into the same pipeline slots.
@@ -10,6 +13,7 @@ providers plug into the same pipeline slots.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .lexicon import normalize_lemma, tokenize
@@ -45,32 +49,16 @@ def build_esa_index(documents, stopwords=frozenset()) -> EsaIndex:
         raise ValueError("at least one document is required")
 
     concepts = [title for title, _ in documents]
-    counts: dict[str, dict[int, int]] = {}
+    vectors: dict[str, list[tuple[int, float]]] = {}
+    # documents come in index order, so appending keeps each vector sorted
     for doc_idx, (_, text) in enumerate(documents):
-        for token in tokenize(text, stopwords):
-            counts.setdefault(token, {}).setdefault(doc_idx, 0)
-            counts[token][doc_idx] += 1
-
-    vectors = {word: [(idx, float(count)) for idx, count in sorted(per_doc.items())]
-               for word, per_doc in counts.items()}
+        for word, count in Counter(tokenize(text, stopwords)).items():
+            entries = vectors.get(word)
+            if entries is None:
+                vectors[word] = [(doc_idx, float(count))]
+            else:
+                entries.append((doc_idx, float(count)))
     return EsaIndex(concepts=concepts, vectors=vectors)
-
-
-def _sparse_cosine(a, b) -> float:
-    if not a or not b:
-        return 0.0
-    dot = 0.0
-    b_dict = dict(b)
-    for idx, w in a:
-        w2 = b_dict.get(idx)
-        if w2 is not None:
-            dot += w * w2
-    ssq_a = sum(w * w for _, w in a)
-    ssq_b = sum(w * w for _, w in b)
-    if ssq_a == 0.0 or ssq_b == 0.0 or dot == 0.0:
-        return 0.0
-    # sqrt of the product keeps cos(v, v) at exactly 1.0
-    return min(1.0, dot / math.sqrt(ssq_a * ssq_b))
 
 
 class EsaRelatedness:
@@ -82,16 +70,40 @@ class EsaRelatedness:
     Multiword terms (underscore compounds) that are not indexed directly
     are scored through the sum of their constituent token vectors, so
     lexicon lemmas like ``cooking_utensil`` still relate to plain words.
+
+    A term's vector depends on the term alone (Gabrilovich & Markovitch
+    2007), so the provider builds each term's vector, its lookup dict and
+    its sum of squares on the term's first score and keeps them for its
+    own life, which is one command.
     """
 
     def __init__(self, index: EsaIndex):
         self.index = index
+        self._terms: dict[str, tuple[list, dict, float]] = {}
 
     def score(self, word_a: str, word_b: str) -> float:
-        return _sparse_cosine(self._term_vector(word_a), self._term_vector(word_b))
+        terms = self._terms
+        a, _, ssq_a = terms.get(word_a) or self._term(word_a)
+        b, b_dict, ssq_b = terms.get(word_b) or self._term(word_b)
+        if not a or not b:
+            return 0.0
+        dot = 0.0
+        for idx, w in a:
+            w2 = b_dict.get(idx)
+            if w2 is not None:
+                dot += w * w2
+        if ssq_a == 0.0 or ssq_b == 0.0 or dot == 0.0:
+            return 0.0
+        # sqrt of the product keeps cos(v, v) at exactly 1.0
+        return min(1.0, dot / math.sqrt(ssq_a * ssq_b))
+
+    def _term(self, text):
+        """Build and keep the (vector, its dict, sum of squares) of a term as given."""
+        vector = self._term_vector(normalize_lemma(text))
+        entry = self._terms[text] = (vector, dict(vector), sum(w * w for _, w in vector))
+        return entry
 
     def _term_vector(self, term):
-        term = normalize_lemma(term)
         direct = self.index.vector(term)
         if direct or "_" not in term:
             return direct

@@ -10,10 +10,17 @@ sources taken one at a time, the per-cell leaky noisy-OR
 tables, the sample-major evidence simulation and the per-row CPF
 learning that the library must reproduce byte for byte; and the
 character loop that ``read_model``'s parent-list split must agree with.
+The input readers and generation hot paths have step-by-step oracles
+too: the relation dump parsed line by line in full, the ESA index by
+per-word sorts, relatedness with both vectors rebuilt per call, the
+lexicon pair one pointer quadruple at a time, and the noisy-OR table with
+a row mask per edge.
 ``every_variable_gold`` labels every variable of the one-object network,
 so ``run_scenario`` estimates them all.
 """
 
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -32,10 +39,13 @@ from situnet.bln import (
     variable_for_node,
 )
 from situnet.cli import load_config, run_generation
+from situnet.dag import topological_order
 from situnet.disambiguation import SenseAssignment, UnknownSeedError
-from situnet.edges import RelationType, filter_multiword, load_edges
+from situnet.edges import ConceptEdge, RelationType, filter_multiword, load_edges
 from situnet.evaluation import OBJECT, GoldStandard
 from situnet.lexicon import (
+    LexiconParseError,
+    Synset,
     UndefinedSimilarityError,
     load_frequencies,
     load_lexicon,
@@ -519,3 +529,241 @@ def split_vars_oracle(text):
     if current:
         parts.append("".join(current))
     return parts
+
+
+# ---------------------------------------------------------------------------
+# The input readers and generation hot paths, written one step at a time:
+# each line parsed in full, each vector rebuilt per call, each table cell
+# masked per edge.  The library must give equal results.
+# ---------------------------------------------------------------------------
+
+_RELATIONS_BY_NAME = {r.value.lower(): r for r in RelationType}
+_SKIPPED = object()
+
+
+def ingest_edges_oracle(text):
+    """(edges, skipped count) of a relation dump, every line parsed in full.
+
+    Keeps the first position and the largest weight of each (start,
+    relation, end); then drops every edge of a relation whose kept weights
+    are all 0 and counts it as skipped.
+    """
+    merged = {}
+    skipped = 0
+    for raw in text.splitlines():
+        line = raw.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parsed = _dump_line_oracle(line)
+        if parsed is _SKIPPED:
+            skipped += 1
+        elif parsed is not None:
+            key = (parsed.start, parsed.relation, parsed.end)
+            if key not in merged or parsed.weight > merged[key].weight:
+                merged[key] = parsed
+    edges = list(merged.values())
+    top = {}
+    for edge in edges:
+        top[edge.relation] = max(top.get(edge.relation, 0.0), edge.weight)
+    kept = [edge for edge in edges if top[edge.relation] > 0]
+    return kept, skipped + len(edges) - len(kept)
+
+
+def _dump_line_oracle(line):
+    cols = line.split("\t")
+    if len(cols) == 5:
+        _, rel_uri, start_uri, end_uri, metadata = cols
+        relation = _relation_oracle(rel_uri)
+        if relation is None:
+            return None
+        start = _concept_uri_oracle(start_uri)
+        end = _concept_uri_oracle(end_uri)
+        if start is _SKIPPED or end is _SKIPPED:
+            return _SKIPPED
+        if start is None or end is None:
+            return None
+        try:
+            meta = json.loads(metadata) if metadata.strip() else {}
+            weight = float(meta.get("weight", 1.0))
+        except (ValueError, TypeError, AttributeError, OverflowError):
+            return _SKIPPED
+    elif len(cols) == 4:
+        rel, start, end, weight_text = cols
+        relation = _relation_oracle(rel)
+        if relation is None:
+            return None
+        start = normalize_lemma(start)
+        end = normalize_lemma(end)
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            return _SKIPPED
+    else:
+        return _SKIPPED
+    if not math.isfinite(weight) or weight < 0 or not start or not end:
+        return _SKIPPED
+    if relation is RelationType.AtLocation and start == end:
+        return _SKIPPED
+    return ConceptEdge(start=start, relation=relation, end=end, weight=weight)
+
+
+def _relation_oracle(text):
+    name = text.strip()
+    if name.startswith("/r/"):
+        name = name[3:]
+    return _RELATIONS_BY_NAME.get(name.strip("/").lower())
+
+
+def _concept_uri_oracle(uri):
+    parts = uri.strip().strip("/").split("/")
+    if len(parts) < 3 or parts[0] != "c":
+        return _SKIPPED
+    if parts[1] != "en":
+        return None
+    return normalize_lemma(parts[2])
+
+
+def esa_vectors_oracle(documents, stopwords=frozenset()):
+    """word -> [(document index, count)]: counts per word and document, then sorted."""
+    counts = {}
+    for doc_idx, (_, text) in enumerate(documents):
+        for token in tokenize(text, stopwords):
+            counts.setdefault(token, {}).setdefault(doc_idx, 0)
+            counts[token][doc_idx] += 1
+    return {word: [(idx, float(count)) for idx, count in sorted(per_doc.items())]
+            for word, per_doc in counts.items()}
+
+
+def esa_score_oracle(index, word_a, word_b):
+    """Cosine of two term vectors, both rebuilt from the index on every call."""
+    a, b = _esa_term_oracle(index, word_a), _esa_term_oracle(index, word_b)
+    if not a or not b:
+        return 0.0
+    dot = 0.0
+    b_dict = dict(b)
+    for idx, w in a:
+        w2 = b_dict.get(idx)
+        if w2 is not None:
+            dot += w * w2
+    ssq_a = sum(w * w for _, w in a)
+    ssq_b = sum(w * w for _, w in b)
+    if ssq_a == 0.0 or ssq_b == 0.0 or dot == 0.0:
+        return 0.0
+    return min(1.0, dot / math.sqrt(ssq_a * ssq_b))
+
+
+def _esa_term_oracle(index, term):
+    term = normalize_lemma(term)
+    direct = index.vectors.get(term, [])
+    if direct or "_" not in term:
+        return direct
+    combined = {}
+    for token in term.split("_"):
+        for idx, w in index.vectors.get(token, []):
+            combined[idx] = combined.get(idx, 0.0) + w
+    return sorted(combined.items())
+
+
+def parse_lexicon_oracle(index_text, data_text):
+    """(synsets, lemma_index, depths) of an index/data text pair, one quadruple at a time.
+
+    Raises :class:`LexiconParseError` as the library does, and
+    ``CycleError`` on a cyclic hierarchy.
+    """
+    synsets = {}
+    for line_no, line in enumerate(data_text.splitlines(), start=1):
+        if not line.strip() or line[0] == " ":
+            continue
+        syn = _data_line_oracle(line, line_no)
+        synsets[syn.id] = syn
+    pairs = [("hypernyms", "hyponyms"), ("hyponyms", "hypernyms"),
+             ("meronyms", "holonyms"), ("holonyms", "meronyms")]
+    for sid in sorted(synsets):
+        for forward, backward in pairs:
+            for target in getattr(synsets[sid], forward):
+                if target in synsets:
+                    _append_unique(getattr(synsets[target], backward), sid)
+
+    lemma_index = {}
+    for line_no, line in enumerate(index_text.splitlines(), start=1):
+        if not line.strip() or line[0] == " ":
+            continue
+        fields = line.split()
+        if len(fields) < 4:
+            raise LexiconParseError("too few fields in index line", line_no)
+        try:
+            count = int(fields[2])
+        except ValueError:
+            raise LexiconParseError(f"bad synset count {fields[2]!r}", line_no) from None
+        if count < 1 or len(fields) < 3 + count:
+            raise LexiconParseError("synset count does not match offsets", line_no)
+        for off in fields[-count:]:
+            if not off.isdigit():
+                raise LexiconParseError(f"bad synset offset {off!r}", line_no)
+        ranked = []
+        for off in fields[-count:]:
+            if f"{off}-{fields[1]}" not in synsets:
+                raise LexiconParseError(f"index references unknown synset {off}", line_no)
+            _append_unique(ranked, f"{off}-{fields[1]}")
+        lemma_index[(normalize_lemma(fields[0]), fields[1])] = ranked
+    for sid in sorted(synsets):
+        for lemma in synsets[sid].lemmas:
+            _append_unique(lemma_index.setdefault((lemma, synsets[sid].pos), []), sid)
+
+    hypernyms = {sid: syn.hypernyms for sid, syn in synsets.items()}
+    depths = {}
+    for sid in topological_order(synsets, hypernyms):
+        depths[sid] = 1 + max((depths[p] for p in hypernyms[sid] if p in synsets), default=0)
+    return synsets, lemma_index, depths
+
+
+def _data_line_oracle(line, line_no):
+    body, _, gloss = line.partition("|")
+    fields = body.split()
+    if len(fields) < 6:
+        raise LexiconParseError("too few fields in data line", line_no)
+    offset, pos = fields[0], fields[2]
+    if not offset.isdigit():
+        raise LexiconParseError(f"bad synset offset {offset!r}", line_no)
+    try:
+        w_cnt = int(fields[3], 16)
+    except ValueError:
+        raise LexiconParseError(f"bad word count {fields[3]!r}", line_no) from None
+    if w_cnt < 1 or len(fields) < 4 + 2 * w_cnt + 1:
+        raise LexiconParseError("word count does not match fields", line_no)
+    lemmas = [normalize_lemma(fields[4 + 2 * i]) for i in range(w_cnt)]
+    if any(not lem for lem in lemmas):
+        raise LexiconParseError("empty lemma", line_no)
+    p_pos = 4 + 2 * w_cnt
+    try:
+        p_cnt = int(fields[p_pos])
+    except ValueError:
+        raise LexiconParseError(f"bad pointer count {fields[p_pos]!r}", line_no) from None
+    if len(fields) < p_pos + 1 + 4 * p_cnt:
+        raise LexiconParseError("pointer count does not match fields", line_no)
+    syn = Synset(id=f"{offset}-{pos}", pos=pos, lemmas=lemmas, gloss=gloss.strip())
+    links = {"@": syn.hypernyms, "~": syn.hyponyms, "%p": syn.meronyms, "%m": syn.meronyms,
+             "%s": syn.meronyms, "#p": syn.holonyms, "#m": syn.holonyms, "#s": syn.holonyms}
+    for i in range(p_cnt):
+        sym, target, tpos = fields[p_pos + 1 + 4 * i: p_pos + 4 + 4 * i]
+        if sym in links:
+            _append_unique(links[sym], f"{target}-{tpos}")
+    return syn
+
+
+def _append_unique(items, item):
+    if item not in items:
+        items.append(item)
+
+
+def noisy_or_table_oracle(graph, edges, sources, provider, alpha, leak):
+    """A leaky noisy-OR table with one boolean row mask per edge."""
+    config = np.arange(2 ** len(sources))
+    miss = np.full(len(config), 1.0 - leak)
+    for e in edges:
+        src, dst = graph.nodes[e.src], graph.nodes[e.dst]
+        p = alpha * e.strength + (1.0 - alpha) * provider.score(src.term, dst.term)
+        bit = len(sources) - 1 - sources.index(e.src)
+        np.multiply(miss, 1.0 - min(1.0 - leak, max(0.0, p)), out=miss,
+                    where=((config >> bit) & 1).astype(bool))
+    return 1.0 - miss

@@ -42,6 +42,7 @@ from conftest import (
     lw_estimates_oracle,
     lw_sample_oracle,
     noisy_or_cpfs_oracle,
+    noisy_or_table_oracle,
     reduced_oracle,
     simulate_evidence_oracle,
     split_vars_oracle,
@@ -315,6 +316,28 @@ class TestNoisyOrCpfs:
         expected = noisy_or_cpfs_oracle(fragments, *args)
         assert [(f.child, f.parents) for f in ours] == [(f.child, f.parents) for f in fragments]
         assert [f.cpf.tobytes() for f in ours] == [f.cpf.tobytes() for f in expected]
+
+    @settings(max_examples=150)
+    @given(sources=st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1,
+                            max_size=5, unique=True),
+           picks=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 1.0)), min_size=1,
+                          max_size=10),
+           alpha=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+           leak=st.sampled_from([0.0, bln.LEAK]))
+    def test_table_equals_masked_oracle(self, sources, picks, alpha, leak):
+        """Strided in-place products equal one masked multiply per edge, bit for bit.
+
+        Edges come in any source order, and a source may have several
+        edges, which multiply in edge order.
+        """
+        edges = [(sources[i % len(sources)], RelationType.IsA, "hub", strength)
+                 for i, strength in picks]
+        graph = graph_of([("hub", "concept", False)]
+                         + [(name, "concept", True) for name in sources], edges)
+        provider = TableRelatedness({(name, "hub"): 0.1 * (k + 1)
+                                     for k, name in enumerate(sources)})
+        args = (graph, graph.edges, sources, provider, alpha, leak)
+        assert bln._noisy_or_table(*args).tobytes() == noisy_or_table_oracle(*args).tobytes()
 
     def test_strength_one_edge_is_capped_below_one(self):
         graph = graph_of([("a", "concept", True), ("b", "concept", False)],

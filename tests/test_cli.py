@@ -1,12 +1,16 @@
 """End-to-end command-line driver tests."""
 
+import json
 import re
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from situnet import cli, evaluation, netgen
 from situnet.bln import ground, read_model
+from situnet.edges import ingest_edges
 from situnet.cli import (
     INFER_SEED_OFFSET,
     ConfigError,
@@ -104,6 +108,78 @@ class TestGenerate:
         assert code != 0
         assert "seeds" in err
         assert not out_dir.exists()  # failures leave no partial artifacts
+
+
+ARTIFACTS = ("graph.tsv", "model.tsv", "assignment.tsv")
+
+
+def bundled_dump_lines():
+    with open(bundled("conceptnet.tsv"), encoding="utf-8") as handle:
+        return handle.read().splitlines()
+
+
+def generate_on_dump(work, lines, name):
+    """The artifacts of ``generate`` on ``recipe.cfg`` with ``lines`` as the relation dump."""
+    config, _ = load_config(bundled("configs", "recipe.cfg"))
+    dump = work / f"{name}.tsv"
+    dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = work / f"{name}.cfg"
+    path.write_text("".join(f"{key}={value}\n"
+                            for key, value in asdict(replace(config, edges=str(dump))).items()),
+                    encoding="utf-8")
+    out_dir = work / name
+    assert main(["generate", "--config", str(path), "--out-dir", str(out_dir)]) == 0
+    return {name: (out_dir / name).read_bytes() for name in ARTIFACTS}
+
+
+def with_weight(line, scale):
+    """A dump line with its weight times ``scale`` (a missing URI-layout weight is 1.0)."""
+    cols = line.split("\t")
+    if len(cols) == 5:
+        meta = json.loads(cols[4]) if cols[4].strip() else {}
+        cols[4] = json.dumps({**meta, "weight": float(meta.get("weight", 1.0)) * scale})
+    else:
+        cols[3] = repr(float(cols[3]) * scale)
+    return "\t".join(cols)
+
+
+@pytest.fixture(scope="module")
+def bundled_dump_artifacts(tmp_path_factory):
+    return generate_on_dump(tmp_path_factory.mktemp("dump"), bundled_dump_lines(), "bundled")
+
+
+class TestRelationDump:
+    """``generate`` over edited copies of the bundled relation dump."""
+
+    def test_weightless_relation_dropped_like_its_deleted_lines(self, tmp_path, caplog):
+        """Every HasProperty weight at 0: the run goes on as if those lines were gone."""
+        lines = bundled_dump_lines()
+
+        def has_property(line):
+            cols = line.split("\t")
+            return len(cols) in (4, 5) and cols[-4].removeprefix("/r/") == "HasProperty"
+
+        assert sum(map(has_property, lines)) == 39
+        zeroed = [with_weight(line, 0.0) if has_property(line) else line for line in lines]
+        deleted = [line for line in lines if not has_property(line)]
+        assert generate_on_dump(tmp_path, zeroed, "zeroed") == \
+            generate_on_dump(tmp_path, deleted, "deleted")
+        assert "dropped 39 edges of HasProperty" in caplog.text
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_line_order_and_weaker_repeats_change_no_artifact(
+            self, data, bundled_dump_artifacts, tmp_path_factory):
+        """Permuted lines, some repeated at a lower weight, give the bundled artifacts."""
+        lines = bundled_dump_lines()
+        edge_lines = [i for i, line in enumerate(lines) if ingest_edges([line]).edges]
+        repeats = data.draw(st.lists(st.tuples(st.sampled_from(edge_lines),
+                                               st.sampled_from([0.0, 0.5, 0.999])),
+                                     max_size=20))
+        edited = data.draw(st.permutations(
+            lines + [with_weight(lines[i], scale) for i, scale in repeats]))
+        work = tmp_path_factory.mktemp("permuted")
+        assert generate_on_dump(work, edited, "permuted") == bundled_dump_artifacts
 
 
 @pytest.fixture(scope="module")

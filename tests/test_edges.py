@@ -17,7 +17,7 @@ from situnet.edges import (
     normalized_weight,
 )
 
-from conftest import bundled
+from conftest import bundled, ingest_edges_oracle
 
 
 def uri_line(rel, start, end, weight=None, lang="en"):
@@ -178,6 +178,83 @@ def test_ingest_never_raises_and_keeps_finite_weights(lines):
         else:  # every edge of the relation weighs 0: the typed refusal, not a NaN
             with pytest.raises(DegenerateScaleError):
                 normalized_weight(edge, store)
+
+
+# Dumps drawn from small pools of relation labels, concept URIs and weight or
+# metadata texts, so the same token recurs across lines, as in a real dump;
+# malformed lines (wrong column counts, bad URIs, bad JSON) are mixed in.
+POOL_RELATIONS = ["/r/UsedFor", "/r/IsA", "/r/Antonym", "UsedFor", " usedfor ", "/r/IsA/"]
+POOL_URIS = ["/c/en/pan", "/c/en/stove", "/c/en/pan/n", "/c/en/Stove", "/c/fr/poele",
+             "/c/en/", "/x/en/pan"]
+POOL_TERMS = ["pan", "stove", "Stove", " pan", "", "x"]
+POOL_METADATA = ['{"weight": 2.0}', '{"weight": 1.0}', '{"weight": 0.0}', '{}', "",
+                 '{"weight": null}', '{"weight": 3}', "[1]", "{broken", '{"weight": 2}']
+POOL_WEIGHTS = ["2.0", "1", "0", "3", "-1", "nan", "inf", "two", ""]
+
+
+@st.composite
+def pooled_lines(draw):
+    layout = draw(st.sampled_from(["uri", "uri", "uri", "fixture", "fixture", "junk"]))
+    if layout == "uri":
+        cols = [draw(st.sampled_from(["/a/1", "/a/2"])), draw(st.sampled_from(POOL_RELATIONS)),
+                draw(st.sampled_from(POOL_URIS)), draw(st.sampled_from(POOL_URIS)),
+                draw(st.sampled_from(POOL_METADATA))]
+    elif layout == "fixture":
+        cols = [draw(st.sampled_from(POOL_RELATIONS)), draw(st.sampled_from(POOL_TERMS)),
+                draw(st.sampled_from(POOL_TERMS)), draw(st.sampled_from(POOL_WEIGHTS))]
+    else:
+        cols = draw(st.sampled_from([["# comment"], ["", ""], ["/a/x", "/r/IsA", "/c/en/pan"],
+                                     ["IsA", "a", "b", "1", "extra", "cols"], ["   "]]))
+    return "\t".join(cols)
+
+
+@settings(max_examples=150)
+@given(st.lists(pooled_lines(), max_size=25))
+def test_ingest_equals_line_by_line_oracle(lines):
+    """Parsing each distinct token once gives the edges, order and counts of a full parse."""
+    text = "\n".join(lines)
+    edges, skipped = ingest_edges_oracle(text)
+    store = ingest_edges(text)
+    assert store.edges == edges
+    assert store.skipped_lines == skipped
+    by_start = {}
+    for edge in edges:
+        by_start.setdefault((edge.start, edge.relation), []).append(edge)
+    assert store.by_start == by_start
+    assert list(store.by_start) == list(by_start)
+    assert store.max_weight == {r: max(e.weight for e in edges if e.relation is r)
+                                for r in dict.fromkeys(e.relation for e in edges)}
+
+
+def test_bundled_dump_equals_line_by_line_oracle(raw_store):
+    with open(bundled("conceptnet.tsv"), encoding="utf-8") as handle:
+        edges, skipped = ingest_edges_oracle(handle.read())
+    assert raw_store.edges == edges
+    assert raw_store.skipped_lines == skipped == 2
+
+
+class TestWeightlessRelation:
+    """A relation whose kept weights are all 0 has no strength to scale."""
+
+    def test_dropped_and_counted(self):
+        store = ingest_edges([uri_line("UsedFor", "pan", "fry", 0.0),
+                              uri_line("UsedFor", "pot", "boil", 0.0),
+                              uri_line("IsA", "pan", "cookware", 0.0),
+                              uri_line("IsA", "pot", "cookware", 2.0),
+                              "broken line"])
+        assert [(e.start, e.relation) for e in store.edges] == [("pan", RelationType.IsA),
+                                                                ("pot", RelationType.IsA)]
+        assert store.skipped_lines == 3
+        assert RelationType.UsedFor not in store.max_weight
+        assert normalized_weight(store.edges[0], store) == 0.0
+
+    def test_dropped_when_multiword_filter_leaves_only_zeros(self, lexicon):
+        store = ingest_edges([uri_line("UsedFor", "food", "satisfy_hunger", 3.0),
+                              uri_line("UsedFor", "food", "eat", 0.0)])
+        assert len(store) == 2
+        kept = filter_multiword(store, lexicon)
+        assert kept.edges == []
+        assert kept.skipped_lines == 1
 
 
 class TestFilterMultiword:

@@ -1,10 +1,13 @@
 """Lexicon parsing, taxonomy metrics, and profile sources."""
 
 import math
+import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from situnet.disambiguation import build_wsp
 from situnet.lexicon import (
@@ -19,7 +22,9 @@ from situnet.lexicon import (
     write_lexicon,
 )
 
-from conftest import bundled
+from situnet.dag import CycleError
+
+from conftest import bundled, parse_lexicon_oracle
 
 
 def make_index(index_text, data_text):
@@ -132,6 +137,88 @@ class TestParsing:
         for sid, syn in lexicon.synsets.items():
             assert again.synsets[sid] == syn
         assert write_lexicon(again) == (index_text, data_text)
+
+
+def assert_equals_parse_oracle(index_text, data_text):
+    """``parse_lexicon`` gives the oracle's synsets, index and depths, or its error."""
+    try:
+        synsets, lemma_index, depths = parse_lexicon_oracle(index_text, data_text)
+    except LexiconParseError as expected:
+        with pytest.raises(LexiconParseError) as err:
+            parse_lexicon(index_text, data_text)
+        assert (str(err.value), err.value.line_number) == (str(expected), expected.line_number)
+        return
+    except CycleError as expected:
+        with pytest.raises(HierarchyCycleError) as err:
+            parse_lexicon(index_text, data_text)
+        assert err.value.cycle == expected.cycle
+        return
+    index = parse_lexicon(index_text, data_text)
+    assert list(index.synsets.items()) == list(synsets.items())
+    assert list(index.lemma_index.items()) == list(lemma_index.items())
+    assert {sid: index.depth(sid) for sid in index.synsets} == depths
+    assert index.roots == [sid for sid, syn in synsets.items() if not syn.hypernyms]
+
+
+OFFSETS = ["00000001", "00000002", "00000003", "00000004", "00000005"]
+POINTER_SYMBOLS = ["@", "@", "~", "%p", "%m", "%s", "#p", "#m", "#s", "!", "+"]
+
+
+@st.composite
+def lexicon_texts(draw):
+    """An index/data text pair over a few offsets, with repeated and reordered
+    pointers, and now and then a malformed field or line."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def mostly(valid, *junk):
+        return rnd.choice(junk) if rnd.random() < 0.03 else valid
+
+    offsets = rnd.sample(OFFSETS, rnd.randint(1, len(OFFSETS)))
+    data = []
+    for offset in offsets:
+        lemmas = rnd.choices(["pan", "Pot", "cooking_pan", "x"], k=rnd.randint(1, 3))
+        links = [" ".join([rnd.choice(POINTER_SYMBOLS), rnd.choice(offsets), mostly("n", "v"),
+                           "0000"])
+                 for _ in range(rnd.randint(0, 5))]
+        line = " ".join([mostly(offset, "0000000x"), "03", "n",
+                         mostly(f"{len(lemmas):02x}", "zz", "00", "09"),
+                         *[f"{lemma} 0" for lemma in lemmas],
+                         mostly(f"{len(links):03d}", "-01", "-02", "-09", "009", "abc"), *links])
+        gloss = rnd.choice(["a pan", "", "a | b"])
+        data.append(mostly(f"{line} | {gloss}", "  header", "", "00000001 03 n"))
+    index = []
+    for lemma in rnd.choices(["pan", "pot", "Cooking_Pan"], k=rnd.randint(0, 4)):
+        senses = rnd.choices(offsets, k=rnd.randint(1, 3))
+        count = mostly(str(len(senses)), "0", "x", "9")
+        line = " ".join([lemma, "n", count, "1 @", count, "0",
+                         *[mostly(sid, "00000009", "0x") for sid in senses]])
+        index.append(mostly(line, "  header", "", "pan n"))
+    return "\n".join(index), "\n".join(data)
+
+
+@settings(max_examples=300)
+@given(lexicon_texts())
+def test_parse_equals_quadruple_oracle(texts):
+    """Strided pointer slices give the links, order, depths and errors of a per-quadruple parse."""
+    assert_equals_parse_oracle(*texts)
+
+
+@pytest.mark.parametrize("count", ["-01", "-02", "-09"])
+def test_negative_pointer_count_reads_as_no_pointers(count):
+    data = (f"00000001 03 n 01 pan 0 {count} @ 00000002 n 0000 ~ 00000002 n 0000 | a pan\n"
+            "00000002 03 n 01 ware 0 000 | goods\n")
+    assert_equals_parse_oracle("", data)
+    assert parse_lexicon("", data).get("00000001-n").hypernyms == []
+
+
+def test_bundled_lexicon_equals_quadruple_oracle(lexicon):
+    with open(bundled("lexicon", "index.noun"), encoding="utf-8") as idx, \
+            open(bundled("lexicon", "data.noun"), encoding="utf-8") as dat:
+        index_text, data_text = idx.read(), dat.read()
+    assert_equals_parse_oracle(index_text, data_text)
+    synsets, lemma_index, _ = parse_lexicon_oracle(index_text, data_text)
+    assert list(lexicon.synsets.items()) == list(synsets.items())
+    assert list(lexicon.lemma_index.items()) == list(lemma_index.items())
 
 
 def all_path_depth(lexicon, sid):

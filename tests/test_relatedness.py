@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from situnet.relatedness import (
     EsaRelatedness,
@@ -11,6 +13,8 @@ from situnet.relatedness import (
     build_esa_index,
     load_documents,
 )
+
+from conftest import esa_score_oracle, esa_vectors_oracle
 
 
 class TestBuildIndex:
@@ -43,6 +47,26 @@ class TestBuildIndex:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_esa_index([])
+
+
+    def test_bundled_index_equals_per_word_sort_oracle(self, documents, stopwords, esa_index):
+        expected = esa_vectors_oracle(documents, stopwords)
+        assert esa_index.vectors == expected
+        assert list(esa_index.vectors) == list(expected)  # first-occurrence key order
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.sampled_from(["A", "B"]),
+                              st.lists(st.sampled_from(["pan", "Pot", "of", "x", "stove-top",
+                                                        "2nd", "pan,", "  ", "sock"]),
+                                       max_size=8).map(" ".join)),
+                    min_size=1, max_size=6))
+    def test_index_equals_per_word_sort_oracle(self, documents):
+        """Counting each document once, in document order, gives the sorted vectors."""
+        index = build_esa_index(documents, frozenset({"of"}))
+        expected = esa_vectors_oracle(documents, frozenset({"of"}))
+        assert index.vectors == expected
+        assert list(index.vectors) == list(expected)
+        assert index.concepts == [title for title, _ in documents]
 
 
 class TestLoadDocuments:
@@ -111,6 +135,25 @@ class TestRelatedness:
             a, b = rng.choice(words, size=2)
             assert EsaRelatedness(base).score(a, b) == pytest.approx(
                 EsaRelatedness(doubled).score(a, b), abs=1e-12)
+
+
+    def test_every_ordered_pair_equals_rebuilt_vector_oracle(self, esa_index):
+        """One provider keeps each term's vector; every score stays ``==`` to a rebuild.
+
+        The vocabulary holds index words, multiword terms whose parts are
+        indexed, unknown terms, and spellings that normalize to the same
+        term, so a kept vector must be the one of the term as normalized.
+        """
+        indexed = sorted(esa_index.words())[:20]
+        vocabulary = indexed + [
+            "kitchen", "sink", "cooking", "utensil", "laundry", "basket", "sock", "towel",
+            "cooking_utensil", "Cooking Utensil", " cooking utensil ", "kitchen_sink",
+            "Kitchen Sink", "paper_towel", "sock_zzz", "zzz_qqq", "zzz", "", "PAN", " pan",
+            "pan", "laundry basket", "laundry_basket"]
+        provider = EsaRelatedness(esa_index)
+        for a in vocabulary:
+            for b in vocabulary:
+                assert provider.score(a, b) == esa_score_oracle(esa_index, a, b), (a, b)
 
 
 class TestProviders:

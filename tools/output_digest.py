@@ -54,6 +54,9 @@ byte-identical outputs.  It covers:
   of the words of all bundled seed files.  Generation reaches both only
   through the sense gate of ``attach_relations``.
 
+The listing opens with a ``#`` line naming the Python and numpy
+versions: the sampler lines depend on numpy's random streams.
+
 Usage, from the repository root:
 
     python tools/output_digest.py > new.txt
@@ -62,7 +65,11 @@ Usage, from the repository root:
 
 ``--src`` picks the source tree whose ``situnet`` package (and bundled
 data) is imported; it defaults to this checkout's ``src/``.  The whole
-run takes well under a minute.
+run takes a few seconds.  ``DIGEST.txt`` at the repository root is this
+listing for the committed tree, and ``tests/test_digest.py`` checks it
+line by line; a change that moves an output updates it with
+
+    python tools/output_digest.py > DIGEST.txt
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ import io
 import itertools
 import math
 import os
+import platform
 import random
 import sys
 import tempfile
@@ -297,12 +305,20 @@ def input_layer_digests():
                                    scores)).encode())
 
 
+def header() -> str:
+    """The versions that the listing depends on, as one ``#`` line."""
+    import numpy
+
+    return f"# python {platform.python_version()}, numpy {numpy.__version__}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                         help="source tree to import situnet from (default: this checkout)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
+    print(header(), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in digests(Path(tmp)):
             print(f"{digest}  {label}", flush=True)
