@@ -37,7 +37,6 @@ from situnet.edges import (
 from situnet.relatedness import (
     EsaIndex,
     EsaRelatedness,
-    TableRelatedness,
     build_esa_index,
     load_documents,
 )
@@ -67,18 +66,14 @@ from situnet.netgen import (
 from situnet.bln import (
     AbstractVar,
     Declaration,
-    EvidenceSet,
     Fragment,
     GroundNetwork,
     ground,
     infer_exact,
     infer_gibbs,
     infer_lw,
-    learn_cpfs,
     model_from_graph,
-    noisy_or_cpfs,
     read_model,
-    simulate_evidence,
     write_model,
 )
 

@@ -9,8 +9,8 @@ row per parent configuration; rows are ordered by binary counting with
 the first parent as the most significant bit and false < true.
 
 A graph's model gets closed-form CPFs, one leaky noisy-OR per node
-(:func:`noisy_or_cpfs`); :func:`simulate_evidence` samples worlds from the
-same noisy-OR and :func:`learn_cpfs` estimates tables from worlds.
+(:func:`model_from_graph`); :func:`simulate_evidence` samples worlds from
+the same noisy-OR and :func:`learn_cpfs` estimates tables from worlds.
 
 Exact inference runs variable elimination; likelihood weighting and Gibbs
 sampling approximate.  Every sampling routine takes an explicit seed and
@@ -137,17 +137,14 @@ class Fragment:
 
     ``cpf[i]`` is P(child = true | configuration i).  The table is a
     read-only copy of the one given, so every variable :func:`ground`
-    makes of the fragment shares it.  A frozen fragment keeps its table
-    through :func:`learn_cpfs`, which pins a hand-edited row (say, a rule
-    fixed at probability one) against re-estimation.  A parent listed
-    twice raises ``ValueError``: both copies would be one variable at two
-    bits of the configuration.
+    makes of the fragment shares it.  A parent listed twice raises
+    ``ValueError``: both copies would be one variable at two bits of the
+    configuration.
     """
 
     child: AbstractVar
     parents: list[AbstractVar]
     cpf: np.ndarray
-    frozen: bool = False
 
     def __post_init__(self):
         self.cpf = cpf = np.array(self.cpf, dtype=float)
@@ -188,65 +185,45 @@ def variable_for_node(node) -> AbstractVar:
     return AbstractVar(PREDICATE_FOR_KIND[node.kind], (META_VARIABLE, node.id))
 
 
-def model_from_graph(graph: ConceptGraph) -> tuple[Declaration, list[Fragment]]:
-    """One abstract variable and one fragment per graph node.
+def model_from_graph(graph: ConceptGraph, provider, alpha: float,
+                     root_prior: float) -> tuple[Declaration, list[Fragment]]:
+    """One abstract variable and one leaky noisy-OR fragment per graph node.
 
-    A node's fragment parents are the variables of its incoming edges:
-    IsA edges run specific -> general, so the child concept's variable
-    parents the parent concept's variable, and attribute variables are
-    parented by the concept variables pointing at them.  CPFs start
-    uninformed (all rows 0.5) until :func:`noisy_or_cpfs`.
+    A node's parents are the variables of its incoming edges' sources, in
+    the order of their text: IsA edges run specific -> general, so a child
+    concept's variable parents its parent concept's.  Its table is
+    :func:`_noisy_or_table` with the leak :data:`LEAK` (Pearl 1988, sec.
+    4.3.2; Henrion 1989), and a parentless node's is ``[root_prior]``.  A
+    node of more than :data:`MAX_PARENTS` parents raises
+    :class:`DenseModelError` before any table is built.
     """
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= root_prior <= 1.0):
+        raise ValueError("alpha and root_prior must lie in [0, 1]")
     var_of = {node_id: variable_for_node(node) for node_id, node in graph.nodes.items()}
     text_of = {node_id: str(var) for node_id, var in var_of.items()}
     incoming = graph.incoming()
-
-    fragments = []
-    for node_id in sorted(graph.nodes):
-        # parents in the order of their variables' text; a node id names one variable
-        sources = sorted({e.src for e in incoming[node_id]}, key=text_of.__getitem__)
-        parents = [var_of[source] for source in sources]
-        if len(parents) > MAX_PARENTS:
+    # parents in the order of their variables' text; a node id names one variable
+    sources_of = {node_id: sorted({e.src for e in incoming[node_id]}, key=text_of.__getitem__)
+                  for node_id in sorted(graph.nodes)}
+    for node_id, sources in sources_of.items():
+        if len(sources) > MAX_PARENTS:
             raise DenseModelError(
-                f"node {node_id!r} has {len(parents)} parents (max {MAX_PARENTS}); "
+                f"node {node_id!r} has {len(sources)} parents (max {MAX_PARENTS}); "
                 "split the node or prune its relations")
-        fragments.append(Fragment(
-            child=var_of[node_id], parents=parents,
-            cpf=np.full(2 ** len(parents), 0.5)))
-
-    entities = {node_id: frozenset({graph.nodes[node_id].kind}) for node_id in sorted(graph.nodes)}
+    fragments = []
+    for node_id, sources in sources_of.items():
+        cpf = [root_prior]
+        if sources:
+            cpf = _noisy_or_table(graph, incoming[node_id], sources, provider, alpha, LEAK)
+        fragments.append(Fragment(var_of[node_id], [var_of[s] for s in sources], cpf))
+    entities = {node_id: frozenset({graph.nodes[node_id].kind}) for node_id in sources_of}
     decl = Declaration(types=frozenset(TYPES), signatures=dict(SIGNATURES), entities=entities)
     return decl, fragments
 
 
 # ---------------------------------------------------------------------------
-# CPFs: the closed form, evidence simulation and learning
+# CPFs: the noisy-OR table, evidence simulation and learning
 # ---------------------------------------------------------------------------
-
-
-def noisy_or_cpfs(fragments, graph: ConceptGraph, provider, alpha: float,
-                  root_prior: float) -> list[Fragment]:
-    """The fragments of :func:`model_from_graph` with leaky noisy-OR tables.
-
-    A node's parents are the sources of its incoming edges, and its table
-    is :func:`_noisy_or_table` with the leak :data:`LEAK` (Pearl 1988,
-    sec. 4.3.2; Henrion 1989): no row is 0, and none is 1 unless six or
-    more true sources sit at the cap and the product underflows.  A
-    parentless node gets ``[root_prior]``.
-    """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= root_prior <= 1.0):
-        raise ValueError("alpha and root_prior must lie in [0, 1]")
-    incoming = graph.incoming()
-    out = []
-    for frag in fragments:
-        if not frag.parents:
-            cpf = [root_prior]
-        else:
-            sources = [p.args[1] for p in frag.parents]
-            cpf = _noisy_or_table(graph, incoming[frag.child.args[1]], sources, provider,
-                                  alpha, LEAK)
-        out.append(Fragment(frag.child, frag.parents, cpf, frag.frozen))
-    return out
 
 
 def _noisy_or_table(graph, edges, sources, provider, alpha, leak) -> np.ndarray:
@@ -256,9 +233,11 @@ def _noisy_or_table(graph, edges, sources, provider, alpha, leak) -> np.ndarray:
     order, so a repeated edge counts twice; ``sources`` lists the distinct
     source node ids, the first at the most significant bit.  Each ``p =
     alpha * strength + (1 - alpha) * provider.score(src_term, dst_term)``
-    is clipped to ``[0, 1 - leak]``.  Each edge multiplies the rows of its
-    source's bit in place, through one strided view of the table.  More
-    than :data:`MAX_PARENTS` sources raise :class:`DenseModelError`.
+    is clipped to ``[0, 1 - leak]``, so with a leak no row is 0, and none
+    is 1 unless six or more true sources sit at the cap and the product
+    underflows.  Each edge multiplies the rows of its source's bit in
+    place, through one strided view of the table.  More than
+    :data:`MAX_PARENTS` sources raise :class:`DenseModelError`.
     """
     if len(sources) > MAX_PARENTS:
         raise DenseModelError(
@@ -312,10 +291,8 @@ def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int
     """
     if n_worlds < 1:
         raise ValueError("n_worlds must be >= 1")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if not 0.0 <= root_prior <= 1.0:
-        raise ValueError("root_prior must lie in [0, 1]")
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= root_prior <= 1.0):
+        raise ValueError("alpha and root_prior must lie in [0, 1]")
 
     order = _graph_topo_order(graph)
     var_names = [str(variable_for_node(graph.nodes[i])) for i in order]
@@ -349,7 +326,7 @@ def learn_cpfs(fragments, evidence: EvidenceSet, pseudocount: float = 1.0) -> li
 
     Each row becomes (true count + pseudocount) / (count + 2 *
     pseudocount) for its parent configuration; configurations never
-    observed fall back to 0.5.  Frozen fragments pass through unchanged.
+    observed fall back to 0.5.
 
     A fragment's worlds are counted by one ``bincount`` of the packed
     parents-then-child configuration (:func:`_pack` over the variables'
@@ -360,11 +337,10 @@ def learn_cpfs(fragments, evidence: EvidenceSet, pseudocount: float = 1.0) -> li
     """
     col = {name: i for i, name in enumerate(evidence.variables)}
     rows = evidence.worlds.T
-    learned = [frag for frag in fragments if not frag.frozen]
-    if not learned:
-        return list(fragments)
+    if not fragments:
+        return []
     counts = []
-    for frag in learned:
+    for frag in fragments:
         child = col[str(frag.child)]
         if frag.parents:
             key = _pack(rows, [*(col[str(p)] for p in frag.parents), child])
@@ -376,9 +352,9 @@ def learn_cpfs(fragments, evidence: EvidenceSet, pseudocount: float = 1.0) -> li
     denominator = counts.sum(axis=1) + 2.0 * pseudocount
     cpfs = np.divide(counts[:, 1] + pseudocount, denominator,
                      out=np.full(len(counts), 0.5), where=denominator != 0)
-    ends = np.cumsum([len(frag.cpf) for frag in learned])
-    tables = iter(np.split(cpfs, ends[:-1]))
-    return [frag if frag.frozen else replace(frag, cpf=next(tables)) for frag in fragments]
+    ends = np.cumsum([len(frag.cpf) for frag in fragments])
+    return [replace(frag, cpf=table)
+            for frag, table in zip(fragments, np.split(cpfs, ends[:-1]))]
 
 
 def _pack(rows, ids) -> np.ndarray:
@@ -983,9 +959,9 @@ def write_model(decl: Declaration, fragments, path) -> None:
     """Text layout: declaration records, then one FRAGMENT record per node.
 
     CPF rows are written in binary-counting order of the parent
-    configurations (first parent most significant, false < true).  A
-    trailing ``frozen`` flag pins a fragment against relearning; editing
-    a row by hand (e.g. to force a rule to probability one) is supported.
+    configurations (first parent most significant, false < true), and
+    the record ends in a ``-`` flag column.  Editing a row by hand (e.g.
+    to force a rule to probability one) is supported.
     """
     with open(path, "w", encoding="utf-8") as out:
         for t in sorted(decl.types):
@@ -998,8 +974,7 @@ def write_model(decl: Declaration, fragments, path) -> None:
         for frag in fragments:
             parents = ",".join(map(str, frag.parents)) or "-"
             rows = " ".join(map(repr, frag.cpf.tolist()))
-            flag = "frozen" if frag.frozen else "-"
-            out.write(f"FRAGMENT\t{frag.child}\t{parents}\t{rows}\t{flag}\n")
+            out.write(f"FRAGMENT\t{frag.child}\t{parents}\t{rows}\t-\n")
 
 
 def read_model(path) -> tuple[Declaration, list[Fragment]]:
@@ -1009,8 +984,8 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
     that parents many fragments is one shared :class:`AbstractVar`.  A
     parent list is split by :func:`_split_vars` and a CPF row by one
     ``np.array`` call, which converts each number as ``float`` does.  A
-    malformed record, or a fragment whose child is declared twice, raises
-    ``ValueError`` naming its line.
+    malformed record, a fragment whose child is declared twice, or a flag
+    column other than ``-`` raises ``ValueError`` naming its line.
     """
     types: set[str] = set()
     signatures: dict[str, tuple[str, ...]] = {}
@@ -1045,8 +1020,9 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
                     declared.add(child)
                     parents = [variable(p) for p in _split_vars(cols[2])]
                     cpf = np.array(cols[3].split(), dtype=float)
-                    fragments.append(Fragment(child=child, parents=parents, cpf=cpf,
-                                              frozen=cols[4] == "frozen"))
+                    if cols[4] != "-":
+                        raise ValueError(f"flag must be '-', got {cols[4]!r}")
+                    fragments.append(Fragment(child=child, parents=parents, cpf=cpf))
                 except ValueError as error:
                     raise ValueError(f"bad model record on line {line_no}: {error}") from None
             else:

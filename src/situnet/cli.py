@@ -18,7 +18,7 @@ the file's own directory, so the bundled scenario configs work from any
 working directory.
 
 Generation draws no random number: the model's CPFs are written down in
-closed form (:func:`situnet.bln.noisy_or_cpfs`).  One master seed drives
+closed form (:func:`situnet.bln.model_from_graph`).  One master seed drives
 the samplers through fixed offsets: ad-hoc inference uses ``seed + 2``
 and scenario evaluation ``seed + 100 + i`` for the i-th seed word.
 Rerunning a command with the same config and seed reproduces its outputs
@@ -258,9 +258,8 @@ def _generate(config: PipelineConfig, inputs: _Inputs) -> PipelineProducts:
     graph = _stage("locations", netgen.attach_locations_two_hop, graph, inputs.store,
                    config.environment)
     _stage("validate", netgen.validate_graph, graph)
-    declaration, fragments = _stage("model", bln.model_from_graph, graph)
-    fragments = _stage("cpfs", bln.noisy_or_cpfs, fragments, graph, provider,
-                       config.alpha, config.root_prior)
+    declaration, fragments = _stage("model", bln.model_from_graph, graph, provider,
+                                    config.alpha, config.root_prior)
     return PipelineProducts(assignment=assignment, graph=graph,
                             declaration=declaration, fragments=fragments)
 
@@ -449,27 +448,25 @@ COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``situnet`` parser, with every subcommand of :data:`COMMANDS` registered.
+    """The ``situnet`` parser, with every subcommand of :data:`COMMANDS` or only ``command``.
 
-    Given a ``command``, only that subcommand gets its arguments: the
-    others keep their name and help line, so the top-level help and its
-    errors read the same, at a fraction of the cost of adding every
-    argument of every subcommand.  A subcommand's options are matched
-    whole, so ``generate --seed`` is refused rather than read as ``--seeds``.
+    With only ``command``, a metavar keeps every command in the top-level
+    usage that its errors print.  Options are matched whole, so ``generate
+    --seed`` is refused rather than read as ``--seeds``.
     """
     parser = argparse.ArgumentParser(
         prog="situnet",
         description="Generate and query situated commonsense knowledge networks.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_line, add_arguments) in COMMANDS.items():
-        subparser = sub.add_parser(name, help=help_line, allow_abbrev=False)
         if command in (None, name):
-            add_arguments(subparser)
+            add_arguments(sub.add_parser(name, help=help_line, allow_abbrev=False))
     return parser
 
 
 def main(argv=None) -> int:
-    """Run the command ``argv`` names; its parser holds only that command's arguments."""
+    """Run the command ``argv`` names; its parser holds only that command."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bln
-from .bln import AbstractVar
 from .disambiguation import SenseAssignment
 from .edges import RelationType
 
@@ -64,10 +63,9 @@ def run_scenario(declaration, fragments, seeds, gold: GoldStandard, method: str 
     reports them.  Returns (seed, relation, target entity) -> probability.
     """
     net = bln.ground(declaration, fragments, [OBJECT])
-    keys = []
-    for name in net.names:
-        var = AbstractVar.parse(name)
-        keys.append((name, RelationType(var.predicate), var.args[1]))
+    # for one object, the i-th ground variable is the i-th fragment's child
+    keys = [(name, RelationType(frag.child.predicate), frag.child.args[1])
+            for name, frag in zip(net.names, fragments)]
     results: dict[tuple[str, RelationType, str], float] = {}
     for position, seed_word in enumerate(seeds):
         ev_name = f"IsA({OBJECT},{seed_word})"

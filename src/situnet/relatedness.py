@@ -6,8 +6,7 @@ The index counts each document's tokens once, in document order, so each
 vector comes out sorted by document.  A term's vector depends on the term
 alone, so a provider builds it once and keeps it for the provider's life.
 Any object with a ``score(word_a, word_b) -> float in [0, 1]`` method can
-stand in as a relatedness provider, which is how the table-driven test
-providers plug into the same pipeline slots.
+stand in as a relatedness provider.
 """
 
 from __future__ import annotations
@@ -112,41 +111,6 @@ class EsaRelatedness:
             for idx, w in self.index.vector(token):
                 combined[idx] = combined.get(idx, 0.0) + w
         return sorted(combined.items())
-
-
-class TableRelatedness:
-    """Fixed-table provider for tests and controlled experiments.
-
-    The table is symmetrized on construction; unknown pairs score 0 and
-    identical known words score 1.
-    """
-
-    def __init__(self, table: dict[tuple[str, str], float], default: float = 0.0):
-        self.table = {}
-        for (a, b), value in table.items():
-            a, b = normalize_lemma(a), normalize_lemma(b)
-            self.table[(a, b)] = value
-            self.table[(b, a)] = value
-        self.default = default
-        self._known = {a for a, _ in self.table}
-
-    def score(self, word_a: str, word_b: str) -> float:
-        a, b = normalize_lemma(word_a), normalize_lemma(word_b)
-        if a == b:
-            return 1.0 if a in self._known else self.default
-        return self.table.get((a, b), self.default)
-
-
-class ConstantRelatedness:
-    """Provider returning one fixed score for distinct words."""
-
-    def __init__(self, value: float = 0.0):
-        self.value = value
-
-    def score(self, word_a: str, word_b: str) -> float:
-        if normalize_lemma(word_a) == normalize_lemma(word_b):
-            return 1.0
-        return self.value
 
 
 def load_documents(path) -> list[tuple[str, str]]:

@@ -1,5 +1,9 @@
 """Shared fixtures: the bundled miniature datasets, loaded once per session.
 
+Also two fixed relatedness providers, :class:`TableRelatedness` and
+:class:`ConstantRelatedness`, which stand in for the ESA provider
+wherever a test needs known scores.
+
 Also the reference oracles that tests compare against: a 2^n joint
 table, and LW's count pass over a list of configuration bins and the
 per-site Gibbs sweep from a sample-major forward pass, which the
@@ -62,6 +66,41 @@ settings.load_profile("deterministic")
 
 def bundled(*parts) -> str:
     return str(data_path(*parts))
+
+
+class TableRelatedness:
+    """Fixed-table provider for tests and controlled experiments.
+
+    The table is symmetrized on construction; unknown pairs score 0 and
+    identical known words score 1.
+    """
+
+    def __init__(self, table: dict[tuple[str, str], float], default: float = 0.0):
+        self.table = {}
+        for (a, b), value in table.items():
+            a, b = normalize_lemma(a), normalize_lemma(b)
+            self.table[(a, b)] = value
+            self.table[(b, a)] = value
+        self.default = default
+        self._known = {a for a, _ in self.table}
+
+    def score(self, word_a: str, word_b: str) -> float:
+        a, b = normalize_lemma(word_a), normalize_lemma(word_b)
+        if a == b:
+            return 1.0 if a in self._known else self.default
+        return self.table.get((a, b), self.default)
+
+
+class ConstantRelatedness:
+    """Provider returning one fixed score for distinct words."""
+
+    def __init__(self, value: float = 0.0):
+        self.value = value
+
+    def score(self, word_a: str, word_b: str) -> float:
+        if normalize_lemma(word_a) == normalize_lemma(word_b):
+            return 1.0
+        return self.value
 
 
 @pytest.fixture(scope="session")
@@ -491,9 +530,6 @@ def learn_cpfs_oracle(fragments, evidence, pseudocount=1.0):
     worlds = evidence.worlds
     out = []
     for frag in fragments:
-        if frag.frozen:
-            out.append(frag)
-            continue
         k = len(frag.parents)
         configs = np.zeros(worlds.shape[0], dtype=int)
         for p in frag.parents:

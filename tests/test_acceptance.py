@@ -17,9 +17,9 @@ from situnet.cli import load_config, run_generation
 from situnet.disambiguation import disambiguate_seeds
 from situnet.edges import RelationType
 from situnet.lexicon import load_lexicon
-from situnet.relatedness import EsaRelatedness, TableRelatedness
+from situnet.relatedness import EsaRelatedness
 
-from conftest import bundled, joint_table_oracle
+from conftest import TableRelatedness, bundled, joint_table_oracle
 from test_bln import graph_of, random_net, random_query_evidence
 from test_disambiguation import load_seed_file, oracle_best_over_start_senses
 from test_netgen import graph_isa_sets, random_hierarchy
@@ -84,7 +84,7 @@ def test_criterion_2_cpf_learning_consistency():
         evidence = bln.simulate_evidence(graph, provider, alpha=alpha,
                                          n_worlds=100_000, seed=202,
                                          root_prior=0.5)
-        _, fragments = bln.model_from_graph(graph)
+        _, fragments = bln.model_from_graph(graph, provider, alpha, 0.5)
         learned = {str(f.child): f for f in bln.learn_cpfs(fragments, evidence, 0.0)}
 
         incoming = {"c": [("a", ("a", "c")), ("b", ("b", "c"))],

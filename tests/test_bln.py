@@ -24,7 +24,6 @@ from situnet.bln import (
     infer_lw,
     learn_cpfs,
     model_from_graph,
-    noisy_or_cpfs,
     read_model,
     simulate_evidence,
     write_model,
@@ -32,9 +31,10 @@ from situnet.bln import (
 from situnet.evaluation import OBJECT, load_gold, run_scenario
 from situnet.edges import RelationType
 from situnet.netgen import ConceptGraph, ConceptNode, RelationEdge
-from situnet.relatedness import ConstantRelatedness, TableRelatedness
 
 from conftest import (
+    ConstantRelatedness,
+    TableRelatedness,
     ancestral_closure,
     gibbs_estimates_oracle,
     joint_table_oracle,
@@ -93,16 +93,16 @@ class TestModelFromGraph:
 
     def test_isolated_node_gets_prior_fragment(self):
         graph = graph_of([("pan", "concept", True)], [])
-        _, fragments = model_from_graph(graph)
+        _, fragments = model_from_graph(graph, ConstantRelatedness(0.0), 0.5, 0.3)
         assert len(fragments) == 1
         assert fragments[0].parents == []
-        assert fragments[0].cpf.tolist() == [0.5]
+        assert fragments[0].cpf.tolist() == [0.3]
 
     def test_parents_match_transposition_oracle(self, scenario_products):
         from situnet.bln import variable_for_node
         for _, products in scenario_products.values():
             graph = products.graph
-            decl, fragments = model_from_graph(graph)
+            decl, fragments = model_from_graph(graph, ConstantRelatedness(0.0), 0.5, 0.5)
             expected = {}
             for e in graph.edges:
                 child = str(variable_for_node(graph.nodes[e.dst]))
@@ -114,24 +114,43 @@ class TestModelFromGraph:
 
     def test_parents_sorted_by_text(self, scenario_products):
         for _, products in scenario_products.values():
-            for frag in model_from_graph(products.graph)[1]:
+            for frag in model_from_graph(products.graph, ConstantRelatedness(0.0), 0.5,
+                                         0.5)[1]:
                 texts = [str(p) for p in frag.parents]
                 assert texts == sorted(texts)
 
-    def test_cpfs_start_uninformed(self):
-        _, fragments = model_from_graph(DIAMOND)
+    def test_every_cpf_is_a_full_leaky_table(self):
+        _, fragments = model_from_graph(DIAMOND, ConstantRelatedness(1.0), 0.5, 0.2)
         for frag in fragments:
-            assert np.all(frag.cpf == 0.5)
             assert frag.cpf.shape == (2 ** len(frag.parents),)
+            assert np.all((frag.cpf > 0.0) & (frag.cpf < 1.0)), str(frag.child)
 
     def test_entities_typed_by_kind(self):
-        decl, _ = model_from_graph(DIAMOND)
+        decl, _ = model_from_graph(DIAMOND, ConstantRelatedness(0.0), 0.5, 0.5)
         assert decl.entities["flavorer"] == frozenset({"concept"})
         assert decl.entities["season"] == frozenset({"affordance"})
 
     def test_too_many_parents_rejected(self):
+        graph = hub_graph(bln.MAX_PARENTS + 1)
+        # "a00" sorts before "hub", so a table built node by node would come first
+        graph.nodes["a00"] = ConceptNode(id="a00", kind="affordance", term="a00",
+                                         synset=None, is_seed=False)
+        graph.edges.append(RelationEdge("seed00", RelationType.UsedFor, "a00", 1.0))
+        scored = []
+
+        class Recording:
+            def score(self, a, b):
+                scored.append((a, b))
+                return 0.0
+
         with pytest.raises(DenseModelError, match=r"node 'hub' has 17 parents \(max 16\)"):
-            model_from_graph(hub_graph(bln.MAX_PARENTS + 1))
+            model_from_graph(graph, Recording(), 0.5, 0.5)
+        assert scored == []
+
+    @pytest.mark.parametrize("alpha, root_prior", [(-0.1, 0.5), (1.5, 0.5), (0.5, float("nan"))])
+    def test_alpha_or_root_prior_outside_unit_interval_rejected(self, alpha, root_prior):
+        with pytest.raises(ValueError, match=r"alpha and root_prior must lie in \[0, 1\]"):
+            model_from_graph(DIAMOND, ConstantRelatedness(0.0), alpha, root_prior)
 
 
 class TestSimulateEvidence:
@@ -266,20 +285,12 @@ class TestLearnCpfs:
                 expected = 0.5 if denom == 0 else (trues + pseudocount) / denom
                 assert learned.cpf[config] == pytest.approx(expected)
 
-    def test_frozen_fragment_untouched(self):
-        worlds = np.array([[1, 0]] * 10, dtype=bool)
-        evidence = EvidenceSet(["P(x,a)", "P(x,b)"], worlds)
-        frag = Fragment(var("P(x,b)"), [var("P(x,a)")], np.array([0.2, 0.9]),
-                        frozen=True)
-        learned = learn_cpfs([frag], evidence, pseudocount=0.0)[0]
-        assert learned.cpf.tolist() == [0.2, 0.9]
-
     def test_learning_recovers_generating_probabilities(self):
         provider = TableRelatedness({("garlic", "flavorer"): 0.6,
                                      ("salt", "flavorer"): 0.4})
         ev = simulate_evidence(DIAMOND, provider, alpha=0.5, n_worlds=100_000,
                                seed=9)
-        _, fragments = model_from_graph(DIAMOND)
+        _, fragments = model_from_graph(DIAMOND, provider, 0.5, 0.5)
         learned = {str(f.child): f for f in learn_cpfs(fragments, ev, 0.0)}
         flavorer = learned["IsA(x,flavorer)"]
         p_garlic = 0.5 * 1.0 + 0.5 * 0.6
@@ -310,11 +321,16 @@ class TestNoisyOrCpfs:
            alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
            score=st.sampled_from([0.0, 0.35, 1.0]), root_prior=st.floats(0.0, 1.0))
     def test_equals_per_cell_oracle(self, graph, alpha, score, root_prior):
-        _, fragments = model_from_graph(graph)
         args = (graph, ConstantRelatedness(score), alpha, root_prior)
-        ours = noisy_or_cpfs(fragments, *args)
-        expected = noisy_or_cpfs_oracle(fragments, *args)
-        assert [(f.child, f.parents) for f in ours] == [(f.child, f.parents) for f in fragments]
+        _, ours = model_from_graph(*args)
+        expected = noisy_or_cpfs_oracle(ours, *args)
+        # per node in id order, its distinct sources' variables sorted by text
+        structure = []
+        for node_id in sorted(graph.nodes):
+            sources = {str(bln.variable_for_node(graph.nodes[e.src]))
+                       for e in graph.edges if e.dst == node_id}
+            structure.append((str(bln.variable_for_node(graph.nodes[node_id])), sorted(sources)))
+        assert [(str(f.child), [str(p) for p in f.parents]) for f in ours] == structure
         assert [f.cpf.tobytes() for f in ours] == [f.cpf.tobytes() for f in expected]
 
     @settings(max_examples=150)
@@ -342,16 +358,14 @@ class TestNoisyOrCpfs:
     def test_strength_one_edge_is_capped_below_one(self):
         graph = graph_of([("a", "concept", True), ("b", "concept", False)],
                          [("a", RelationType.IsA, "b", 1.0)])
-        _, fragments = model_from_graph(graph)
-        cpfs = {str(f.child): f.cpf.tolist()
-                for f in noisy_or_cpfs(fragments, graph, ConstantRelatedness(0.0), 1.0, 0.3)}
+        _, fragments = model_from_graph(graph, ConstantRelatedness(0.0), 1.0, 0.3)
+        cpfs = {str(f.child): f.cpf.tolist() for f in fragments}
         assert cpfs == {"IsA(x,a)": [0.3],
                         "IsA(x,b)": [1.0 - (1.0 - bln.LEAK), 1.0 - (1.0 - bln.LEAK) * bln.LEAK]}
 
     def test_widest_node_gets_a_full_table(self):
         graph = hub_graph(bln.MAX_PARENTS)
-        _, fragments = model_from_graph(graph)
-        hub = noisy_or_cpfs(fragments, graph, ConstantRelatedness(0.2), 0.5, 0.1)[0]
+        hub = model_from_graph(graph, ConstantRelatedness(0.2), 0.5, 0.1)[1][0]
         assert str(hub.child) == "IsA(x,hub)"
         assert hub.cpf.shape == (2 ** 16,)
         assert hub.cpf[0] == 1.0 - (1.0 - bln.LEAK)
@@ -364,23 +378,21 @@ class TestNoisyOrCpfs:
         n_worlds = 20000
         evidence = simulate_evidence(products.graph, provider, config.alpha, n_worlds,
                                      config.seed + 1, config.root_prior)
-        _, fragments = model_from_graph(products.graph)
-        learned = learn_cpfs(fragments, evidence, 0.0)
-        exact = noisy_or_cpfs(fragments, products.graph, provider, config.alpha,
-                              config.root_prior)
+        _, exact = model_from_graph(products.graph, provider, config.alpha, config.root_prior)
+        learned = learn_cpfs(exact, evidence, 0.0)
         checked = 0
-        for frag, estimate, table in zip(fragments, learned, exact):
+        for estimate, table in zip(learned, exact):
             row_of_world = np.zeros(n_worlds, dtype=int)
-            for parent in frag.parents:
+            for parent in table.parents:
                 row_of_world = 2 * row_of_world + evidence.column(str(parent))
             worlds = np.bincount(row_of_world, minlength=len(table.cpf))
             well = worlds >= 200
             sigma = np.sqrt(table.cpf * (1.0 - table.cpf) / np.maximum(worlds, 1))
             # the leak and the cap each move a cell by at most LEAK
             assert np.all(np.abs(estimate.cpf - table.cpf)[well]
-                          <= 4.0 * sigma[well] + 2.0 * bln.LEAK), str(frag.child)
+                          <= 4.0 * sigma[well] + 2.0 * bln.LEAK), str(table.child)
             checked += int(well.sum())
-        assert checked >= len(fragments)
+        assert checked >= len(exact)
 
     def test_bundled_models_have_no_certain_cell_and_run_gibbs(self, scenario_products):
         for name in ("mini", "recipe", "laundry", "cleaning"):
@@ -432,9 +444,8 @@ class TestGenerationOracle:
         assert ours.variables == reference.variables
         assert np.array_equal(ours.worlds, reference.worlds)
         assert ours.worlds.T.flags.c_contiguous
-        _, fragments = model_from_graph(products.graph)
-        learned = learn_cpfs(fragments, ours, 1.0)
-        expected = learn_cpfs_oracle(fragments, reference, 1.0)
+        learned = learn_cpfs(products.fragments, ours, 1.0)
+        expected = learn_cpfs_oracle(products.fragments, reference, 1.0)
         assert [str(f.child) for f in learned] == [str(f.child) for f in expected]
         assert [f.cpf.tobytes() for f in learned] == [f.cpf.tobytes() for f in expected]
 
@@ -468,7 +479,8 @@ class TestGround:
     def test_replication_count(self):
         graph_nodes = [(f"n{i}", "concept", i == 0) for i in range(10)]
         edges = [(f"n{i}", RelationType.IsA, "n0", 1.0) for i in range(1, 10)]
-        decl, fragments = model_from_graph(graph_of(graph_nodes, edges))
+        decl, fragments = model_from_graph(graph_of(graph_nodes, edges),
+                                           ConstantRelatedness(0.0), 0.5, 0.5)
         net = ground(decl, fragments, ["obj1", "obj2"])
         assert len(net) == 20
         assert len(net.components()) == 2
@@ -1177,15 +1189,6 @@ class TestModelSerialization:
             assert [str(p) for p in restored.parents] == \
                 [str(p) for p in ours.parents]
             assert np.array_equal(restored.cpf, ours.cpf)
-            assert restored.frozen == ours.frozen
-
-    def test_frozen_flag_round_trip(self, tmp_path):
-        decl, fragments = simple_declaration(), simple_fragments()
-        fragments[0].frozen = True
-        path = tmp_path / "model.tsv"
-        write_model(decl, fragments, path)
-        _, restored = read_model(path)
-        assert restored[0].frozen and not restored[1].frozen
 
     def test_write_is_deterministic(self, tmp_path, scenario_products):
         _, products = scenario_products["mini"]
@@ -1212,8 +1215,7 @@ class TestModelSerialization:
                                 label="parents")
             cpf = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 ** len(parents),
                                      max_size=2 ** len(parents)), label="cpf")
-            fragments.append(Fragment(child, parents, np.array(cpf),
-                                      frozen=data.draw(st.booleans(), label="frozen")))
+            fragments.append(Fragment(child, parents, np.array(cpf)))
         path = tmp_path_factory.mktemp("model") / "model.tsv"
         write_model(decl, fragments, path)
         restored_decl, restored = read_model(path)
@@ -1222,7 +1224,6 @@ class TestModelSerialization:
         for ours, back in zip(fragments, restored):
             assert back.child == ours.child
             assert back.parents == ours.parents
-            assert back.frozen == ours.frozen
             assert back.cpf.tobytes() == ours.cpf.tobytes()
 
     @pytest.mark.parametrize("name", ["mini", "recipe", "laundry", "cleaning"])
@@ -1277,6 +1278,8 @@ class TestModelSerialization:
         ("FRAGMENT\tIsA(x,b)\t-\t0.5\t-", "fragment IsA\\(x,b\\) declared twice"),
         ("FRAGMENT\tIsA(x,c)\tIsA(x,b),IsA(x,b)\t0.1 0.5 0.6 0.9\t-",
          "fragment IsA\\(x,c\\): parent IsA\\(x,b\\) is listed twice"),
+        ("FRAGMENT\tIsA(x,a)\t-\t0.5\tfrozen", "flag must be '-', got 'frozen'"),
+        ("FRAGMENT\tIsA(x,a)\t-\t0.5\tx", "flag must be '-', got 'x'"),
     ])
     def test_malformed_fragment_names_its_line(self, tmp_path, fragment, reason):
         path = tmp_path / "model.tsv"

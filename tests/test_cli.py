@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -113,19 +114,26 @@ class TestGenerate:
 ARTIFACTS = ("graph.tsv", "model.tsv", "assignment.tsv")
 
 
-def bundled_dump_lines():
-    with open(bundled("conceptnet.tsv"), encoding="utf-8") as handle:
+def bundled_lines(*parts):
+    with open(bundled(*parts), encoding="utf-8") as handle:
         return handle.read().splitlines()
 
 
-def generate_on_dump(work, lines, name):
-    """The artifacts of ``generate`` on ``recipe.cfg`` with ``lines`` as the relation dump."""
-    config, _ = load_config(bundled("configs", "recipe.cfg"))
-    dump = work / f"{name}.tsv"
-    dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def bundled_dump_lines():
+    return bundled_lines("conceptnet.tsv")
+
+
+def generate_on(work, name, scenario="recipe", **inputs):
+    """The artifacts of ``generate`` on ``<scenario>.cfg`` with each data file named by a
+    key of ``inputs``, such as ``edges``, replaced by a file of the given lines."""
+    config, _ = load_config(bundled("configs", f"{scenario}.cfg"))
+    paths = {}
+    for key, lines in inputs.items():
+        paths[key] = str(work / f"{name}.{key}")
+        Path(paths[key]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     path = work / f"{name}.cfg"
     path.write_text("".join(f"{key}={value}\n"
-                            for key, value in asdict(replace(config, edges=str(dump))).items()),
+                            for key, value in asdict(replace(config, **paths)).items()),
                     encoding="utf-8")
     out_dir = work / name
     assert main(["generate", "--config", str(path), "--out-dir", str(out_dir)]) == 0
@@ -145,7 +153,7 @@ def with_weight(line, scale):
 
 @pytest.fixture(scope="module")
 def bundled_dump_artifacts(tmp_path_factory):
-    return generate_on_dump(tmp_path_factory.mktemp("dump"), bundled_dump_lines(), "bundled")
+    return generate_on(tmp_path_factory.mktemp("dump"), "bundled", edges=bundled_dump_lines())
 
 
 class TestRelationDump:
@@ -162,8 +170,8 @@ class TestRelationDump:
         assert sum(map(has_property, lines)) == 39
         zeroed = [with_weight(line, 0.0) if has_property(line) else line for line in lines]
         deleted = [line for line in lines if not has_property(line)]
-        assert generate_on_dump(tmp_path, zeroed, "zeroed") == \
-            generate_on_dump(tmp_path, deleted, "deleted")
+        assert generate_on(tmp_path, "zeroed", edges=zeroed) == \
+            generate_on(tmp_path, "deleted", edges=deleted)
         assert "dropped 39 edges of HasProperty" in caplog.text
 
     @settings(max_examples=20)
@@ -179,7 +187,30 @@ class TestRelationDump:
         edited = data.draw(st.permutations(
             lines + [with_weight(lines[i], scale) for i, scale in repeats]))
         work = tmp_path_factory.mktemp("permuted")
-        assert generate_on_dump(work, edited, "permuted") == bundled_dump_artifacts
+        assert generate_on(work, "permuted", edges=edited) == bundled_dump_artifacts
+
+
+@pytest.fixture(scope="module")
+def scenario_artifacts(tmp_path_factory):
+    """The ``generate`` artifacts of the three bundled scenarios, on the bundled files."""
+    work = tmp_path_factory.mktemp("scenarios")
+    return {name: generate_on(work, name, name) for name in ("recipe", "laundry", "cleaning")}
+
+
+# config key -> its bundled file; the reader of each ignores the order of its lines
+ORDER_FREE_INPUTS = {"esa_corpus": "esa_corpus.tsv", "corpus": "frequencies.tsv",
+                     "stopwords": "stopwords.txt"}
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_input_line_order_changes_no_artifact(data, scenario_artifacts, tmp_path_factory):
+    """Permuted ESA corpus, frequency and stopword files give the bundled artifacts."""
+    inputs = {key: data.draw(st.permutations(bundled_lines(name)), label=key)
+              for key, name in ORDER_FREE_INPUTS.items()}
+    work = tmp_path_factory.mktemp("permuted")
+    for scenario, artifacts in scenario_artifacts.items():
+        assert generate_on(work, scenario, scenario, **inputs) == artifacts, scenario
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +346,21 @@ class TestInfer:
         assert err.startswith("error: ErgodicityError: variable AtLocation(obj1,cupboard) "
                               "has a deterministic CPF row")
 
+    @pytest.mark.parametrize("flag", ["frozen", "x"])
+    def test_flag_other_than_dash_exits_naming_its_line(self, mini_model, tmp_path, capsys,
+                                                        flag):
+        lines = mini_model.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = max(i for i, line in enumerate(lines) if line.startswith("FRAGMENT"))
+        assert lines[at].endswith("\t-\n")
+        lines[at] = lines[at][:-2] + flag + "\n"
+        path = tmp_path / "model.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run_cli(["infer", "--model", str(path), "--query", "IsA(obj1,pan)"],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err == (f"error: ValueError: bad model record on line {at + 1}: "
+                       f"flag must be '-', got '{flag}'\n")
+
     @pytest.mark.parametrize("method", ["lw", "gibbs", "exact"])
     def test_two_patterns_print_the_lines_of_separate_runs(self, mini_model, capsys,
                                                             method):
@@ -394,10 +440,15 @@ class TestParser:
         assert code == 2 and out == ""
         assert err.endswith(f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
 
-    def test_other_subcommands_get_no_arguments(self, capsys):
-        code, _, err = exit_of(cli.build_parser("infer").parse_args,
-                               ["generate", "--config", "a.cfg"], capsys)
-        assert code == 2 and "unrecognized arguments: --config a.cfg" in err
+    def test_other_subcommands_get_no_arguments(self):
+        # given a command, the parser registers only it, and its usage names all three
+        full = cli.build_parser()
+        for command in cli.COMMANDS:
+            parser = cli.build_parser(command)
+            assert parser.format_usage() == full.format_usage()
+            listed = [name for name, (help_line, _) in cli.COMMANDS.items()
+                      if help_line in parser.format_help()]
+            assert listed == [command]
 
 
 class TestLoadConfig:

@@ -15,9 +15,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("output_digest",
-                                                  ROOT / "tools" / "output_digest.py")
+def load_tool(name):
+    """The module ``tools/<name>.py``, imported from its path."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -38,7 +38,7 @@ def numpy_of(header):
 
 
 def test_outputs_match_committed_digest(tmp_path):
-    tool = load_tool()
+    tool = load_tool("output_digest")
     committed = (ROOT / "DIGEST.txt").read_text(encoding="utf-8").splitlines()
     # with no handler configured, as in a plain run, a warning goes to the
     # stderr that the tool captures and digests

@@ -15,10 +15,10 @@ from situnet.disambiguation import (
     disambiguate_seeds,
 )
 from situnet.lexicon import parse_lexicon
-from situnet.relatedness import TableRelatedness
 
 from conftest import (
     WSP_SOURCE_KINDS,
+    TableRelatedness,
     bundled,
     disambiguate_seeds_oracle,
     edge_cost,

@@ -13,7 +13,9 @@ from situnet.disambiguation import build_wsp
 from situnet.lexicon import (
     CorpusFrequencies,
     HierarchyCycleError,
+    LexiconIndex,
     LexiconParseError,
+    Synset,
     UndefinedSimilarityError,
     load_frequencies,
     load_stopwords,
@@ -137,6 +139,49 @@ class TestParsing:
         for sid, syn in lexicon.synsets.items():
             assert again.synsets[sid] == syn
         assert write_lexicon(again) == (index_text, data_text)
+
+
+@st.composite
+def lexicons(draw):
+    """Hypernym DAGs with meronyms and lemmas shared across synsets.
+
+    Every link has its inverse and every lemma lists each synset that holds
+    it, as in a parsed lexicon; each link list and sense ranking comes in
+    any order, and synset ids are unrelated to the hierarchy's order.
+    """
+    n = draw(st.integers(1, 10))
+    ids = [f"{offset:08d}-n" for offset in draw(st.permutations(range(1, n + 1)))]
+    # hypernyms among the synsets drawn before, so the hierarchy is a DAG
+    hypernyms = {sid: draw(st.lists(st.sampled_from(ids[:i]), unique=True, max_size=3))
+                 if i else [] for i, sid in enumerate(ids)}
+    meronyms = {sid: draw(st.lists(st.sampled_from(ids), unique=True, max_size=2))
+                for sid in ids}
+    hyponyms = {sid: [c for c in ids if sid in hypernyms[c]] for sid in ids}
+    holonyms = {sid: [w for w in ids if sid in meronyms[w]] for sid in ids}
+    lemma = st.sampled_from(["pan", "pot", "iron", "cooking_pan", "a", "washer"])
+    synsets = {}
+    for sid in ids:
+        synsets[sid] = Synset(
+            sid, "n", draw(st.lists(lemma, min_size=1, max_size=3, unique=True)),
+            draw(st.text("ab |", max_size=8)).strip(), hypernyms[sid],
+            draw(st.permutations(hyponyms[sid])), meronyms[sid],
+            draw(st.permutations(holonyms[sid])))
+    holders = {}
+    for sid in ids:
+        for word in synsets[sid].lemmas:
+            holders.setdefault((word, "n"), []).append(sid)
+    lemma_index = {key: draw(st.permutations(sids)) for key, sids in holders.items()}
+    return LexiconIndex(synsets, lemma_index)
+
+
+@settings(max_examples=60)
+@given(index=lexicons())
+def test_generated_lexicon_round_trip(index):
+    texts = write_lexicon(index)
+    again = parse_lexicon(*texts)
+    assert again.synsets == index.synsets  # every link list, in its order
+    assert again.lemma_index == index.lemma_index  # every sense ranking
+    assert write_lexicon(again) == texts
 
 
 def assert_equals_parse_oracle(index_text, data_text):

@@ -20,7 +20,8 @@ from situnet.netgen import (
     serialize_graph,
     validate_graph,
 )
-from situnet.relatedness import TableRelatedness
+
+from conftest import TableRelatedness
 
 
 def assignment_for(lexicon, words):

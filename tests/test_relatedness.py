@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from situnet.relatedness import (
     EsaRelatedness,
-    TableRelatedness,
     build_esa_index,
     load_documents,
 )
 
-from conftest import esa_score_oracle, esa_vectors_oracle
+from conftest import TableRelatedness, esa_score_oracle, esa_vectors_oracle
 
 
 class TestBuildIndex:

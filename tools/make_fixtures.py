@@ -9,9 +9,14 @@ so the full pipeline runs in seconds while still exercising every stage.
 
 Run from the repository root after an editable install:
 
-    python tools/make_fixtures.py
+    python tools/make_fixtures.py [OUT_DIR]
+
+OUT_DIR defaults to the package's own data directory; any other
+directory receives the same file tree, which is how a test checks that
+the bundled files are this script's output byte for byte.
 """
 
+import argparse
 from pathlib import Path
 
 from situnet.lexicon import LexiconIndex, Synset, parse_lexicon, write_lexicon
@@ -657,8 +662,8 @@ GOLD_RELATIONS = {
 }
 
 
-def write_gold(sid_of):
-    gold_dir = DATA / "gold"
+def write_gold(out, sid_of):
+    gold_dir = out / "gold"
     for scenario, senses in GOLD_SENSES.items():
         lines = []
         for seed, rel, target, label in GOLD_RELATIONS[scenario]:
@@ -709,8 +714,8 @@ SCENARIO_META = {
 }
 
 
-def write_configs():
-    configs = DATA / "configs"
+def write_configs(out):
+    configs = out / "configs"
     for name, (seed_file, environment) in SCENARIO_META.items():
         text = COMMON_CONFIG + (
             f"seeds=../seeds/{seed_file}\n"
@@ -739,13 +744,14 @@ def write_configs():
 # ---------------------------------------------------------------------------
 
 
-def main():
+def main(out=DATA):
+    out = Path(out)
     for sub in ("lexicon", "seeds", "gold", "configs"):
-        (DATA / sub).mkdir(parents=True, exist_ok=True)
+        (out / sub).mkdir(parents=True, exist_ok=True)
 
     index_text, data_text, sid_of = build_lexicon()
-    (DATA / "lexicon" / "index.noun").write_text(index_text, encoding="utf-8")
-    (DATA / "lexicon" / "data.noun").write_text(data_text, encoding="utf-8")
+    (out / "lexicon" / "index.noun").write_text(index_text, encoding="utf-8")
+    (out / "lexicon" / "data.noun").write_text(data_text, encoding="utf-8")
 
     lexicon = parse_lexicon(index_text, data_text)
     assert len(lexicon.senses("pan")) == 4, "pan must carry four noun senses"
@@ -753,26 +759,29 @@ def main():
 
     total = sum(FREQUENCIES.values())
     lines = [f"{word}\t{count}" for word, count in FREQUENCIES.items()]
-    (DATA / "frequencies.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "frequencies.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"frequency corpus: {len(FREQUENCIES)} words, total {total}")
 
     stopwords = sorted(set(STOPWORDS.split()))
-    (DATA / "stopwords.txt").write_text("\n".join(stopwords) + "\n", encoding="utf-8")
+    (out / "stopwords.txt").write_text("\n".join(stopwords) + "\n", encoding="utf-8")
 
     assert len(DOCUMENTS) == 50, f"expected 50 documents, got {len(DOCUMENTS)}"
     doc_lines = [f"{title}\t{text}" for title, text in DOCUMENTS]
-    (DATA / "esa_corpus.tsv").write_text("\n".join(doc_lines) + "\n", encoding="utf-8")
+    (out / "esa_corpus.tsv").write_text("\n".join(doc_lines) + "\n", encoding="utf-8")
 
-    (DATA / "conceptnet.tsv").write_text(build_conceptnet(), encoding="utf-8")
+    (out / "conceptnet.tsv").write_text(build_conceptnet(), encoding="utf-8")
 
     for name, words in SEED_FILES.items():
-        (DATA / "seeds" / name).write_text("\n".join(words) + "\n", encoding="utf-8")
+        (out / "seeds" / name).write_text("\n".join(words) + "\n", encoding="utf-8")
 
-    write_configs()
-    write_gold(sid_of)
+    write_configs(out)
+    write_gold(out, sid_of)
     print(f"lexicon: {len(lexicon)} synsets")
-    print("fixtures written to", DATA)
+    print("fixtures written to", out)
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Write the bundled data files.")
+    parser.add_argument("out_dir", nargs="?", default=DATA,
+                        help="directory to write into (default: %(default)s)")
+    main(parser.parse_args().out_dir)
