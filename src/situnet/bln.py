@@ -4,6 +4,11 @@ A model is a declaration (types, predicate signatures, entities) plus a
 set of fragments.  Each fragment is a conditional dependence template
 between abstract boolean variables such as ``IsA(x, garlic)``, where
 ``x`` is a meta-variable that grounding replaces with concrete objects.
+The vocabulary is the graph's one relation table,
+:data:`situnet.netgen.KIND_FOR_RELATION`: each relation is a predicate
+over an object and a node of the relation's kind.  :func:`read_model`
+checks every fragment variable of a model file against the file's
+declaration.
 A fragment's conditional probability function (CPF) is a table with one
 row per parent configuration; rows are ordered by binary counting with
 the first parent as the most significant bit and false < true.
@@ -57,7 +62,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dag import CycleError, topological_order
-from .netgen import ConceptGraph
+from .netgen import KIND_FOR_RELATION, ConceptGraph
 
 MAX_PARENTS = 16  # full-table CPF guard: 2^16 rows, the widest uint16 key of _pack
 LEAK = 1e-3  # P(true) of a noisy-OR node whose sources are all false
@@ -66,21 +71,9 @@ METHODS = ("exact", "lw", "gibbs")  # inference methods accepted by estimates()
 # samples on average: one binomial draw costs about as much as 35 uniforms
 _MIN_MEAN_COUNT = 32
 
-TYPES = ("object", "concept", "property", "location", "affordance")
-
-SIGNATURES = {
-    "IsA": ("object", "concept"),
-    "HasProperty": ("object", "property"),
-    "AtLocation": ("object", "location"),
-    "UsedFor": ("object", "affordance"),
-}
-
-PREDICATE_FOR_KIND = {
-    "concept": "IsA",
-    "property": "HasProperty",
-    "location": "AtLocation",
-    "affordance": "UsedFor",
-}
+TYPES = ("object", *KIND_FOR_RELATION.values())
+SIGNATURES = {relation.value: ("object", kind) for relation, kind in KIND_FOR_RELATION.items()}
+PREDICATE_FOR_KIND = {kind: relation.value for relation, kind in KIND_FOR_RELATION.items()}
 
 META_VARIABLE = "x"
 
@@ -162,18 +155,11 @@ class Fragment:
 
 @dataclass(frozen=True)
 class Declaration:
+    """The types, each predicate's argument types and each entity's types."""
+
     types: frozenset[str]
     signatures: dict[str, tuple[str, ...]]
     entities: dict[str, frozenset[str]]
-
-    def __post_init__(self):
-        for name, type_set in self.entities.items():
-            if not type_set:
-                raise ValueError(f"entity {name!r} has an empty type set")
-        for pred, param_types in self.signatures.items():
-            for t in param_types:
-                if t not in self.types:
-                    raise ValueError(f"signature {pred} uses undeclared type {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +257,6 @@ class EvidenceSet:
         self.worlds = np.asarray(self.worlds, dtype=bool)
         if self.worlds.ndim != 2 or self.worlds.shape[1] != len(self.variables):
             raise ValueError("worlds matrix does not match the variable list")
-
-    def column(self, variable: str) -> np.ndarray:
-        return self.worlds[:, self.variables.index(variable)]
 
 
 def simulate_evidence(graph: ConceptGraph, provider, alpha: float, n_worlds: int,
@@ -515,27 +498,18 @@ def ground(decl: Declaration, fragments, objects) -> GroundNetwork:
 # ---------------------------------------------------------------------------
 
 
-def _query_ids(net, queries) -> list[int]:
-    """The variable id of each query; an unknown name raises ``KeyError``."""
-    for q in queries:
-        if q not in net.index:
-            raise KeyError(f"unknown query variable {q!r}")
-    return [net.index[q] for q in queries]
+def _ids(net, names, role) -> list[int]:
+    """The variable id of each name; an unknown one raises ``KeyError`` naming its ``role``."""
+    for name in names:
+        if name not in net.index:
+            raise KeyError(f"unknown {role} variable {name!r}")
+    return [net.index[name] for name in names]
 
 
 def _answers(queries, evidence, estimate) -> dict[str, float]:
     """Per query, in order: 1.0 or 0.0 if the evidence clamps it, else ``estimate(q)``."""
     return {q: (1.0 if evidence[q] else 0.0) if q in evidence else estimate(q)
             for q in queries}
-
-
-def _resolve_evidence(net, evidence):
-    out = {}
-    for name, value in evidence.items():
-        if name not in net.index:
-            raise KeyError(f"unknown evidence variable {name!r}")
-        out[net.index[name]] = bool(value)
-    return out
 
 
 def _ancestral_closure(net, ids) -> list[int]:
@@ -605,8 +579,8 @@ def infer_exact(net: GroundNetwork, query: str, evidence=None) -> float:
     zero entry.  Evidence of probability zero raises ``ValueError``.
     """
     evidence = evidence or {}
-    (q,) = _query_ids(net, [query])
-    ev = _resolve_evidence(net, evidence)
+    (q,) = _ids(net, [query], "query")
+    ev = dict(zip(_ids(net, evidence, "evidence"), map(bool, evidence.values())))
     return _answers([query], evidence, lambda _: _eliminate(net, q, ev))[query]
 
 
@@ -673,7 +647,7 @@ def lw_sample(net: GroundNetwork, evidence, n_samples: int,
     entries at the row in topological order.  The states are a
     transposed view of the variable-major pass array.
     """
-    ev = _resolve_evidence(net, evidence)
+    ev = dict(zip(_ids(net, evidence, "evidence"), map(bool, evidence.values())))
     order = net.topo_order()
     states = np.zeros((len(net.names), 1), dtype=bool)
     counts = np.array([n_samples])
@@ -758,7 +732,8 @@ def lw_estimates(net: GroundNetwork, queries, evidence=None, n_samples: int = 50
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     evidence = evidence or {}
-    sampled, leaves = _reduced(net, _query_ids(net, queries), _resolve_evidence(net, evidence))
+    ev = dict(zip(_ids(net, evidence, "evidence"), map(bool, evidence.values())))
+    sampled, leaves = _reduced(net, _ids(net, queries, "query"), ev)
     rng = np.random.default_rng(seed)
     states, weights = lw_sample(sampled, evidence, n_samples, rng)
     total = weights.sum()
@@ -861,8 +836,9 @@ def gibbs_estimates(net: GroundNetwork, queries, evidence=None, burn_in: int = 1
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     evidence = evidence or {}
-    net, leaves = _reduced(net, _query_ids(net, queries), _resolve_evidence(net, evidence))
-    ev = _resolve_evidence(net, evidence)
+    ev = dict(zip(_ids(net, evidence, "evidence"), map(bool, evidence.values())))
+    net, leaves = _reduced(net, _ids(net, queries, "query"), ev)
+    ev = dict(zip(_ids(net, evidence, "evidence"), map(bool, evidence.values())))
     tables = [np.array((1.0 - cpf, cpf)).T.ravel() for cpf in net.cpfs]
     for v, table in enumerate(tables):
         if v not in ev and not table.all():  # an entry is 0 where a row is 0 or 1
@@ -980,12 +956,17 @@ def write_model(decl: Declaration, fragments, path) -> None:
 def read_model(path) -> tuple[Declaration, list[Fragment]]:
     """Read the :func:`write_model` layout.
 
-    Each distinct variable text is parsed once per file, so a variable
-    that parents many fragments is one shared :class:`AbstractVar`.  A
-    parent list is split by :func:`_split_vars` and a CPF row by one
-    ``np.array`` call, which converts each number as ``float`` does.  A
-    malformed record, a fragment whose child is declared twice, or a flag
-    column other than ``-`` raises ``ValueError`` naming its line.
+    A record may use only what the records above it declare, as
+    :func:`write_model` orders them: a ``SIG`` or ``ENTITY`` record names
+    a new predicate or entity and only types of ``TYPE`` records.  Each
+    distinct variable text is parsed and checked once per file, where it
+    first appears (:func:`_check_typed`), so a variable that parents many
+    fragments is one shared :class:`AbstractVar`.  A parent list is split
+    by :func:`_split_vars` and a CPF row by one ``np.array`` call, which
+    converts each number as ``float`` does.  A malformed record, a
+    declaration or variable that breaks these rules, a fragment whose
+    child is declared twice, or a flag column other than ``-`` raises
+    ``ValueError`` naming its line.
     """
     types: set[str] = set()
     signatures: dict[str, tuple[str, ...]] = {}
@@ -996,7 +977,7 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
 
     def variable(text):
         if text not in parsed:
-            parsed[text] = AbstractVar.parse(text)
+            parsed[text] = _check_typed(AbstractVar.parse(text), signatures, entities)
         return parsed[text]
 
     with open(path, encoding="utf-8") as handle:
@@ -1006,14 +987,14 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
                 continue
             cols = line.split("\t")
             tag = cols[0]
-            if tag == "TYPE" and len(cols) == 2:
-                types.add(cols[1])
-            elif tag == "SIG" and len(cols) >= 2:
-                signatures[cols[1]] = tuple(cols[2:])
-            elif tag == "ENTITY" and len(cols) == 3:
-                entities[cols[1]] = frozenset(cols[2].split(","))
-            elif tag == "FRAGMENT" and len(cols) == 5:
-                try:
+            try:
+                if tag == "TYPE" and len(cols) == 2:
+                    types.add(cols[1])
+                elif tag == "SIG" and len(cols) >= 2:
+                    _declare(signatures, "predicate", cols[1], tuple(cols[2:]), types)
+                elif tag == "ENTITY" and len(cols) == 3:
+                    _declare(entities, "entity", cols[1], frozenset(cols[2].split(",")), types)
+                elif tag == "FRAGMENT" and len(cols) == 5:
                     child = variable(cols[1])
                     if child in declared:
                         raise ValueError(f"fragment {child} declared twice")
@@ -1023,12 +1004,41 @@ def read_model(path) -> tuple[Declaration, list[Fragment]]:
                     if cols[4] != "-":
                         raise ValueError(f"flag must be '-', got {cols[4]!r}")
                     fragments.append(Fragment(child=child, parents=parents, cpf=cpf))
-                except ValueError as error:
-                    raise ValueError(f"bad model record on line {line_no}: {error}") from None
-            else:
-                raise ValueError(f"bad model record on line {line_no}: {raw!r}")
+                else:
+                    raise ValueError(repr(raw))
+            except ValueError as error:
+                raise ValueError(f"bad model record on line {line_no}: {error}") from None
     decl = Declaration(types=frozenset(types), signatures=signatures, entities=entities)
     return decl, fragments
+
+
+def _declare(records, kind, name, type_names, types) -> None:
+    """Add a ``SIG`` or ``ENTITY`` record, which must be new and name declared types."""
+    if name in records:
+        raise ValueError(f"{kind} {name!r} declared twice")
+    if not types.issuperset(type_names):
+        undeclared = min(set(type_names) - types)
+        raise ValueError(f"{kind} {name!r} has undeclared type {undeclared!r}")
+    records[name] = type_names
+
+
+def _check_typed(var, signatures, entities) -> AbstractVar:
+    """``var`` if it fits its predicate's signature, else ``ValueError``.
+
+    The arity must match.  The first argument is the meta-variable
+    :data:`META_VARIABLE` or an entity of the signature's first type, and
+    every other argument an entity whose types include the signature's
+    type at its position (Jain, Waldherr & Beetz 2009).
+    """
+    signature = signatures.get(var.predicate)
+    if signature is None:
+        raise ValueError(f"{var}: predicate {var.predicate!r} has no SIG record")
+    if len(signature) != len(var.args):
+        raise ValueError(f"{var}: {var.predicate} takes {len(signature)} arguments")
+    for position, (arg, type_name) in enumerate(zip(var.args, signature)):
+        if type_name not in entities.get(arg, ()) and (position or arg != META_VARIABLE):
+            raise ValueError(f"{var}: {arg!r} is no entity of type {type_name!r}")
+    return var
 
 
 # a variable whose arguments hold no parenthesis, as write_model writes them

@@ -17,6 +17,11 @@ refused at ``path:line``.  Paths in a config file resolve relative to
 the file's own directory, so the bundled scenario configs work from any
 working directory.
 
+``infer`` grounds the model for each object its evidence and queries
+name.  A query is a variable name or a pattern whose every ``*`` stands
+for any run of characters, matched against whole names; an object slot
+that holds ``*`` names no object.
+
 Generation draws no random number: the model's CPFs are written down in
 closed form (:func:`situnet.bln.model_from_graph`).  One master seed drives
 the samplers through fixed offsets: ad-hoc inference uses ``seed + 2``
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import re
 import sys
 from dataclasses import dataclass, replace
 from math import isnan
@@ -293,12 +299,10 @@ def cmd_infer(args) -> int:
     config = replace(config, **_flags(args)).validate(SAMPLER_KEYS)
     declaration, fragments = bln.read_model(args.model)
 
-    evidence, objects = _parse_evidence(part for chunk in args.evidence
-                                        for part in map(str.strip, chunk.split(";")) if part)
-    query_objects = [_object_of(q) for q in args.query]
-    for obj in query_objects:
-        if obj and obj not in objects:
-            objects.append(obj)
+    evidence = _parse_evidence(part for chunk in args.evidence
+                               for part in map(str.strip, chunk.split(";")) if part)
+    # each object once, in the order the evidence and then the queries name them
+    objects = list(dict.fromkeys(filter(None, map(_object_of, [*evidence, *args.query]))))
     if not objects:
         raise ConfigError("no objects named in evidence or queries")
 
@@ -320,7 +324,6 @@ def cmd_infer(args) -> int:
 
 def _parse_evidence(items):
     evidence = {}
-    objects = []
     for item in items:
         name, _, value = item.partition("=")
         name = name.strip()
@@ -330,29 +333,26 @@ def _parse_evidence(items):
         if name in evidence:
             raise ConfigError(f"evidence names {name!r} twice")
         evidence[name] = value in ("true", "1")
-        obj = _object_of(name)
-        if obj and obj not in objects:
-            objects.append(obj)
-    return evidence, objects
+    return evidence
 
 
 def _object_of(variable_text):
+    """The object a variable or query pattern names; None if its object slot holds ``*``."""
     try:
-        return bln.AbstractVar.parse(variable_text.replace("*", "STAR")).args[0]
+        obj = bln.AbstractVar.parse(variable_text).args[0]
     except ValueError:
         return None
+    return None if "*" in obj else obj
 
 
 def _expand_query(pattern, net):
-    if "*" not in pattern:
-        if pattern not in net.index:
-            raise ConfigError(_unknown_variable(pattern, net))
-        return [pattern]
-    prefix, _, suffix = pattern.partition("*")
-    matches = [name for name in net.names
-               if name.startswith(prefix) and name.endswith(suffix)]
+    """The variables a query names, in network order: each ``*`` stands for any run of
+    characters, and a name must match the whole pattern."""
+    rule = re.compile(".*".join(map(re.escape, pattern.split("*"))))
+    matches = [name for name in net.names if rule.fullmatch(name)]
     if not matches:
-        raise ConfigError(f"query pattern {pattern!r} matches no variables")
+        raise ConfigError(f"query pattern {pattern!r} matches no variables" if "*" in pattern
+                          else _unknown_variable(pattern, net))
     return matches
 
 

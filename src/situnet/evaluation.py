@@ -152,8 +152,7 @@ def load_gold(path) -> GoldStandard:
     return GoldStandard(relation_labels=relation_labels, sense_labels=sense_labels)
 
 
-RELATION_COLUMNS = (RelationType.IsA, RelationType.AtLocation,
-                    RelationType.HasProperty, RelationType.UsedFor)
+RELATION_COLUMNS = tuple(RelationType)  # in the order the relations are declared
 
 
 def format_report(reports: dict[str, AccuracyReport]) -> str:

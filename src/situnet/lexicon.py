@@ -136,9 +136,6 @@ class LexiconIndex:
     def has_lemma(self, word: str, pos: str = "n") -> bool:
         return (normalize_lemma(word), pos) in self.lemma_index
 
-    def depth(self, synset_id: str) -> int:
-        return self._depths[synset_id]
-
     def ancestors(self, synset_id: str) -> frozenset[str]:
         """The hypernym closure of a synset, including the synset itself."""
         cached = self._ancestor_cache.get(synset_id)

@@ -12,6 +12,9 @@ The graph grows in three stages, mirroring the generation pipeline:
    keeping only edges whose sense disambiguation agrees with the node's
    sense, and only locations contained in the current environment.
 
+:data:`KIND_FOR_RELATION`, the kind of node each relation's edges end at,
+is the one relation table; the model's vocabulary is read from it.
+
 All stages are pure: they return new graphs and never mutate their
 inputs, so a finished graph can be shared freely across threads.
 """
@@ -28,6 +31,7 @@ from .lexicon import CorpusFrequencies, LexiconIndex, normalize_lemma
 DEFAULT_BLOCKLIST = frozenset({"entity", "abstraction", "physical_entity"})
 
 KIND_FOR_RELATION = {
+    RelationType.IsA: "concept",
     RelationType.UsedFor: "affordance",
     RelationType.HasProperty: "property",
     RelationType.AtLocation: "location",
@@ -39,7 +43,7 @@ class ConceptNode:
     """A graph node: a concept with a sense, or a bare attribute term."""
 
     id: str
-    kind: str  # concept | property | location | affordance
+    kind: str  # a value of KIND_FOR_RELATION
     term: str
     synset: str | None = None
     is_seed: bool = False
@@ -461,9 +465,10 @@ def serialize_graph(graph: ConceptGraph) -> str:
 def parse_graph(text: str) -> ConceptGraph:
     """Read :func:`serialize_graph` text.
 
-    A malformed record, a node declared twice, a kind other than the four
-    node kinds, an ``is_seed`` other than 0 or 1, or an edge whose source
-    or target has no ``NODE`` record raises ``ValueError`` naming its line.
+    A malformed record, a node declared twice, a kind that is no value of
+    :data:`KIND_FOR_RELATION`, an ``is_seed`` other than 0 or 1, or an edge
+    whose source or target has no ``NODE`` record raises ``ValueError``
+    naming its line.
     """
     graph = ConceptGraph()
     edge_lines = []
@@ -475,7 +480,7 @@ def parse_graph(text: str) -> ConceptGraph:
             _, node_id, kind, synset, is_seed = cols
             if node_id in graph.nodes:
                 problem = f"node {node_id!r} declared twice"
-            elif kind != "concept" and kind not in KIND_FOR_RELATION.values():
+            elif kind not in KIND_FOR_RELATION.values():
                 problem = f"unknown node kind {kind!r}"
             elif is_seed not in ("0", "1"):
                 problem = f"is_seed must be 0 or 1, got {is_seed!r}"

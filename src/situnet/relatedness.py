@@ -33,9 +33,6 @@ class EsaIndex:
     def vector(self, word: str) -> list[tuple[int, float]]:
         return self.vectors.get(word, [])
 
-    def words(self):
-        return self.vectors.keys()
-
 
 def build_esa_index(documents, stopwords=frozenset()) -> EsaIndex:
     """Index a sequence of (title, text) documents.

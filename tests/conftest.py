@@ -21,15 +21,21 @@ lexicon pair one pointer quadruple at a time, and the noisy-OR table with
 a row mask per edge.
 ``every_variable_gold`` labels every variable of the one-object network,
 so ``run_scenario`` estimates them all.
+
+Also the reader fuzz: :func:`edited_lines` draws random line edits of a
+valid input file, and :func:`check_refusal` requires a reader to return
+or raise its typed error naming an existing line.
 """
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from situnet import data_path
 from situnet.bln import (
@@ -543,6 +549,68 @@ def learn_cpfs_oracle(fragments, evidence, pseudocount=1.0):
             rows[i] = 0.5 if denominator == 0 else (int(trues[i]) + pseudocount) / denominator
         out.append(replace(frag, cpf=rows))
     return out
+
+
+# -- reader fuzz --------------------------------------------------------------
+
+
+@st.composite
+def edited_lines(draw, lines, fields):
+    """``lines`` after up to five random edits, each of one line.
+
+    An edit deletes a line, repeats it, swaps it with the next, replaces
+    or drops one of its tab-separated fields, or inserts a line of one to
+    five fields.  A new field is drawn from ``fields`` or is short random
+    text of letters, digits, signs, brackets, commas, spaces and tabs.
+    """
+    lines = list(lines)
+    field = st.sampled_from(fields) | st.text("ax1.-+e(),# \t", max_size=6)
+    for _ in range(draw(st.integers(0, 5))):
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        edit = draw(st.sampled_from(["delete", "repeat", "swap", "replace", "drop", "insert"]))
+        if edit == "insert" or not lines:
+            lines.insert(at, "\t".join(draw(st.lists(field, min_size=1, max_size=5))))
+        elif edit == "delete":
+            del lines[at]
+        elif edit == "repeat":
+            lines.insert(at, lines[at])
+        elif edit == "swap":
+            lines[at:at + 2] = lines[at:at + 2][::-1]
+        else:
+            cols = lines[at].split("\t")
+            i = draw(st.integers(0, len(cols) - 1))
+            cols[i:i + 1] = [] if edit == "drop" else [draw(field)]
+            lines[at] = "\t".join(cols)
+    return lines
+
+
+def file_reader(load, path):
+    """``load`` as a function of lines: each call writes them to ``path`` first."""
+    def read(lines):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return load(path)
+    return read
+
+
+def check_refusal(read, lines, error, line_pattern, prefix_reads=True):
+    """``read(lines)`` returns, or raises ``error`` whose text names a line.
+
+    ``line_pattern`` finds the line number in the error's text as its one
+    group; the line must exist.  With ``prefix_reads``, for a reader that
+    judges a line by the lines above it only, the lines before the named
+    one must read.  Any other exception, such as a bare ``IndexError``,
+    ``KeyError`` or an unnumbered ``int()``/``float()`` ``ValueError``,
+    propagates or fails the check.
+    """
+    try:
+        read(lines)
+    except error as refusal:
+        found = re.search(line_pattern, str(refusal))
+        assert found, f"{type(refusal).__name__} names no line: {refusal}"
+        line_no = int(found.group(1))
+        assert 1 <= line_no <= len(lines), refusal
+        if prefix_reads:
+            read(lines[:line_no - 1])
 
 
 def split_vars_oracle(text):

@@ -184,7 +184,7 @@ def test_criterion_6_esa(esa_index):
         from test_relatedness import dense_cosine
         score = EsaRelatedness(esa_index).score
         rng = np.random.default_rng(606)
-        words = sorted(esa_index.words())
+        words = sorted(esa_index.vectors)
         for _ in range(100):
             a, b = rng.choice(words, size=2)
             ours = score(a, b)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from situnet import bln
@@ -36,6 +36,9 @@ from conftest import (
     ConstantRelatedness,
     TableRelatedness,
     ancestral_closure,
+    check_refusal,
+    edited_lines,
+    file_reader,
     gibbs_estimates_oracle,
     joint_table_oracle,
     learn_cpfs_oracle,
@@ -51,6 +54,11 @@ from conftest import (
 
 def var(text):
     return AbstractVar.parse(text)
+
+
+def column(evidence, variable):
+    """The sampled states of ``variable``, one per world."""
+    return evidence.worlds[:, evidence.variables.index(variable)]
 
 
 def graph_of(nodes, edges):
@@ -160,17 +168,17 @@ class TestSimulateEvidence:
             [("a", RelationType.IsA, "b", 1.0)])
         ev = simulate_evidence(graph, ConstantRelatedness(0.0), alpha=1.0,
                                n_worlds=2000, seed=3)
-        a = ev.column("IsA(x,a)")
-        b = ev.column("IsA(x,b)")
+        a = column(ev, "IsA(x,a)")
+        b = column(ev, "IsA(x,b)")
         assert np.all(b[a])          # child true whenever parent true
         assert not np.any(b[~a])     # and never without its only cause
 
     def test_alpha_zero_provider_zero_keeps_attributes_false(self):
         ev = simulate_evidence(DIAMOND, ConstantRelatedness(0.0), alpha=0.0,
                                n_worlds=2000, seed=4)
-        assert not np.any(ev.column("UsedFor(x,season)"))
-        assert not np.any(ev.column("IsA(x,flavorer)"))
-        assert 0.3 < ev.column("IsA(x,garlic)").mean() < 0.7  # root prior
+        assert not np.any(column(ev, "UsedFor(x,season)"))
+        assert not np.any(column(ev, "IsA(x,flavorer)"))
+        assert 0.3 < column(ev, "IsA(x,garlic)").mean() < 0.7  # root prior
 
     def test_empirical_frequencies_within_three_sigma(self):
         provider = TableRelatedness({("garlic", "flavorer"): 0.5,
@@ -187,11 +195,11 @@ class TestSimulateEvidence:
             ("garlic", "season"): alpha * 0.8 + (1 - alpha) * 0.4,
             ("salt", "season"): alpha * 0.6 + (1 - alpha) * 0.2,
         }
-        garlic = ev.column("IsA(x,garlic)")
-        salt = ev.column("IsA(x,salt)")
+        garlic = column(ev, "IsA(x,garlic)")
+        salt = column(ev, "IsA(x,salt)")
         for child, parents in (("IsA(x,flavorer)", ("flavorer",)),
                                ("UsedFor(x,season)", ("season",))):
-            child_col = ev.column(child)
+            child_col = column(ev, child)
             for g_val, s_val in [(0, 0), (0, 1), (1, 0), (1, 1)]:
                 mask = (garlic == g_val) & (salt == s_val)
                 count = int(mask.sum())
@@ -209,7 +217,7 @@ class TestSimulateEvidence:
         graph = graph_of([("a", "concept", True)], [])
         ev = simulate_evidence(graph, ConstantRelatedness(0.0), 0.5, 20000, 6,
                                root_prior=0.2)
-        assert ev.column("IsA(x,a)").mean() == pytest.approx(0.2, abs=0.02)
+        assert column(ev, "IsA(x,a)").mean() == pytest.approx(0.2, abs=0.02)
 
     def test_seeded_runs_identical(self):
         first = simulate_evidence(DIAMOND, ConstantRelatedness(0.3), 0.5, 500, 7)
@@ -384,7 +392,7 @@ class TestNoisyOrCpfs:
         for estimate, table in zip(learned, exact):
             row_of_world = np.zeros(n_worlds, dtype=int)
             for parent in table.parents:
-                row_of_world = 2 * row_of_world + evidence.column(str(parent))
+                row_of_world = 2 * row_of_world + column(evidence, str(parent))
             worlds = np.bincount(row_of_world, minlength=len(table.cpf))
             well = worlds >= 200
             sigma = np.sqrt(table.cpf * (1.0 - table.cpf) / np.maximum(worlds, 1))
@@ -412,6 +420,51 @@ def simple_fragments():
         Fragment(var("UsedFor(x,u)"), [var("IsA(x,a)"), var("IsA(x,b)")],
                  np.array([0.05, 0.5, 0.4, 0.95])),
     ]
+
+
+# a model file's declaration and one fragment; a record after it is on line HEAD_LINES + 1
+MODEL_HEAD = ("# comment\nTYPE\tobject\nTYPE\tconcept\nTYPE\taffordance\n"
+              "SIG\tIsA\tobject\tconcept\nSIG\tUsedFor\tobject\taffordance\n"
+              "ENTITY\ta\tconcept\nENTITY\tb\tconcept\nENTITY\tc\tconcept\n"
+              "ENTITY\to\tobject\nENTITY\tu\taffordance\nFRAGMENT\tIsA(x,b)\t-\t0.5\t-\n")
+HEAD_LINES = MODEL_HEAD.count("\n")
+
+
+@st.composite
+def typed_models(draw):
+    """A declaration and fragments whose every variable fits its signature.
+
+    A variable's first argument is ``x`` or an entity of its signature's
+    first type, and each other argument an entity of the type at its
+    position.
+    """
+    names = st.text("abcdefghijklmnopqrstuvwyz_", min_size=1, max_size=8)  # no x
+    types = sorted(draw(st.frozensets(names, min_size=1, max_size=4)))
+    entities = draw(st.dictionaries(names, st.frozensets(st.sampled_from(types), min_size=1,
+                                                         max_size=3), max_size=8))
+    signatures = draw(st.dictionaries(names, st.lists(st.sampled_from(types), min_size=1,
+                                                      max_size=3).map(tuple),
+                                      min_size=1, max_size=3))
+
+    def slots(signature):
+        return [[*(["x"] if position == 0 else []),
+                 *(e for e in sorted(entities) if type_name in entities[e])]
+                for position, type_name in enumerate(signature)]
+
+    fillable = [(p, slots(sig)) for p, sig in sorted(signatures.items()) if all(slots(sig))]
+    assume(fillable)
+    variable = st.sampled_from(fillable).flatmap(lambda pair: st.tuples(
+        *map(st.sampled_from, pair[1])).map(lambda args: AbstractVar(pair[0], args)))
+    variables = draw(st.lists(variable, unique=True, min_size=1, max_size=8))
+    fragments = []
+    for child in draw(st.lists(st.sampled_from(variables), unique=True, min_size=1,
+                               max_size=6)):
+        parents = draw(st.lists(st.sampled_from(variables), unique=True, max_size=6))
+        cpf = draw(st.lists(st.floats(0.0, 1.0), min_size=2 ** len(parents),
+                            max_size=2 ** len(parents)))
+        fragments.append(Fragment(child, parents, np.array(cpf)))
+    decl = Declaration(types=frozenset(types), signatures=signatures, entities=entities)
+    return decl, fragments
 
 
 def simple_declaration():
@@ -1199,23 +1252,7 @@ class TestModelSerialization:
     @settings(max_examples=60)
     @given(data=st.data())
     def test_generated_model_round_trip(self, tmp_path_factory, data):
-        names = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
-        types = data.draw(st.frozensets(names, min_size=1, max_size=4), label="types")
-        signatures = data.draw(st.dictionaries(
-            names, st.lists(st.sampled_from(sorted(types)), max_size=3).map(tuple),
-            max_size=3), label="signatures")
-        entities = data.draw(st.dictionaries(names, st.frozensets(names, min_size=1, max_size=3),
-                                             min_size=1, max_size=8), label="entities")
-        decl = Declaration(types=types, signatures=signatures, entities=entities)
-        variables = [AbstractVar(p, ("x", e)) for p in ("IsA", "UsedFor") for e in entities]
-        fragments = []
-        for child in data.draw(st.lists(st.sampled_from(variables), unique=True, min_size=1,
-                                        max_size=6), label="children"):
-            parents = data.draw(st.lists(st.sampled_from(variables), unique=True, max_size=6),
-                                label="parents")
-            cpf = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 ** len(parents),
-                                     max_size=2 ** len(parents)), label="cpf")
-            fragments.append(Fragment(child, parents, np.array(cpf)))
+        decl, fragments = data.draw(typed_models(), label="model")
         path = tmp_path_factory.mktemp("model") / "model.tsv"
         write_model(decl, fragments, path)
         restored_decl, restored = read_model(path)
@@ -1283,7 +1320,67 @@ class TestModelSerialization:
     ])
     def test_malformed_fragment_names_its_line(self, tmp_path, fragment, reason):
         path = tmp_path / "model.tsv"
-        path.write_text(f"# comment\nFRAGMENT\tIsA(x,b)\t-\t0.5\t-\n{fragment}\n",
-                        encoding="utf-8")
-        with pytest.raises(ValueError, match=f"bad model record on line 3: .*{reason}"):
+        path.write_text(f"{MODEL_HEAD}{fragment}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad model record on line {HEAD_LINES + 1}: "
+                                             f".*{reason}"):
             read_model(path)
+
+    @pytest.mark.parametrize("record, reason", [
+        # a fragment variable whose predicate has no SIG record, or another arity
+        ("FRAGMENT\tMadeOf(x,a)\t-\t0.5\t-", "MadeOf\\(x,a\\): predicate 'MadeOf' has no SIG record"),
+        ("FRAGMENT\tIsA(x,a,b)\t-\t0.5\t-", "IsA\\(x,a,b\\): IsA takes 2 arguments"),
+        ("FRAGMENT\tIsA(x)\t-\t0.5\t-", "IsA\\(x\\): IsA takes 2 arguments"),
+        # a first argument that is neither x nor an entity of the first type
+        ("FRAGMENT\tIsA(a,b)\t-\t0.5\t-", "IsA\\(a,b\\): 'a' is no entity of type 'object'"),
+        ("FRAGMENT\tIsA(y,b)\t-\t0.5\t-", "IsA\\(y,b\\): 'y' is no entity of type 'object'"),
+        # another argument that is x, no entity, or an entity of another type
+        ("FRAGMENT\tIsA(x,x)\t-\t0.5\t-", "IsA\\(x,x\\): 'x' is no entity of type 'concept'"),
+        ("FRAGMENT\tIsA(x,z)\t-\t0.5\t-", "IsA\\(x,z\\): 'z' is no entity of type 'concept'"),
+        ("FRAGMENT\tIsA(x,u)\t-\t0.5\t-", "IsA\\(x,u\\): 'u' is no entity of type 'concept'"),
+        ("FRAGMENT\tUsedFor(o,a)\t-\t0.5\t-",
+         "UsedFor\\(o,a\\): 'a' is no entity of type 'affordance'"),
+        # a parent is checked as a child is
+        ("FRAGMENT\tIsA(x,c)\tIsA(x,z)\t0.1 0.9\t-", "IsA\\(x,z\\): 'z' is no entity"),
+        # a declaration must name declared types and be new
+        ("ENTITY\tq\tgadget", "entity 'q' has undeclared type 'gadget'"),
+        ("ENTITY\tq\tconcept,", "entity 'q' has undeclared type ''"),
+        ("SIG\tMadeOf\tobject\tstuff", "predicate 'MadeOf' has undeclared type 'stuff'"),
+        ("ENTITY\ta\tconcept", "entity 'a' declared twice"),
+        ("SIG\tIsA\tobject\tconcept", "predicate 'IsA' declared twice"),
+    ])
+    def test_declaration_break_names_its_line(self, tmp_path, record, reason):
+        path = tmp_path / "model.tsv"
+        path.write_text(f"{MODEL_HEAD}{record}\nFRAGMENT\tIsA(x,c)\t-\t0.5\t-\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^bad model record on line {HEAD_LINES + 1}: "
+                                             f"{reason}"):
+            read_model(path)
+
+    def test_record_may_use_only_what_is_declared_above_it(self, tmp_path):
+        path = tmp_path / "model.tsv"
+        path.write_text(f"{MODEL_HEAD}FRAGMENT\tIsA(x,c)\tIsA(x,d)\t0.1 0.9\t-\n"
+                        "ENTITY\td\tconcept\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^bad model record on line {HEAD_LINES + 1}: "
+                                             "IsA\\(x,d\\): 'd' is no entity of type"):
+            read_model(path)
+        path.write_text(f"{MODEL_HEAD}ENTITY\td\tconcept\n"
+                        "FRAGMENT\tIsA(x,c)\tIsA(x,d)\t0.1 0.9\t-\n"
+                        "FRAGMENT\tIsA(o,a)\t-\t0.5\t-\n", encoding="utf-8")
+        decl, fragments = read_model(path)
+        assert decl.entities["d"] == frozenset({"concept"})
+        assert [str(f.child) for f in fragments] == ["IsA(x,b)", "IsA(x,c)", "IsA(o,a)"]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_model_reader_refuses_with_a_line_number(data, tmp_path_factory):
+    """Malformed records and declaration breaks alike name their line."""
+    lines = [*MODEL_HEAD.splitlines(), "FRAGMENT\tIsA(x,c)\tIsA(x,b)\t0.1 0.9\t-",
+             "FRAGMENT\tUsedFor(x,u)\tIsA(x,b),IsA(x,c)\t0.1 0.2 0.3 0.4\t-"]
+    fields = ["TYPE", "SIG", "ENTITY", "FRAGMENT", "object", "concept", "room", "a", "u", "x",
+              "z", "concept,affordance", "IsA(x,a)", "IsA(a,x)", "IsA(o,a)", "IsA(x,a,b)",
+              "MadeOf(x,a)", "UsedFor(x,a)", "IsA(x,a", "IsA(x,a),IsA(x,b)", "-", "0.5",
+              "0.5 0.5", "nan", "2", "abc", "frozen", ""]
+    lines = data.draw(edited_lines(lines, fields))
+    read = file_reader(read_model, tmp_path_factory.getbasetemp() / "model.tsv")
+    check_refusal(read, lines, ValueError, r"^bad model record on line (\d+): ")

@@ -21,7 +21,14 @@ from situnet.cli import (
     run_generation,
 )
 
-from conftest import bundled, gibbs_estimates_oracle, lw_estimates_oracle
+from conftest import (
+    bundled,
+    check_refusal,
+    edited_lines,
+    file_reader,
+    gibbs_estimates_oracle,
+    lw_estimates_oracle,
+)
 
 
 def run_cli(args, capsys):
@@ -125,12 +132,18 @@ def bundled_dump_lines():
 
 def generate_on(work, name, scenario="recipe", **inputs):
     """The artifacts of ``generate`` on ``<scenario>.cfg`` with each data file named by a
-    key of ``inputs``, such as ``edges``, replaced by a file of the given lines."""
+    key of ``inputs``, such as ``edges``, replaced by a file of the given lines, or a
+    data directory, such as ``lexicon``, by one of the given files and their lines."""
     config, _ = load_config(bundled("configs", f"{scenario}.cfg"))
     paths = {}
     for key, lines in inputs.items():
         paths[key] = str(work / f"{name}.{key}")
-        Path(paths[key]).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        files = {Path(paths[key]): lines}
+        if isinstance(lines, dict):
+            Path(paths[key]).mkdir()
+            files = {Path(paths[key]) / file: file_lines for file, file_lines in lines.items()}
+        for path, file_lines in files.items():
+            path.write_text("\n".join(file_lines) + "\n", encoding="utf-8")
     path = work / f"{name}.cfg"
     path.write_text("".join(f"{key}={value}\n"
                             for key, value in asdict(replace(config, **paths)).items()),
@@ -211,6 +224,17 @@ def test_input_line_order_changes_no_artifact(data, scenario_artifacts, tmp_path
     work = tmp_path_factory.mktemp("permuted")
     for scenario, artifacts in scenario_artifacts.items():
         assert generate_on(work, scenario, scenario, **inputs) == artifacts, scenario
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_lexicon_line_order_changes_no_artifact(data, scenario_artifacts, tmp_path_factory):
+    """Permuted ``index.noun`` and ``data.noun`` lines give the bundled artifacts."""
+    lexicon = {name: data.draw(st.permutations(bundled_lines("lexicon", name)), label=name)
+               for name in ("index.noun", "data.noun")}
+    work = tmp_path_factory.mktemp("lexicon")
+    for scenario, artifacts in scenario_artifacts.items():
+        assert generate_on(work, scenario, scenario, lexicon=lexicon) == artifacts, scenario
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +384,83 @@ class TestInfer:
         assert code == 1 and out == ""
         assert err == (f"error: ValueError: bad model record on line {at + 1}: "
                        f"flag must be '-', got '{flag}'\n")
+
+    @pytest.mark.parametrize("pattern, same_as", [
+        ("IsA(*,pan)", "IsA(obj1,pan)"),  # no phantom object for the * slot
+        ("IsA(*,*)", "IsA(obj1,*)"),  # a * in the object slot, and a second *
+        ("IsA(obj*,*n*)", "IsA(obj1,*n*)"),
+    ])
+    def test_star_in_the_object_slot_names_no_object(self, mini_model, capsys, pattern,
+                                                     same_as):
+        args = ["infer", "--model", str(mini_model), "--evidence", "IsA(obj1,pan)=true",
+                "--method", "exact", "--query"]
+        code, expected, err = run_cli(args + [same_as], capsys)
+        assert code == 0 and expected, err
+        assert run_cli(args + [pattern], capsys) == (0, expected, "")
+
+    @pytest.mark.parametrize("args, error", [
+        # a prefix and a suffix that overlap in the name match no variable
+        (["--evidence", "IsA(obj1,pan)=true", "--query", "IsA(obj1,pan*an)"],
+         "query pattern 'IsA(obj1,pan*an)' matches no variables"),
+        (["--query", "IsA(*,pan)"], "no objects named in evidence or queries"),
+        (["--evidence", "IsA(obj1,pan)=true", "--query", "IsA(obj1,pann)"],
+         "unknown variable 'IsA(obj1,pann)'; near matches: IsA(obj1,pan), "
+         "IsA(obj1,garlic), IsA(obj1,utensil)"),
+    ])
+    def test_pattern_refusals(self, mini_model, capsys, args, error):
+        code, out, err = run_cli(["infer", "--model", str(mini_model), "--method", "exact",
+                                  *args], capsys)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_pattern_matches_as_shell_star(self, mini_model, data):
+        """Each ``*`` stands for any run of characters, and the whole name must match."""
+        from fnmatch import fnmatchcase
+
+        net = ground(*read_model(mini_model), ["obj1", "obj2"])
+        name = data.draw(st.sampled_from(net.names), label="name")
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(name)), max_size=6), label="cuts"))
+        pieces = [name[i:j] for i, j in zip([0, *cuts], [*cuts, len(name)])]
+        # drop some pieces and join the rest by *, so the name is sure to match
+        kept = [piece if data.draw(st.booleans()) else "" for piece in pieces]
+        pattern = data.draw(st.sampled_from(["*".join(kept), "*".join(kept) + "x"]),
+                            label="pattern")
+        matches = [n for n in net.names if fnmatchcase(n, pattern)]
+        if matches:
+            assert cli._expand_query(pattern, net) == matches
+        else:
+            with pytest.raises(ConfigError):
+                cli._expand_query(pattern, net)
+
+    @pytest.mark.parametrize("edit, query, line_holds, reason", [
+        (("SIG\tAtLocation\tobject\tlocation\n", ""), "AtLocation(obj1,laundry)",
+         "AtLocation(", "predicate 'AtLocation' has no SIG record"),
+        (("(x,laundry)", "(x,laundry,laundry)"), "AtLocation(obj1,laundry,laundry)",
+         "(x,laundry,laundry)", "AtLocation takes 2 arguments"),
+        (("(x,laundry)", "(laundry,x)"), "AtLocation(laundry,obj1)",
+         "(laundry,x)", "'laundry' is no entity of type 'object'"),
+        (("ENTITY\tlaundry\tlocation\n", ""), "AtLocation(obj1,laundry)",
+         "(x,laundry)", "'laundry' is no entity of type 'location'"),
+        (("ENTITY\tlaundry\tlocation", "ENTITY\tlaundry\troom"), "AtLocation(obj1,laundry)",
+         "ENTITY\tlaundry\t", "entity 'laundry' has undeclared type 'room'"),
+    ], ids=["no-sig", "third-argument", "x-second", "no-entity", "undeclared-type"])
+    def test_model_that_breaks_its_declaration_exits_naming_its_line(
+            self, laundry_model, tmp_path, capsys, edit, query, line_holds, reason):
+        """Hand edits of every occurrence that an unchecked model would answer with
+        the unedited model's 0.850879."""
+        text = laundry_model.read_text(encoding="utf-8")
+        assert edit[0] in text
+        path = tmp_path / "model.tsv"
+        path.write_text(text.replace(*edit), encoding="utf-8")
+        line_no = next(number for number, line in enumerate(path.read_text().splitlines(), 1)
+                       if line_holds in line and line.startswith(("FRAGMENT", "ENTITY")))
+        code, out, err = run_cli(["infer", "--model", str(path), "--method", "exact",
+                                  "--evidence", "IsA(obj1,washer)=true", "--query", query],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: ValueError: bad model record on line {line_no}: ")
+        assert err.endswith(f"{reason}\n")
 
     @pytest.mark.parametrize("method", ["lw", "gibbs", "exact"])
     def test_two_patterns_print_the_lines_of_separate_runs(self, mini_model, capsys,
@@ -661,3 +762,16 @@ class TestValidate:
         for name in ("graph.tsv", "model.tsv", "assignment.tsv"):
             assert (tmp_path / "-1" / name).read_bytes() == \
                 (tmp_path / "0" / name).read_bytes(), name
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_config_reader_refuses_with_a_line_number(data, tmp_path_factory):
+    lines = bundled_lines("configs", "eval_all.cfg")
+    fields = ["samples=abc", "samples=5", "alpha=nan", "alpha=0.x", "seed=-1", "method=lw",
+              "recipe.samples=x", "recipe.alpha=2", "recipe.lexicon=x", "bogus=1", "seeds",
+              "=", "=1", "a.b.seeds=s", "ic_threshold=1e999", "min_children=1_0", "#x", ""]
+    lines = data.draw(edited_lines(lines, fields))
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    check_refusal(file_reader(load_config, path), lines, ConfigError,
+                  rf"^{re.escape(str(path))}:(\d+): ")

@@ -15,6 +15,7 @@ from situnet.disambiguation import (
     disambiguate_seeds,
 )
 from situnet.lexicon import parse_lexicon
+from situnet.relatedness import EsaRelatedness, build_esa_index
 
 from conftest import (
     WSP_SOURCE_KINDS,
@@ -268,3 +269,37 @@ class TestDisambiguateEdge:
                 scaled_choice, _ = disambiguate_edge(
                     context, term, lexicon, Scaled(provider, factor), stopwords)
                 assert scaled_choice == base_choice
+
+
+class TestStopwords:
+    """What the stopword list does: it drops words from the ESA index and the profiles."""
+
+    def test_listed_word_gets_no_vector_and_leaves_every_profile(self, lexicon, documents,
+                                                                 stopwords):
+        # the bundled corpus holds no listed word, so one more document holds them all
+        documents = [*documents, ("listed", "kitchen " + " ".join(sorted(stopwords)))]
+        plain = build_esa_index(documents)
+        index = build_esa_index(documents, stopwords=stopwords)
+        assert {w for w in stopwords if len(w) > 1} <= set(plain.vectors)
+        assert index.vectors == {word: vector for word, vector in plain.vectors.items()
+                                 if word not in stopwords}
+        reached = set()
+        for sid in lexicon.synsets:
+            profile = build_wsp(sid, lexicon)
+            reached |= stopwords & set(profile)
+            assert build_wsp(sid, lexicon, stopwords) == [w for w in profile
+                                                          if w not in stopwords]
+        assert reached  # the bundled glosses hold listed words
+
+    def test_one_stopword_in_a_gloss_flips_the_edge_sense(self):
+        # "bank" is money (rank 1) or an edge, whose gloss holds "the"; the corpus
+        # relates "water" to "the" more than to "money"
+        data = ("00000001 03 n 01 bank 0 000 | money\n"
+                "00000002 03 n 01 bank 0 000 | the edge\n")
+        lexicon = parse_lexicon("bank n 2 0 2 0 00000001 00000002\n", data)
+        documents = [("d0", "water the the"), ("d1", "money vault"), ("d2", "water money")]
+        chosen = {}
+        for label, stopwords in (("none", frozenset()), ("the", frozenset({"the"}))):
+            provider = EsaRelatedness(build_esa_index(documents, stopwords=stopwords))
+            chosen[label], _ = disambiguate_edge("water", "bank", lexicon, provider, stopwords)
+        assert chosen == {"none": "00000002-n", "the": "00000001-n"}

@@ -5,6 +5,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from situnet import bln
 from situnet.bln import AbstractVar, Declaration, Fragment, ground
@@ -25,7 +27,10 @@ from situnet.evaluation import (
 from conftest import (
     ancestral_closure,
     bundled,
+    check_refusal,
+    edited_lines,
     every_variable_gold,
+    file_reader,
     gibbs_estimates_oracle,
     lw_estimates_oracle,
 )
@@ -386,3 +391,15 @@ class TestReports:
         assert gold.relation_labels[("pan", RelationType.IsA, "cooking_utensil")] is True
         assert gold.relation_labels[("pan", RelationType.IsA, "cutlery")] is False
         assert gold.sense_labels["pan"].endswith("-n")
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_gold_reader_refuses_with_a_line_number(data, tmp_path_factory):
+    with open(bundled("gold", "mini.tsv"), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()[:6] + ["SENSE\tpan\tpan-1-n"]
+    fields = ["REL", "SENSE", "pan", "IsA", "UsedFor", "MadeOf", "utensil", "0", "1", "2",
+              "pan-1-n", "", "#x"]
+    lines = data.draw(edited_lines(lines, fields))
+    read = file_reader(load_gold, tmp_path_factory.getbasetemp() / "gold.tsv")
+    check_refusal(read, lines, ValueError, r"^bad gold record on line (\d+): ")

@@ -26,7 +26,7 @@ from situnet.lexicon import (
 
 from situnet.dag import CycleError
 
-from conftest import bundled, parse_lexicon_oracle
+from conftest import bundled, check_refusal, edited_lines, file_reader, parse_lexicon_oracle
 
 
 def make_index(index_text, data_text):
@@ -128,8 +128,8 @@ class TestParsing:
                        for i in range(1, n))
         data += f"{n:08d} 03 n 01 w{n} 0 000 | root\n"
         index = parse_lexicon("", data)
-        assert index.depth("00000001-n") == n
-        assert index.depth(f"{n:08d}-n") == 1
+        assert index._depths["00000001-n"] == n
+        assert index._depths[f"{n:08d}-n"] == 1
 
     def test_parse_write_parse_round_trip(self, lexicon):
         index_text, data_text = write_lexicon(lexicon)
@@ -201,7 +201,7 @@ def assert_equals_parse_oracle(index_text, data_text):
     index = parse_lexicon(index_text, data_text)
     assert list(index.synsets.items()) == list(synsets.items())
     assert list(index.lemma_index.items()) == list(lemma_index.items())
-    assert {sid: index.depth(sid) for sid in index.synsets} == depths
+    assert {sid: index._depths[sid] for sid in index.synsets} == depths
     assert index.roots == [sid for sid, syn in synsets.items() if not syn.hypernyms]
 
 
@@ -443,3 +443,13 @@ class TestTokenize:
 
     def test_drops_short_tokens_and_stopwords(self):
         assert tokenize("a b of the pan", {"of", "the"}) == ["pan"]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_frequency_reader_refuses_with_a_line_number(data, tmp_path_factory):
+    with open(bundled("frequencies.tsv"), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()[:6]
+    lines = data.draw(edited_lines(lines, ["pan", "5", "0", "-2", "1.5", "1e3", "", "#x"]))
+    read = file_reader(load_frequencies, tmp_path_factory.getbasetemp() / "frequencies.tsv")
+    check_refusal(read, lines, LexiconParseError, r"^line (\d+): ")

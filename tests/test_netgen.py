@@ -21,7 +21,7 @@ from situnet.netgen import (
     validate_graph,
 )
 
-from conftest import TableRelatedness
+from conftest import TableRelatedness, check_refusal, edited_lines
 
 
 def assignment_for(lexicon, words):
@@ -533,3 +533,15 @@ class TestGraphStructure:
         text = f"NODE\ta\tconcept\t-\t1\n\n{record}\n"
         with pytest.raises(ValueError, match=f"bad graph record on line 3: .*{reason}"):
             parse_graph(text)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_graph_reader_refuses_with_a_line_number(data, scenario_products):
+    lines = serialize_graph(scenario_products["mini"][1].graph).splitlines()
+    fields = ["NODE", "EDGE", "pan", "garlic", "ghost", "concept", "location", "color", "-",
+              "0", "1", "2", "IsA", "UsedFor", "MadeOf", "0.5", "nan", "strong", ""]
+    lines = data.draw(edited_lines(lines, fields))
+    # an edge may name a node whose record comes after it, so a prefix need not read
+    check_refusal(lambda lines: parse_graph("\n".join(lines)), lines, ValueError,
+                  r"^bad graph record on line (\d+): ", prefix_reads=False)

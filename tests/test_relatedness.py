@@ -13,7 +13,15 @@ from situnet.relatedness import (
     load_documents,
 )
 
-from conftest import TableRelatedness, esa_score_oracle, esa_vectors_oracle
+from conftest import (
+    TableRelatedness,
+    bundled,
+    check_refusal,
+    edited_lines,
+    esa_score_oracle,
+    esa_vectors_oracle,
+    file_reader,
+)
 
 
 class TestBuildIndex:
@@ -36,7 +44,7 @@ class TestBuildIndex:
                 assert stored[doc_idx] == count, (word, doc_idx)
 
     def test_vectors_sorted_positive_unique(self, esa_index):
-        for word in esa_index.words():
+        for word in esa_index.vectors:
             vec = esa_index.vector(word)
             indexes = [i for i, _ in vec]
             assert indexes == sorted(set(indexes))
@@ -93,7 +101,7 @@ def dense_cosine(index, a, b):
 
 class TestRelatedness:
     def test_self_similarity_is_one(self, esa_index, provider):
-        for word in esa_index.words():
+        for word in esa_index.vectors:
             assert provider.score(word, word) == 1.0
 
     def test_disjoint_support_is_zero(self):
@@ -105,7 +113,7 @@ class TestRelatedness:
 
     def test_hundred_random_pairs_match_dense_oracle(self, esa_index, provider):
         rng = np.random.default_rng(6)
-        words = sorted(esa_index.words())
+        words = sorted(esa_index.vectors)
         for _ in range(100):
             a, b = rng.choice(words, size=2)
             assert provider.score(a, b) == pytest.approx(dense_cosine(esa_index, a, b),
@@ -113,14 +121,14 @@ class TestRelatedness:
 
     def test_symmetry(self, esa_index, provider):
         rng = np.random.default_rng(7)
-        words = sorted(esa_index.words())
+        words = sorted(esa_index.vectors)
         for _ in range(100):
             a, b = rng.choice(words, size=2)
             assert provider.score(a, b) == provider.score(b, a)
 
     def test_range_zero_to_one(self, esa_index, provider):
         rng = np.random.default_rng(8)
-        words = sorted(esa_index.words())
+        words = sorted(esa_index.vectors)
         for _ in range(200):
             a, b = rng.choice(words, size=2)
             assert 0.0 <= provider.score(a, b) <= 1.0
@@ -129,7 +137,7 @@ class TestRelatedness:
         base = build_esa_index(documents, stopwords)
         doubled = build_esa_index(documents + documents, stopwords)
         rng = np.random.default_rng(9)
-        words = sorted(base.words())
+        words = sorted(base.vectors)
         for _ in range(100):
             a, b = rng.choice(words, size=2)
             assert EsaRelatedness(base).score(a, b) == pytest.approx(
@@ -143,7 +151,7 @@ class TestRelatedness:
         indexed, unknown terms, and spellings that normalize to the same
         term, so a kept vector must be the one of the term as normalized.
         """
-        indexed = sorted(esa_index.words())[:20]
+        indexed = sorted(esa_index.vectors)[:20]
         vocabulary = indexed + [
             "kitchen", "sink", "cooking", "utensil", "laundry", "basket", "sock", "towel",
             "cooking_utensil", "Cooking Utensil", " cooking utensil ", "kitchen_sink",
@@ -171,3 +179,13 @@ class TestProviders:
         assert table.score("stove", "pan") == 0.8
         assert table.score("stove", "stove") == 1.0
         assert table.score("x", "y") == 0.0
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_document_reader_refuses_with_a_line_number(data, tmp_path_factory):
+    with open(bundled("esa_corpus.tsv"), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()[:4]
+    lines = data.draw(edited_lines(lines, ["Kitchen", "pan pot", "", " ", "#x"]))
+    read = file_reader(load_documents, tmp_path_factory.getbasetemp() / "esa_corpus.tsv")
+    check_refusal(read, lines, ValueError, r"^bad document record on line (\d+): ")

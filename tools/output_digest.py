@@ -41,6 +41,11 @@ byte-identical outputs.  It covers:
   ``hamper``.  ``hamper`` has a second child in that request's closure,
   so the samplers keep drawing it and the chains still run their burn-in
   sweeps (for ``basket``'s gold triples it is summed into ``basket``);
+- ``infer`` query patterns on the ``mini`` model with exact inference
+  and the evidence ``IsA(obj1,pan)``: a ``*`` in the object slot
+  (``IsA(*,pan)``), two ``*`` (``IsA(*,*)``) and a prefix and suffix that
+  overlap in a name (``IsA(obj1,pan*an)``); and ``IsA(*,pan)`` with no
+  evidence, which names no object (exit code and output);
 - ``situnet --help`` and ``situnet <command> --help`` for each command:
   exit code and output, at a fixed width of 80 columns;
 - each command on a copy of ``mini.cfg`` with one checked key set to a
@@ -103,6 +108,12 @@ SCENARIO_METHODS = {**METHODS,
                     "gibbs-c2048": {"method": "gibbs", "samples": "4096", "burn_in": "2"}}
 SCENARIO_CHAINS = {"gibbs-c2048": 2048}  # n_chains is no config key; the rest use the default
 SEEDS_PER_MODEL = 3
+# (evidence, query pattern) on the mini model: * in the object slot, two *, overlapping
+# prefix and suffix, and an object-slot * with no object to ground
+PATTERN_REQUESTS = ((["--evidence", "IsA(obj1,pan)=true"], "IsA(*,pan)"),
+                    (["--evidence", "IsA(obj1,pan)=true"], "IsA(*,*)"),
+                    (["--evidence", "IsA(obj1,pan)=true"], "IsA(obj1,pan*an)"),
+                    ([], "IsA(*,pan)"))
 QUERIES = (("*",), ("AtLocation(obj1,*)", "UsedFor(obj1,*)"))  # one- and two-pattern requests
 FAMILY_QUERIES = tuple(f"{family}(obj1,*)"
                        for family in ("IsA", "UsedFor", "HasProperty", "AtLocation"))
@@ -259,6 +270,12 @@ def digests(work: Path):
             "--model", str(models["laundry"]), "--evidence", "IsA(obj1,basket)=true",
             "--query", "AtLocation(obj1,*)"]
     yield "infer/laundry/gibbs/basket/AtLocation(obj1,*)", sha(run_cli(cli.main, argv))
+
+    for evidence, pattern in PATTERN_REQUESTS:
+        argv = ["infer", "--model", str(models["mini"]), "--method", "exact", *evidence,
+                "--query", pattern]
+        label = "pan" if evidence else "no-evidence"
+        yield f"infer/mini/exact/{label}/{pattern}", sha(run_cli(cli.main, argv))
 
     with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse wraps help to the terminal
         yield "help", sha(run_cli(cli.main, ["--help"]))
